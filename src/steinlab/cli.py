@@ -3,8 +3,9 @@ Eilenberg-Mac Lane degrees, module tools, Schur and elementary
 functors, functor categories, and the GL_n(F_q) classification, plus a
 batch runner over JSON manifests.
 
-Exit codes: 0 success, 1 usage/parse error, 2 precondition failure,
-3 cap exceeded.
+Exit codes come from exception types: 0 success, 1 usage/parse error,
+3 ``CapExceeded`` (the job would exceed a size cap), 2 any other failed
+precondition.
 """
 
 import argparse
@@ -14,13 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import emlpoly, functorcat, modtools, schurfun, steinberg, symgrp
-from .fields import Field, QQ
+from .fields import CapExceeded, Field, QQ
 from .matrices import Matrix
 from .rings import FiniteRing, ring_homs
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 def parse_field(spec):
@@ -320,8 +317,6 @@ def build_parser():
     top.add_argument("--format", choices=("json", "tsv"), default=None)
     top.add_argument("--cap-dim", type=int, default=4096,
                      dest="cap_dim")
-    top.add_argument("--cap-hom", type=int, default=200000,
-                     dest="cap_hom")
     sub = top.add_subparsers(dest="module", required=True)
 
     pt = sub.add_parser("partition")
@@ -424,13 +419,11 @@ def run(argv):
         return run_batch(args)
     try:
         result = HANDLERS[args.module](args)
-    except (ValueError, KeyError, TypeError, RuntimeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
-        if "cap" in str(exc).lower():
-            return 3, f"error: {exc}"
-        return 2, f"error: {exc}"
     except CapExceeded as exc:
         return 3, f"error: {exc}"
+    except (ValueError, KeyError, TypeError, RuntimeError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
+        return 2, f"error: {exc}"
     return 0, render(result, args.format)
 
 

@@ -4,8 +4,13 @@ Galois field elements are encoded as integers in ``range(q)`` whose base-p
 digits are the coefficients of the residue polynomial in the canonical
 generator (little-endian).  Rational scalars are ``fractions.Fraction``.
 Supported extensions: p in {2, 3, 5, 7}, degree <= 4.
+
+Elimination goes through two row operations, ``row_sub`` (v - f*row) and
+``row_scale`` (c*v), with one branch per field kind: ints mod p, Fraction
+arithmetic, or table lookups on F_{p^e}.
 """
 
+import threading
 from fractions import Fraction
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -53,6 +58,10 @@ class FieldError(ValueError):
     pass
 
 
+class CapExceeded(ValueError):
+    """A computation would exceed a size cap (CLI exit code 3)."""
+
+
 class Field:
     """A coefficient field: F_p, F_{p^e}, or Q.
 
@@ -61,6 +70,7 @@ class Field:
     """
 
     _cache = {}
+    _cache_lock = threading.Lock()
 
     def __init__(self, char, degree, _token=None):
         if _token is not Field._cache:
@@ -98,6 +108,9 @@ class Field:
             acc = _poly_mul_mod(acc, [0, 1] + [0] * (e - 2), self.modulus, p, e)
         self._exp = exp
         self._log = log
+        self._neg = [self._digits_int([(-x) % p for x in d])
+                     for d in self._digits]
+        self._mul_rows = {}
         if q <= _TABLE_LIMIT:
             self._add_table = [
                 [self._add_digits(a, b) for b in range(q)] for a in range(q)
@@ -113,23 +126,29 @@ class Field:
 
     @staticmethod
     def galois(p, e):
-        key = (p, e)
-        f = Field._cache.get(key)
+        f = Field._cache.get((p, e))
         if f is None:
             if p not in SUPPORTED_PRIMES:
                 raise FieldError(f"unsupported characteristic {p}")
             if not 1 <= e <= MAX_DEGREE:
                 raise FieldError(f"unsupported extension degree {e}")
-            f = Field(p, e, _token=Field._cache)
-            Field._cache[key] = f
+            f = Field._intern(p, e)
         return f
 
     @staticmethod
     def rationals():
         f = Field._cache.get((0, 1))
-        if f is None:
-            f = Field(0, 1, _token=Field._cache)
-            Field._cache[(0, 1)] = f
+        return f if f is not None else Field._intern(0, 1)
+
+    @staticmethod
+    def _intern(char, degree):
+        # one lock around check-and-build, so threads that meet a field
+        # for the first time at once still share a single object
+        with Field._cache_lock:
+            f = Field._cache.get((char, degree))
+            if f is None:
+                f = Field(char, degree, _token=Field._cache)
+                Field._cache[(char, degree)] = f
         return f
 
     @staticmethod
@@ -181,8 +200,7 @@ class Field:
             return (-a) % self.char
         if k == "rational":
             return -a
-        p = self.char
-        return self._digits_int([(-x) % p for x in self._digits[a]])
+        return self._neg[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -208,6 +226,47 @@ class Field:
             return 1 / a
         q1 = self.order - 1
         return self._exp[(q1 - self._log[a]) % q1]
+
+    # -- row operations --------------------------------------------------
+
+    def row_sub(self, v, f, row):
+        """The list v - f*row."""
+        k = self.kind
+        if k == "prime":
+            p = self.char
+            return [(a - f * b) % p for a, b in zip(v, row)]
+        if k == "rational":
+            return [a - f * b for a, b in zip(v, row)]
+        nf = self._neg[f]
+        add = self._add_table
+        if add is None:
+            mul, add_digits = self.mul, self._add_digits
+            return [add_digits(a, mul(nf, b)) for a, b in zip(v, row)]
+        nfb = self._mul_row(nf)
+        return [add[a][nfb[b]] for a, b in zip(v, row)]
+
+    def row_scale(self, c, v):
+        """The list c*v."""
+        k = self.kind
+        if k == "prime":
+            p = self.char
+            return [(c * x) % p for x in v]
+        if k == "rational":
+            return [c * x for x in v]
+        if self._add_table is None:
+            mul = self.mul
+            return [mul(c, x) for x in v]
+        cb = self._mul_row(c)
+        return [cb[x] for x in v]
+
+    def _mul_row(self, c):
+        """[c*b for b in F], built on first use and cached (fields with an
+        add table only).  Two threads racing here build equal lists."""
+        t = self._mul_rows.get(c)
+        if t is None:
+            mul = self.mul
+            t = self._mul_rows[c] = [mul(c, b) for b in range(self.order)]
+        return t
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

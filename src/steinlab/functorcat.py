@@ -12,7 +12,7 @@ from itertools import product
 from math import comb
 
 from .emlpoly import NotPolynomialUpTo
-from .fields import Field, QQ
+from .fields import CapExceeded, Field, QQ
 from .matrices import Matrix, Subspace
 from .modtools import (AlgebraModule, are_isomorphic, is_simple,
                        restrict_to_submodule)
@@ -22,21 +22,6 @@ from .rings import (FiniteRing, RingIdeal, all_ideals, cotrivial_ideals,
 
 class NotIntermediateExtension(RuntimeError):
     pass
-
-
-def ring_matrix(ring, rows):
-    """An A-linear map as a tuple of row tuples of ring elements; plain
-    ints are coerced through the unit."""
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            if isinstance(x, tuple):
-                row.append(x)
-            else:
-                row.append(ring.from_int(x))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def ring_identity(ring, m):
@@ -148,7 +133,7 @@ def representable_functor(ring, field, N, cap=100000):
     def dim_rule(m):
         d = ring.size ** m
         if d > cap:
-            raise ValueError("representable value exceeds cap")
+            raise CapExceeded("representable value exceeds cap")
         return d
 
     def act(h, m, m2):
@@ -401,7 +386,7 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     homs_in = all_ring_homs_matrices(ring, n, m)    # f: A^n -> A^m
     homs_out = all_ring_homs_matrices(ring, m, n)   # g: A^m -> A^n
     if len(homs_out) * mm.dimension > hom_cap:
-        raise ValueError("intermediate extension value exceeds cap")
+        raise CapExceeded("intermediate extension value exceeds cap")
     dm = mm.dimension
     ambient = len(homs_out) * dm
     sp = Subspace(K, ambient)

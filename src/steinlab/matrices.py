@@ -2,7 +2,9 @@
 
 Everything here is exact: no floats anywhere.  Row reduction has a fast
 path for prime fields (plain int arithmetic mod p) and a fraction-free
-path for integer matrices over Q; other fields go through Field methods.
+path for integer matrices over Q.  Other fields, and every ``Subspace``
+reduction, go through the field's row operations ``Field.row_sub``
+(v - f*row) and ``Field.row_scale``, which have one branch per field kind.
 """
 
 from fractions import Fraction
@@ -388,16 +390,14 @@ def _rref_generic(rows, ncols, F):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv(rows[r][c])
         if inv != F.one:
-            mul = F.mul
-            rows[r] = [mul(inv, x) for x in rows[r]]
+            rows[r] = F.row_scale(inv, rows[r])
         lead = rows[r]
-        sub, mul = F.sub, F.mul
+        row_sub = F.row_sub
         for i in range(nrows):
             if i != r:
                 f = rows[i][c]
                 if f != z:
-                    ri = rows[i]
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(ri, lead)]
+                    rows[i] = row_sub(rows[i], f, lead)
         piv.append(c)
         r += 1
         if r == nrows:
@@ -426,55 +426,46 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, v):
-        F = self.field
+    def reduce(self, v, coords=None):
+        """v minus f*row for each basis row, f the entry of v at that row's
+        pivot; with ``coords`` a list, each f is appended to it.  What is
+        left is zero exactly when v lies in the span."""
+        z = self.field.zero
+        row_sub = self.field.row_sub
         v = list(v)
-        z = F.zero
         for row, c in zip(self.basis, self.pivots):
             f = v[c]
+            if coords is not None:
+                coords.append(f)
             if f != z:
-                sub, mul = F.sub, F.mul
-                v = [sub(a, mul(f, b)) for a, b in zip(v, row)]
-        return all(x == z for x in v)
+                v = row_sub(v, f, row)
+        return v
+
+    def contains(self, v):
+        z = self.field.zero
+        return all(x == z for x in self.reduce(v))
 
     def coords(self, v):
         """Coordinates of v in the stored basis, or None."""
-        F = self.field
-        v = list(v)
-        z = F.zero
+        z = self.field.zero
         out = []
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            out.append(f)
-            if f != z:
-                sub, mul = F.sub, F.mul
-                v = [sub(a, mul(f, b)) for a, b in zip(v, row)]
-        if any(x != z for x in v):
+        if any(x != z for x in self.reduce(v, out)):
             return None
         return out
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
         F = self.field
-        v = list(v)
         z = F.zero
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            if f != z:
-                sub, mul = F.sub, F.mul
-                v = [sub(a, mul(f, b)) for a, b in zip(v, row)]
+        v = self.reduce(v)
         for c, x in enumerate(v):
             if x != z:
-                inv = F.inv(x)
-                mul = F.mul
-                v = [mul(inv, y) for y in v]
+                v = F.row_scale(F.inv(x), v)
                 # keep basis reduced
                 for i, row in enumerate(self.basis):
                     f = row[c]
                     if f != z:
-                        sub = F.sub
-                        self.basis[i] = [sub(a, mul(f, b))
-                                         for a, b in zip(row, v)]
+                        self.basis[i] = F.row_sub(row, f, v)
                 k = 0
                 while k < len(self.pivots) and self.pivots[k] < c:
                     k += 1
@@ -515,12 +506,6 @@ def kernel_basis(m):
     """Null space of m as a Subspace of F^cols."""
     K = m.kernel_basis()
     return Subspace(m.field, m.ncols, K.rows)
-
-
-def image_basis(m):
-    """Column space of m as a Subspace of F^rows."""
-    B = m.column_space_basis()
-    return Subspace(m.field, m.nrows, B.rows)
 
 
 def kronecker(a, b):

@@ -160,7 +160,7 @@ def _berlekamp_factor(f, F):
             factors.append(g)
             continue
         # remove multiplicity: replace g by g / gcd(g, g')
-        dg = [F.mul(F.coerce(i), g[i]) for i in range(1, len(g))]
+        dg = [F.mul(i % F.char, g[i]) for i in range(1, len(g))]
         dg = _poly_trim(dg, F)
         if dg:
             h = _poly_gcd(g, dg, F)
@@ -490,11 +490,7 @@ def quotient_module(mod, basis_rows):
     free = [j for j in range(mod.dimension) if j not in pivset]
 
     def reduce_vec(v):
-        v = list(v)
-        for r, c in zip(sub.basis, sub.pivots):
-            f = v[c]
-            if f != F.zero:
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, r)]
+        v = sub.reduce(v)
         return [v[j] for j in free]
 
     gens = {}

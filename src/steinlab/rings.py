@@ -8,7 +8,7 @@ for cyclic components, encoded field elements for Galois components.
 from itertools import product
 from math import gcd
 
-from .fields import Field
+from .fields import CapExceeded, Field
 
 
 class RingError(ValueError):
@@ -410,7 +410,7 @@ def matrix_monoid_generators(ring, n, cap=None):
     if n < 1:
         raise RingError("rank must be >= 1")
     if cap is not None and ring.size ** (n * n) > cap:
-        raise RingError("enumeration cap exceeded")
+        raise CapExceeded("enumeration cap exceeded")
     ident = tuple(tuple(ring.one if i == j else ring.zero
                         for j in range(n)) for i in range(n))
     gens = []
@@ -476,5 +476,5 @@ def monoid_closure(ring, gens, cap=None):
                 seen.add(C)
                 frontier.append(C)
                 if cap is not None and len(seen) > cap:
-                    raise RingError("monoid closure exceeded cap")
+                    raise CapExceeded("monoid closure exceeded cap")
     return seen

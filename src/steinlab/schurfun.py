@@ -12,7 +12,7 @@ full enumeration.
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
 
-from .fields import Field
+from .fields import CapExceeded, Field
 from .matrices import Matrix, Subspace
 from .modtools import (AlgebraModule, are_isomorphic, restrict_to_submodule,
                        socle as _socle_rows, is_simple)
@@ -107,7 +107,7 @@ def elementary_value(M, n, K, cap=DEFAULT_DIM_CAP):
         raise ValueError("module field mismatch")
     dim_big = n ** d * M.dimension
     if dim_big > cap:
-        raise ValueError(f"dimension {dim_big} exceeds cap {cap}")
+        raise CapExceeded(f"dimension {dim_big} exceeds cap {cap}")
     # accumulate the norm columnwise: the (t, m) column picks up, for
     # each sigma, the m-th column of sigma on M placed in block sigma(t)
     dm = M.dimension
@@ -234,7 +234,7 @@ def schur_value(lam, n, K, cap=DEFAULT_DIM_CAP):
     lam = normalize_partition(lam)
     d = sum(lam)
     if n ** max(d, 1) > cap * 16:
-        raise ValueError("cap exceeded")
+        raise CapExceeded("cap exceeded")
     elements = monoid_generator_elements(n, K)
     if lam and len(lam) > n:
         zero = Matrix.zero(K, 0, 0)
@@ -356,38 +356,6 @@ def highest_weight(rep, degree=None):
     if not weights:
         raise ValueError("zero representation has no weights")
     return max(weights)
-
-
-def weight_multiplicities(rep, degree=None):
-    """All torus weights with multiplicities, as a sorted list."""
-    K = rep.field
-    d = degree if degree is not None else rep.degree
-    torus = _torus_matrices(rep)
-    z = K.gen()
-    powers = [K.one]
-    for _ in range(d):
-        powers.append(K.mul(powers[-1], z))
-    spaces = [([list(r) for r in Matrix.identity(K, rep.dimension).rows],
-               ())]
-    for D in torus:
-        nxt = []
-        for rows, w in spaces:
-            sub = restrict_to_submodule(AlgebraModule(K, {"D": D}), rows)
-            R = sub.generators["D"]
-            for k, val in enumerate(powers):
-                ker = (R - Matrix.identity(K, R.nrows).scale(val)) \
-                    .kernel_basis()
-                if ker.nrows == 0:
-                    continue
-                B = Matrix(K, rows)
-                vecs = [(Matrix(K, [list(kr)]) * B).rows[0]
-                        for kr in ker.rows]
-                nxt.append((vecs, w + (k,)))
-        spaces = nxt
-    out = {}
-    for rows, w in spaces:
-        out[w] = out.get(w, 0) + len(rows)
-    return sorted(out.items(), reverse=True)
 
 
 # -- twists and special modules ------------------------------------------

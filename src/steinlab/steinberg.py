@@ -8,7 +8,7 @@ enumeration, independent of all representation code.
 
 from math import gcd
 
-from .fields import Field, MAX_DEGREE
+from .fields import CapExceeded, Field, MAX_DEGREE
 from .matrices import Matrix
 from .modtools import (AlgebraModule, are_isomorphic, composition_factors,
                        end_dim, frobenius_twist, is_simple, tensor)
@@ -38,7 +38,7 @@ def _check_caps(n, q):
         return
     if n == 1 and q <= 9:
         return
-    raise ValueError(f"classification cap exceeded for (n, q) = ({n}, {q})")
+    raise CapExceeded(f"classification cap exceeded for (n, q) = ({n}, {q})")
 
 
 class SteinbergDatum:

@@ -10,6 +10,7 @@ tabloid basis is orthonormal.
 
 from itertools import permutations, product
 
+from .fields import CapExceeded
 from .matrices import Matrix
 
 
@@ -292,7 +293,7 @@ def specht_module(lam, k, cap=7):
     lam = normalize_partition(lam)
     d = sum(lam)
     if d > cap:
-        raise ValueError(f"degree {d} exceeds cap {cap}")
+        raise CapExceeded(f"degree {d} exceeds cap {cap}")
     if d == 0:
         raise ValueError("empty partition")
     tabloids = _all_tabloids(lam)
@@ -372,11 +373,6 @@ def simple_module(lam, k, cap=7):
     qs = quotient_matrix(S.gen_s)
     qc = quotient_matrix(S.gen_c)
     return SymModule(S.degree, k, qs, qc, name=f"D^{lam}")
-
-
-def trivial_module(d, k):
-    one = Matrix.identity(k, 1)
-    return SymModule(d, k, one, one, name="triv")
 
 
 def sign_module(d, k):

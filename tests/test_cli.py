@@ -1,5 +1,6 @@
 import json
 
+from steinlab import schurfun
 from steinlab.cli import run
 
 
@@ -75,7 +76,20 @@ def test_precondition_error_is_code_2():
 def test_cap_exceeded_is_code_3():
     code, out = run(["steinberg", "classify", "--n", "4", "--q", "2"])
     assert code == 3
-    assert "cap" in out.lower()
+    assert out == "error: classification cap exceeded for (n, q) = (4, 2)"
+
+
+def test_field_too_small_is_code_2(monkeypatch):
+    # a precondition failure whose message happens to contain "cap"
+    def escape(rep, degree=None):
+        raise schurfun.FieldTooSmall("weight spaces do not fill the module; "
+                                     "eigenvalues escape the expected powers")
+    monkeypatch.setattr(schurfun, "highest_weight", escape)
+    code, out = run(["schur", "weight", "--lam", "1", "--n", "2",
+                     "--coeff", "F_5"])
+    assert code == 2
+    assert out == ("error: weight spaces do not fill the module; "
+                   "eigenvalues escape the expected powers")
 
 
 def test_reruns_are_byte_identical():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from steinlab.fields import Field, FieldError, QQ
@@ -20,7 +23,7 @@ def test_field_interning():
 
 
 def test_axioms_small_fields():
-    for q in (2, 3, 4, 5, 8, 9):
+    for q in (2, 3, 4, 5, 8, 9, 2401):
         F = Field.of_order(q)
         els = F.elements()
         assert len(els) == q
@@ -83,3 +86,32 @@ def test_unsupported_characteristic():
         Field.prime(11)
     with pytest.raises(FieldError):
         Field.galois(2, 5)
+
+
+def test_concurrent_first_use_interns_one_field():
+    key = (5, 4)
+    old = Field._cache.pop(key, None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier = threading.Barrier(8)
+        got = []
+
+        def build():
+            barrier.wait(timeout=30)
+            got.append(Field.galois(*key))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        assert all(f is got[0] for f in got)
+        assert Field.galois(*key) is got[0]
+    finally:
+        sys.setswitchinterval(interval)
+        if old is not None:
+            Field._cache[key] = old
+

@@ -119,3 +119,10 @@ def test_quotient_and_restriction_dims():
     lower = mt.restrict_to_submodule(M, sub)
     upper = mt.quotient_module(M, sub)
     assert lower.dimension + upper.dimension == M.dimension
+
+
+def test_berlekamp_splits_repeated_factors_over_extensions():
+    # x^2 + 1 = (x + 1)^2 over F_4 and x^3 + 1 = (x + 1)^3 over F_9:
+    # the derivative's coefficients are integers, not element labels
+    assert mt._berlekamp_factor([1, 0, 1], Field.galois(2, 2)) == [[1, 1]]
+    assert mt._berlekamp_factor([1, 0, 0, 1], Field.galois(3, 2)) == [[1, 1]]
