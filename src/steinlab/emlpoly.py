@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, product
 
 from .fields import Field, QQ
 from .matrices import Matrix
-from .rings import FiniteRing, RingHom, ring_homs
+from .rings import ring_homs
 
 
 class WindowOverflow(ValueError):

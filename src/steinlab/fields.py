@@ -223,7 +223,7 @@ class Field:
         if k == "prime":
             return pow(a, self.char - 2, self.char)
         if k == "rational":
-            return 1 / a
+            return 1 / Fraction(a)
         q1 = self.order - 1
         return self._exp[(q1 - self._log[a]) % q1]
 

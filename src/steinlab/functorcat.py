@@ -6,18 +6,24 @@ action rule producing the matrix of F(h) for an explicit A-linear map
 h: A^m -> A^m' (h given as an m' x m tuple-of-tuples over the ring).
 Full action tables over all of Hom(A^m, A^m') are never materialized;
 every computation below only evaluates the handful of maps it needs.
+
+The intermediate extension T(M) of a K[M_n(A)]-module is such a functor:
+its value at A^m is the image of theta in M-valued functions on
+Hom(A^m, A^n), and F(h) precomposes those functions with h and writes
+them in the target value's basis with ``matrices.coords_in_basis``.  The
+intermediate-extension module at rank m is the functor's value module
+there (``functor_value_module``).
 """
 
 from itertools import product
 from math import comb
 
 from .emlpoly import NotPolynomialUpTo
-from .fields import CapExceeded, Field, QQ
-from .matrices import Matrix, Subspace
-from .modtools import (AlgebraModule, are_isomorphic, is_simple,
-                       restrict_to_submodule)
-from .rings import (FiniteRing, RingIdeal, all_ideals, cotrivial_ideals,
-                    mat_mul, matrix_monoid_generators, monoid_closure)
+from .fields import CapExceeded, QQ
+from .matrices import Matrix, Subspace, coords_in_basis
+from .modtools import AlgebraModule, are_isomorphic, is_simple
+from .rings import (all_ideals, cotrivial_ideals, mat_mul,
+                    matrix_monoid_generators)
 
 
 class NotIntermediateExtension(RuntimeError):
@@ -406,53 +412,14 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
 
 def intermediate_extension_module(mm, m, hom_cap=200000):
     """T(M)(A^m) with its End(A^m)-action, as a MonoidModule."""
-    ring, K = mm.ring, mm.field
-    dim, basis, homs_out, ambient = \
-        intermediate_extension_value(mm, m, hom_cap=hom_cap)
-    dm = mm.dimension
-    index = {g: i for i, g in enumerate(homs_out)}
-
-    def big_action(e):
-        # (e . phi)(g) = phi(g o e), so basis delta_(g0, j) goes to the
-        # sum of delta_(g, j) over g with g o e = g0
-        z, o = K.zero, K.one
-        mat = [[z] * ambient for _ in range(ambient)]
-        for gi, g in enumerate(homs_out):
-            tgt = index[_compose(ring, g, e, mm.n, m, m)]
-            for j in range(dm):
-                mat[gi * dm + j][tgt * dm + j] = o
-        return Matrix(K, mat)
-
-    gens = matrix_monoid_generators(ring, m)
-    big = AlgebraModule(K, {f"g{i}": big_action(e)
-                            for i, e in enumerate(gens)})
-    sub = restrict_to_submodule(big, basis) if dim else None
-
-    def action_of(e):
-        if dim == 0:
-            return Matrix.zero(K, 0, 0)
-        bigm = big_action(e)
-        B = Matrix(K, basis).transpose()
-        cols = []
-        for row in basis:
-            x = B.solve_right(bigm.apply_to_vector(list(row)))
-            if x is None:
-                raise ValueError("image not stable")
-            cols.append(x)
-        return Matrix(K, [list(r) for r in zip(*cols)])
-
-    out = MonoidModule(ring, m, K, action_of,
-                       name=f"T({mm.name})(A^{m})" if mm.name else "")
-    if sub is not None:
-        out.module = AlgebraModule(K, sub.generators, name=out.name)
-    return out
+    return functor_value_module(
+        intermediate_extension_functor(mm, m, hom_cap=hom_cap), m)
 
 
 def intermediate_extension_functor(mm, N, hom_cap=200000):
     """T(M) as a truncated FunctorRep."""
     ring, K = mm.ring, mm.field
     dm = mm.dimension
-    table = _full_action_table(mm)
     cache = {}
 
     def value(m):
@@ -465,25 +432,16 @@ def intermediate_extension_functor(mm, N, hom_cap=200000):
         return value(m)[0]
 
     def act(h, m, m2):
-        d1, basis1, homs1, amb1 = value(m)
-        d2, basis2, homs2, amb2 = value(m2)
+        d1, basis1, homs1, _ = value(m)
+        d2, basis2, homs2, _ = value(m2)
         if d1 == 0 or d2 == 0:
             return Matrix.zero(K, d2, d1)
         index1 = {g: i for i, g in enumerate(homs1)}
         # phi in Maps(Hom(A^m, A^n), M) goes to g' -> phi(g' o h)
-        cols = []
-        B2 = Matrix(K, basis2).transpose()
-        for row in basis1:
-            out = [K.zero] * amb2
-            for gi, g2 in enumerate(homs2):
-                src = index1[_compose(ring, g2, h, mm.n, m2, m)]
-                for j in range(dm):
-                    out[gi * dm + j] = row[src * dm + j]
-            x = B2.solve_right(out)
-            if x is None:
-                raise ValueError("functor action leaves the image")
-            cols.append(x)
-        return Matrix(K, [list(r) for r in zip(*cols)])
+        srcs = [index1[_compose(ring, g2, h, mm.n, m2, m)] for g2 in homs2]
+        images = [[row[src * dm + j] for src in srcs for j in range(dm)]
+                  for row in basis1]
+        return coords_in_basis(K, basis2, images)
 
     return FunctorRep(ring, K, N, dim_rule, act,
                       name=f"T({mm.name})" if mm.name else "T(M)")

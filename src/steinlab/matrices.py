@@ -5,6 +5,12 @@ path for prime fields (plain int arithmetic mod p) and a fraction-free
 path for integer matrices over Q.  Other fields, and every ``Subspace``
 reduction, go through the field's row operations ``Field.row_sub``
 (v - f*row) and ``Field.row_scale``, which have one branch per field kind.
+
+``coords_in_basis`` is the one way to write vectors in a basis.  Every
+restriction of an action to a submodule goes through it:
+``modtools.restrict_to_submodule``, Specht modules, and the functor action
+of an intermediate extension, whose module at each rank is the functor's
+value module.
 """
 
 from fractions import Fraction
@@ -498,20 +504,29 @@ class Subspace:
                 f"{self.field.label()}^{self.ambient_dim})")
 
 
-def rref(m):
-    return m.rref()
+def coords_in_basis(field, rows, images):
+    """The matrix whose column j holds the coordinates of ``images[j]`` in
+    the independent ``rows``; ValueError if an image leaves their span.
 
+    The images are reduced against the echelon basis of one ``Subspace``;
+    when ``rows`` is not that basis, a k x k change of basis follows."""
+    rows = [list(r) for r in rows]
+    sp = Subspace(field, len(rows[0]) if rows else 0, rows)
 
-def kernel_basis(m):
-    """Null space of m as a Subspace of F^cols."""
-    K = m.kernel_basis()
-    return Subspace(m.field, m.ncols, K.rows)
+    def columns(vectors):
+        cols = []
+        for v in vectors:
+            x = sp.coords(v)
+            if x is None:
+                raise ValueError("image outside the span of the basis")
+            cols.append(x)
+        return Matrix(field, [list(r) for r in zip(*cols)])
 
-
-def kronecker(a, b):
-    if a.field is not b.field:
-        raise ValueError("field mismatch in kronecker product")
-    return a.kron(b)
+    X = columns(images)
+    if sp.basis == rows:
+        return X
+    # columns(rows) maps coordinates in ``rows`` to echelon coordinates
+    return columns(rows).inverse() * X
 
 
 def span_from_spins(field, ambient_dim, seeds, operators):

@@ -9,7 +9,7 @@ seeded deterministic generator and a final fallback to exhaustion.
 
 import random
 
-from .matrices import Matrix, Subspace, span_from_spins
+from .matrices import Matrix, Subspace, coords_in_basis, span_from_spins
 
 
 class AlgebraModule:
@@ -467,17 +467,14 @@ def trivial_like(mod):
 def restrict_to_submodule(mod, basis_rows):
     """Action matrices on an invariant subspace, in the given basis."""
     F = mod.field
-    B = Matrix(F, basis_rows).transpose()
-    gens = {}
-    for name, g in mod.generators.items():
-        cols = []
-        for row in basis_rows:
-            img = g.apply_to_vector(list(row))
-            x = B.solve_right(img)
-            if x is None:
-                raise ValueError("subspace not invariant")
-            cols.append(x)
-        gens[name] = Matrix(F, [list(r) for r in zip(*cols)])
+    k = len(basis_rows)
+    names = list(mod.generators)
+    # the images of every generator share one Subspace
+    X = coords_in_basis(F, basis_rows,
+                        [mod.generators[name].apply_to_vector(list(row))
+                         for name in names for row in basis_rows])
+    gens = {name: Matrix(F, [r[i * k:(i + 1) * k] for r in X.rows])
+            for i, name in enumerate(names)}
     return AlgebraModule(F, gens, labels=mod.labels,
                          name=f"{mod.name}|sub" if mod.name else "")
 

@@ -12,12 +12,12 @@ full enumeration.
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
 
-from .fields import CapExceeded, Field
+from .fields import CapExceeded
 from .matrices import Matrix, Subspace
 from .modtools import (AlgebraModule, are_isomorphic, restrict_to_submodule,
-                       socle as _socle_rows, is_simple)
-from .symgrp import (conjugate, normalize_partition, is_p_restricted,
-                     specht_module, simple_module)
+                       socle as _socle_rows)
+from .symgrp import (_perm_sign_on, conjugate, normalize_partition,
+                     is_p_restricted)
 
 
 class FieldTooSmall(ValueError):
@@ -169,7 +169,7 @@ def _schur_image_vectors(lam, n, K):
         v = [K.zero] * len(sym)
         per_col = []
         for subset in choice:
-            per_col.append([(pi, _sign(subset, pi))
+            per_col.append([(pi, _perm_sign_on(subset, pi))
                             for pi in permutations(subset)])
         for combo in product(*per_col):
             # cell (i, j) gets combo[j][0][i]
@@ -186,17 +186,6 @@ def _schur_image_vectors(lam, n, K):
             v[idx] = K.add(v[idx], c)
         vectors.append(v)
     return sym, vectors
-
-
-def _sign(src, dst):
-    inv = 0
-    pos = {x: i for i, x in enumerate(src)}
-    arr = [pos[x] for x in dst]
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def _sym_action(n, lam, K, g, sym, index):

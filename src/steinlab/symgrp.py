@@ -11,7 +11,8 @@ tabloid basis is orthonormal.
 from itertools import permutations, product
 
 from .fields import CapExceeded
-from .matrices import Matrix
+from .matrices import Matrix, coords_in_basis
+from .modtools import AlgebraModule, quotient_module
 
 
 # -- partition combinatorics ---------------------------------------------
@@ -275,19 +276,6 @@ class SymModule:
                 f"over {self.field.label()})")
 
 
-def _restrict_action(big_images, basis_rows, field):
-    """Matrix of an operator on a subspace: ``big_images[j]`` is the image
-    of the j-th basis vector; returns coordinates in the same basis."""
-    B = Matrix(field, basis_rows).transpose()
-    cols = []
-    for img in big_images:
-        x = B.solve_right(img)
-        if x is None:
-            raise ValueError("subspace not invariant")
-        cols.append(x)
-    return Matrix(field, [list(r) for r in zip(*cols)])
-
-
 def specht_module(lam, k, cap=7):
     """The Specht module S^lam over k on the standard-polytabloid basis."""
     lam = normalize_partition(lam)
@@ -313,8 +301,9 @@ def specht_module(lam, k, cap=7):
     if d >= 2:
         s_map[1], s_map[2] = 2, 1
     c_map = {i: (i % d) + 1 for i in range(1, d + 1)}
-    gs = _restrict_action(perm_images(s_map), basis, k)
-    gc = _restrict_action(perm_images(c_map), basis, k)
+    X = coords_in_basis(k, basis, perm_images(s_map) + perm_images(c_map))
+    gs = Matrix(k, [r[:len(stds)] for r in X.rows])
+    gc = Matrix(k, [r[len(stds):] for r in X.rows])
     mod = SymModule(d, k, gs, gc, name=f"S^{lam}")
     mod.polytabloid_basis = basis
     mod.tabloids = tabloids
@@ -344,35 +333,9 @@ def simple_module(lam, k, cap=7):
     if rad.nrows == 0:
         S.name = f"D^{lam}"
         return S
-    piv = []
-    col = 0
-    for r in rad.rows:
-        while r[col] == k.zero:
-            col += 1
-        piv.append(col)
-    pivset = set(piv)
-    free = [j for j in range(S.dimension) if j not in pivset]
-
-    def reduce_mod_rad(v):
-        v = list(v)
-        for r, c in zip(rad.rows, piv):
-            f = v[c]
-            if f != k.zero:
-                v = [k.sub(a, k.mul(f, b)) for a, b in zip(v, r)]
-        return [v[j] for j in free]
-
-    def quotient_matrix(A):
-        cols = []
-        for j in free:
-            e = [k.zero] * S.dimension
-            e[j] = k.one
-            img = A.apply_to_vector(e)
-            cols.append(reduce_mod_rad(img))
-        return Matrix(k, [list(r) for r in zip(*cols)])
-
-    qs = quotient_matrix(S.gen_s)
-    qc = quotient_matrix(S.gen_c)
-    return SymModule(S.degree, k, qs, qc, name=f"D^{lam}")
+    D = quotient_module(AlgebraModule(k, S.generators()), rad.rows)
+    return SymModule(S.degree, k, D.generators["s"], D.generators["c"],
+                     name=f"D^{lam}")
 
 
 def sign_module(d, k):

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinlab import functorcat as fc
 from steinlab.emlpoly import NotPolynomialUpTo
 from steinlab.fields import Field
-from steinlab.rings import FiniteRing, ring_homs
+from steinlab.rings import FiniteRing, mat_mul, ring_homs
 
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
@@ -72,6 +73,29 @@ def test_functoriality_on_random_pairs():
         gf = mat_mul(F2RING, g, f)
         assert G.act_ranks(gf, m, m2) == \
             G.act_ranks(g, k, m2) * G.act_ranks(f, m, k)
+
+
+Z6 = FiniteRing("Z/6")
+F4 = Field.galois(2, 2)
+
+
+def ring_matrices(rows, cols):
+    el = st.sampled_from(Z6.elements())
+    return st.tuples(*[st.tuples(*[el] * cols)] * rows)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.data())
+def test_tdelta_functoriality_on_z6(data):
+    delta = fc.MonoidModule.from_character(
+        Z6, F4, lambda a: F4.one if Z6.is_unit(a) else F4.zero)
+    T = fc.intermediate_extension_functor(delta, 2)
+    m, k, m2 = (data.draw(st.integers(1, 2)) for _ in range(3))
+    f = data.draw(ring_matrices(k, m))
+    g = data.draw(ring_matrices(m2, k))
+    gf = mat_mul(Z6, g, f)
+    assert T.act_ranks(gf, m, m2) == \
+        T.act_ranks(g, k, m2) * T.act_ranks(f, m, k)
 
 
 def test_intermediate_extension_of_delta_is_lines():

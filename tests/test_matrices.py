@@ -1,7 +1,17 @@
 from fractions import Fraction
 
 from steinlab.fields import Field, QQ
-from steinlab.matrices import Matrix, Subspace, kernel_basis, rref
+from steinlab.matrices import Matrix, Subspace
+
+
+def rref(m):
+    return m.rref()
+
+
+def kernel_basis(m):
+    """Null space of m as a Subspace of F^cols."""
+    K = m.kernel_basis()
+    return Subspace(m.field, m.ncols, K.rows)
 
 
 def test_rank_nullity():
@@ -33,6 +43,21 @@ def test_rational_fraction_free_agrees_with_generic():
     M = Matrix(QQ, rows)
     assert M.rank() == 3
     assert M * M.inverse() == Matrix.identity(QQ, 3)
+
+
+def test_rational_inverse_of_int_pivots_is_exact():
+    M = Matrix(QQ, [[2, Fraction(1, 3)], [1, 1]])
+    inv = M.inverse()
+    assert inv.rows == [[Fraction(3, 5), Fraction(-1, 5)],
+                        [Fraction(-3, 5), Fraction(6, 5)]]
+    assert all(isinstance(x, Fraction) for x in inv.entries_flat())
+
+
+def test_rational_subspace_of_int_vector_is_exact():
+    sp = Subspace(QQ, 2)
+    sp.add_vector([2, 1])
+    assert sp.basis == [[1, Fraction(1, 2)]]
+    assert all(isinstance(x, Fraction) for x in sp.basis[0])
 
 
 def test_kernel_vectors_annihilate():

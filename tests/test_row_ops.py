@@ -1,11 +1,12 @@
-"""Property tests for the per-kind row operations and the Subspace
-reduction built on them.  Hypothesis runs derandomized, so the examples
-are the same on every run."""
+"""Property tests for the per-kind row operations, the Subspace
+reduction built on them and ``coords_in_basis``.  Hypothesis runs
+derandomized, so the examples are the same on every run."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab.fields import Field, QQ
-from steinlab.matrices import Matrix, Subspace
+from steinlab.matrices import Matrix, Subspace, coords_in_basis
 
 # F_2, F_5, F_4, F_9, F_{7^4} (too large for an add table) and Q
 FIELDS = [Field.prime(2), Field.prime(5), Field.galois(2, 2),
@@ -82,3 +83,59 @@ def test_coords_reconstruct_span(case):
         e = [F.zero] * n
         e[j] = F.one
         assert (sp.coords(e) is None) == (not sp.contains(e))
+
+
+def nonzero(F):
+    return scalars(F).filter(lambda x: x != F.zero)
+
+
+@st.composite
+def basis_and_coeffs(draw, F):
+    """Independent rows that are not in echelon form (row i leads at
+    column k-1-i, so the leading columns fall), plus coefficient columns."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k + 1, 6))
+    rows = []
+    for i in range(k):
+        lead = k - 1 - i
+        tail = draw(st.lists(scalars(F), min_size=n - lead - 1,
+                             max_size=n - lead - 1))
+        rows.append([F.zero] * lead + [draw(nonzero(F))] + tail)
+    cols = draw(st.lists(st.lists(scalars(F), min_size=k, max_size=k),
+                         min_size=1, max_size=4))
+    return n, rows, cols
+
+
+def combination(F, n, coeffs, rows):
+    w = [F.zero] * n
+    for c, row in zip(coeffs, rows):
+        w = [F.add(a, F.mul(c, b)) for a, b in zip(w, row)]
+    return w
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.label())
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_coords_in_basis_recovers_coefficients(F, data):
+    n, rows, cols = data.draw(basis_and_coeffs(F))
+    assert Subspace(F, n, rows).basis != rows
+    images = [combination(F, n, c, rows) for c in cols]
+    X = coords_in_basis(F, rows, images)
+    assert X.transpose().rows == cols
+    B = Matrix(F, rows).transpose()
+    assert X.transpose().rows == [B.solve_right(img) for img in images]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.label())
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_coords_in_basis_rejects_image_outside_span(F, data):
+    n, rows, cols = data.draw(basis_and_coeffs(F))
+    # the rows restricted to their first k columns are invertible, so a
+    # nonzero vector vanishing there lies outside the span
+    k = len(rows)
+    outside = combination(F, n, cols[0], rows)
+    outside[k] = F.add(outside[k], F.one)
+    with pytest.raises(ValueError):
+        coords_in_basis(F, rows, [combination(F, n, cols[-1], rows),
+                                  outside])
