@@ -9,21 +9,24 @@ every computation below only evaluates the handful of maps it needs.
 
 The intermediate extension T(M) of a K[M_n(A)]-module is such a functor:
 its value at A^m is the image of theta in M-valued functions on
-Hom(A^m, A^n), and F(h) precomposes those functions with h and writes
-them in the target value's basis with ``matrices.coords_in_basis``.  The
-intermediate-extension module at rank m is the functor's value module
-there (``functor_value_module``).
+Hom(A^m, A^n), held as a ``Subspace``, and F(h) precomposes those
+functions with h and writes them in the target value's basis with
+``Subspace.coords_matrix``.  The action of every element of M_n(A) that
+theta needs comes from ``rings.monoid_closure`` over the monoid
+generators.  The intermediate-extension module at rank m is the functor's
+value module there (``functor_value_module``).
 """
 
+from functools import cached_property
 from itertools import product
 from math import comb
 
 from .emlpoly import NotPolynomialUpTo
 from .fields import CapExceeded, QQ
-from .matrices import Matrix, Subspace, coords_in_basis
+from .matrices import Matrix, Subspace
 from .modtools import AlgebraModule, are_isomorphic, is_simple
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
-                    matrix_monoid_generators)
+                    matrix_monoid_generators, monoid_closure)
 
 
 class NotIntermediateExtension(RuntimeError):
@@ -348,6 +351,20 @@ class MonoidModule:
     def dimension(self):
         return self.module.dimension
 
+    @cached_property
+    def action_table(self):
+        """The action matrix of every element of M_n(A), built once by
+        ``rings.monoid_closure`` from the generators."""
+        ring = self.ring
+        ident = ring_identity(ring, self.n)
+        gens = list(self.gen_elements.values())
+        acts = [self.module.generators[nm] for nm in self.gen_elements]
+        table = {ident: Matrix.identity(self.field, self.dimension)}
+        for e, i, prev in monoid_closure(
+                lambda g, x: mat_mul(ring, g, x), [ident], gens):
+            table[e] = acts[i] * table[prev]
+        return table
+
     @staticmethod
     def from_character(ring, field, chi, name="chi"):
         """A one-dimensional module of M_1(A) from a multiplicative
@@ -357,43 +374,22 @@ class MonoidModule:
         return MonoidModule(ring, 1, field, action, name=name)
 
 
-def _full_action_table(mm):
-    """Action matrix for every element of M_n(A), by monoid closure."""
-    if hasattr(mm, "_table"):
-        return mm._table
-    ring, n = mm.ring, mm.n
-    table = {}
-    ident = ring_identity(ring, n)
-    table[ident] = Matrix.identity(mm.field, mm.dimension)
-    frontier = [ident]
-    gen_pairs = [(mm.gen_elements[nm], mm.module.generators[nm])
-                 for nm in sorted(mm.gen_elements)]
-    while frontier:
-        e = frontier.pop()
-        act = table[e]
-        for ge, ga in gen_pairs:
-            e2 = mat_mul(ring, ge, e)
-            if e2 not in table:
-                table[e2] = ga * act
-                frontier.append(e2)
-    mm._table = table
-    return table
-
-
 def intermediate_extension_value(mm, m, hom_cap=200000):
     """T(M)(A^m) for a K[M_n(A)]-module M: the image of the canonical
     map K[Hom(A^n, A^m)] (x) M -> Maps(Hom(A^m, A^n), M), theta(f (x) v)
     sending g to rho(g o f) v.
 
-    Returns (dimension, basis rows, dual_homs, ambient dim); the basis
+    Returns (dimension, Subspace, dual_homs, ambient dim); the subspace
     lives in the space of M-valued functions on Hom(A^m, A^n)."""
     ring, n, K = mm.ring, mm.n, mm.field
-    table = _full_action_table(mm)
+    dm = mm.dimension
+    if ring.size ** (m * n) * dm > hom_cap:
+        raise CapExceeded("intermediate extension value exceeds cap")
+    if ring.size ** (n * n) * dm > hom_cap:
+        raise CapExceeded("monoid action table exceeds cap")
+    table = mm.action_table
     homs_in = all_ring_homs_matrices(ring, n, m)    # f: A^n -> A^m
     homs_out = all_ring_homs_matrices(ring, m, n)   # g: A^m -> A^n
-    if len(homs_out) * mm.dimension > hom_cap:
-        raise CapExceeded("intermediate extension value exceeds cap")
-    dm = mm.dimension
     ambient = len(homs_out) * dm
     sp = Subspace(K, ambient)
     for f in homs_in:
@@ -407,7 +403,7 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
                 for i in range(dm):
                     vec[gi * dm + i] = Mat.rows[i][j]
             sp.add_vector(vec)
-    return sp.dim, [list(r) for r in sp.basis], homs_out, ambient
+    return sp.dim, sp, homs_out, ambient
 
 
 def intermediate_extension_module(mm, m, hom_cap=200000):
@@ -432,16 +428,16 @@ def intermediate_extension_functor(mm, N, hom_cap=200000):
         return value(m)[0]
 
     def act(h, m, m2):
-        d1, basis1, homs1, _ = value(m)
-        d2, basis2, homs2, _ = value(m2)
+        d1, sp1, homs1, _ = value(m)
+        d2, sp2, homs2, _ = value(m2)
         if d1 == 0 or d2 == 0:
             return Matrix.zero(K, d2, d1)
         index1 = {g: i for i, g in enumerate(homs1)}
         # phi in Maps(Hom(A^m, A^n), M) goes to g' -> phi(g' o h)
         srcs = [index1[_compose(ring, g2, h, mm.n, m2, m)] for g2 in homs2]
         images = [[row[src * dm + j] for src in srcs for j in range(dm)]
-                  for row in basis1]
-        return coords_in_basis(K, basis2, images)
+                  for row in sp1.basis]
+        return sp2.coords_matrix(images)
 
     return FunctorRep(ring, K, N, dim_rule, act,
                       name=f"T({mm.name})" if mm.name else "T(M)")

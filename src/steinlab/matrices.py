@@ -6,11 +6,13 @@ path for integer matrices over Q.  Other fields, and every ``Subspace``
 reduction, go through the field's row operations ``Field.row_sub``
 (v - f*row) and ``Field.row_scale``, which have one branch per field kind.
 
-``coords_in_basis`` is the one way to write vectors in a basis.  Every
-restriction of an action to a submodule goes through it:
-``modtools.restrict_to_submodule``, Specht modules, and the functor action
-of an intermediate extension, whose module at each rank is the functor's
-value module.
+``Subspace.coords_matrix`` is the one way to write vectors in a basis;
+``coords_in_basis`` puts it behind any independent rows.  Every
+restriction of an action to a submodule goes through them:
+``modtools.restrict_to_submodule`` and Specht modules through
+``coords_in_basis``, and the functor action of an intermediate extension,
+whose module at each rank is the functor's value module, straight against
+the value's ``Subspace``.
 """
 
 from fractions import Fraction
@@ -459,6 +461,17 @@ class Subspace:
             return None
         return out
 
+    def coords_matrix(self, images):
+        """The matrix whose column j holds the coordinates of ``images[j]``
+        in the stored basis; ValueError if an image leaves the span."""
+        cols = []
+        for v in images:
+            x = self.coords(v)
+            if x is None:
+                raise ValueError("image outside the span of the basis")
+            cols.append(x)
+        return Matrix(self.field, [list(r) for r in zip(*cols)])
+
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
         F = self.field
@@ -512,21 +525,11 @@ def coords_in_basis(field, rows, images):
     when ``rows`` is not that basis, a k x k change of basis follows."""
     rows = [list(r) for r in rows]
     sp = Subspace(field, len(rows[0]) if rows else 0, rows)
-
-    def columns(vectors):
-        cols = []
-        for v in vectors:
-            x = sp.coords(v)
-            if x is None:
-                raise ValueError("image outside the span of the basis")
-            cols.append(x)
-        return Matrix(field, [list(r) for r in zip(*cols)])
-
-    X = columns(images)
+    X = sp.coords_matrix(images)
     if sp.basis == rows:
         return X
-    # columns(rows) maps coordinates in ``rows`` to echelon coordinates
-    return columns(rows).inverse() * X
+    # coords_matrix(rows) maps coordinates in ``rows`` to echelon ones
+    return sp.coords_matrix(rows).inverse() * X
 
 
 def span_from_spins(field, ambient_dim, seeds, operators):

@@ -5,11 +5,15 @@ Simplicity testing uses exhaustive seed spinning at small sizes and a
 Norton-criterion test (random algebra element, minimal polynomial,
 kernel spins on both the module and its transpose) above that, with a
 seeded deterministic generator and a final fallback to exhaustion.
+Frobenius twists find the powered generators in the generated monoid with
+``rings.monoid_closure``.
 """
 
+import operator
 import random
 
 from .matrices import Matrix, Subspace, coords_in_basis, span_from_spins
+from .rings import monoid_closure
 
 
 class AlgebraModule:
@@ -546,49 +550,32 @@ def frobenius_twist(mod, i):
 
     Requires ``labels``: a dict name -> Matrix over the (finite) entry
     field giving the monoid element each generator represents.  The
-    powered elements are located in the generated monoid by breadth-first
-    word search, and the action matrices follow the words.
+    powered elements are located in the generated monoid by
+    ``rings.monoid_closure``, and the action matrices follow the words.
     """
     if mod.labels is None:
         raise ValueError("frobenius_twist needs labelled generators")
     names = mod.gen_names()
-    elems = {n: mod.labels[n] for n in names}
-    Fq = next(iter(elems.values())).field
+    elems = [mod.labels[n] for n in names]
+    Fq = elems[0].field
     if Fq.kind == "rational":
         raise ValueError("generator entries must lie in a finite field")
-    # BFS over the generated monoid, remembering realizing action
-    key = lambda E: tuple(tuple(r) for r in E.rows)
-    actions = {}
-    frontier = []
-    ident_e = Matrix.identity(Fq, next(iter(elems.values())).nrows)
-    actions[key(ident_e)] = (ident_e,
-                             Matrix.identity(mod.field, mod.dimension))
-    frontier.append(ident_e)
-    gen_pairs = [(elems[n], mod.generators[n]) for n in names]
-    targets = {}
-    for n in names:
-        E = elems[n]
-        P = Matrix(Fq, [[Fq.frobenius(x, i) for x in row]
-                        for row in E.rows])
-        targets[n] = key(P)
-    missing = set(targets.values()) - set(actions)
-    while frontier and missing:
-        E = frontier.pop(0)
-        act = actions[key(E)][1]
-        for ge, ga in gen_pairs:
-            E2 = ge * E
-            k2 = key(E2)
-            if k2 not in actions:
-                actions[k2] = (E2, ga * act)
-                frontier.append(E2)
-                missing.discard(k2)
-    new_gens = {}
-    for n in names:
-        k2 = targets[n]
-        if k2 not in actions:
-            raise ValueError("powered generator not in generated monoid")
-        new_gens[n] = actions[k2][1]
+    ident = Matrix.identity(Fq, elems[0].nrows)
+    actions = {ident: Matrix.identity(mod.field, mod.dimension)}
+    targets = [Matrix(Fq, [[Fq.frobenius(x, i) for x in row]
+                           for row in E.rows]) for E in elems]
+    missing = set(targets) - {ident}
+    acts = [mod.generators[n] for n in names]
+    for E, k, prev in monoid_closure(operator.mul, [ident], elems):
+        if not missing:
+            break
+        actions[E] = acts[k] * actions[prev]
+        missing.discard(E)
+    if missing:
+        raise ValueError("powered generator not in generated monoid")
     # the labels stay the original elements: the twisted module is the
     # same group acting through the powered matrices, so twists compose
-    return AlgebraModule(mod.field, new_gens, labels=dict(elems),
+    return AlgebraModule(mod.field,
+                         {n: actions[P] for n, P in zip(names, targets)},
+                         labels=dict(zip(names, elems)),
                          name=f"{mod.name}^[{i}]" if mod.name else "")

@@ -3,8 +3,14 @@
 Spec strings look like ``"Z/6"``, ``"F_4"`` or ``"Z/4xF_9"`` (components
 joined by 'x').  Elements are tuples of component values: plain residues
 for cyclic components, encoded field elements for Galois components.
+
+``monoid_closure`` is the one closure routine of the package: ideals here,
+the action of every element of M_n(A) in ``functorcat``, the powered
+generators of ``modtools.frobenius_twist`` and the permutation matrices
+of ``symgrp.SymModule`` are all breadth-first searches through it.
 """
 
+from collections import deque
 from itertools import product
 from math import gcd
 
@@ -188,7 +194,12 @@ class RingIdeal:
     def __init__(self, ring, generators):
         self.ring = ring
         self.generators = [tuple(g) for g in generators]
-        self.elements = _ideal_closure(ring, self.generators)
+        # the additive span of the multiples r*g
+        base = list({ring.mul(r, g) for g in self.generators
+                     for r in ring.elements()})
+        self.elements = frozenset(
+            [ring.zero] + [y for y, _, _ in
+                           monoid_closure(ring.add, [ring.zero], base)])
 
     @property
     def size(self):
@@ -213,28 +224,6 @@ class RingIdeal:
     def __repr__(self):
         return (f"RingIdeal({self.ring.label()}, "
                 f"{self.size} elements)")
-
-
-def _ideal_closure(ring, gens):
-    els = ring.elements()
-    seen = {ring.zero}
-    frontier = [ring.zero]
-    base = set()
-    for g in gens:
-        for r in els:
-            base.add(ring.mul(r, g))
-    for b in base:
-        if b not in seen:
-            seen.add(b)
-            frontier.append(b)
-    while frontier:
-        x = frontier.pop()
-        for b in base:
-            y = ring.add(x, b)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
 
 
 def all_ideals(ring):
@@ -464,17 +453,21 @@ def mat_mul(ring, A, B):
     return tuple(out)
 
 
-def monoid_closure(ring, gens, cap=None):
-    """All products of the generators (a submonoid of M_n(A))."""
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        A = frontier.pop()
-        for B in gens:
-            C = mat_mul(ring, A, B)
-            if C not in seen:
-                seen.add(C)
-                frontier.append(C)
-                if cap is not None and len(seen) > cap:
-                    raise CapExceeded("monoid closure exceeded cap")
-    return seen
+def monoid_closure(mul, start, gens):
+    """Breadth-first closure of ``start`` under left multiplication by
+    ``gens``: yields ``(y, i, x)`` for each element y not in ``start``,
+    where y = mul(gens[i], x) and x was reached earlier (or is in
+    ``start``).  The caller supplies the product, so the elements may be
+    ring matrices, ``Matrix`` objects, permutations or ring elements under
+    addition; an action table follows as ``act[y] = gen_act[i] * act[x]``.
+    Stop early by leaving the loop."""
+    seen = set(start)
+    queue = deque(start)
+    while queue:
+        x = queue.popleft()
+        for i, g in enumerate(gens):
+            y = mul(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                yield y, i, x

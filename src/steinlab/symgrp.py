@@ -5,7 +5,8 @@ tabloid permutation module; the standard polytabloids are unitriangular
 against the tabloid dominance order, so they stay independent over every
 field and no straightening is needed.  Simple modules in characteristic
 p come from the radical of the canonical bilinear form, for which the
-tabloid basis is orthonormal.
+tabloid basis is orthonormal.  The matrix of every permutation follows
+from those of s = (1 2) and c = (1 2 ... d) by ``rings.monoid_closure``.
 """
 
 from itertools import permutations, product
@@ -13,6 +14,7 @@ from itertools import permutations, product
 from .fields import CapExceeded
 from .matrices import Matrix, coords_in_basis
 from .modtools import AlgebraModule, quotient_module
+from .rings import monoid_closure
 
 
 # -- partition combinatorics ---------------------------------------------
@@ -244,31 +246,22 @@ class SymModule:
 
     def perm_matrix(self, perm):
         """Matrix of an arbitrary permutation, given in one-line notation
-        as a tuple (perm[i] = image of i+1); built once by breadth-first
-        word decomposition over {s, c}."""
+        as a tuple (perm[i] = image of i+1); the matrices of all of S_d
+        are built once by ``rings.monoid_closure`` over {s, c}."""
         if self._perm_cache is None:
-            self._perm_cache = self._build_perm_cache()
+            d = self.degree
+            ident = tuple(range(1, d + 1))
+            s = (2, 1, *range(3, d + 1)) if d > 1 else ident
+            c = (*range(2, d + 1), 1)
+            mats = [self.gen_s, self.gen_c]
+            cache = {ident: Matrix.identity(self.field, self.dimension)}
+            # left action: (g o pi)(i) = g(pi(i))
+            for tau, k, pi in monoid_closure(
+                    lambda g, pi: tuple(g[x - 1] for x in pi), [ident],
+                    [s, c]):
+                cache[tau] = mats[k] * cache[pi]
+            self._perm_cache = cache
         return self._perm_cache[tuple(perm)]
-
-    def _build_perm_cache(self):
-        d = self.degree
-        ident = tuple(range(1, d + 1))
-        if d == 1:
-            return {ident: Matrix.identity(self.field, self.dimension)}
-        s = tuple([2, 1] + list(range(3, d + 1)))
-        c = tuple(list(range(2, d + 1)) + [1])
-        gens = [(s, self.gen_s), (c, self.gen_c)]
-        cache = {ident: Matrix.identity(self.field, self.dimension)}
-        frontier = [ident]
-        while frontier:
-            pi = frontier.pop(0)
-            for gperm, gmat in gens:
-                # left action: (g o pi)(i) = g(pi(i))
-                tau = tuple(gperm[pi[i] - 1] for i in range(d))
-                if tau not in cache:
-                    cache[tau] = gmat * cache[pi]
-                    frontier.append(tau)
-        return cache
 
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""

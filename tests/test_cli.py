@@ -1,4 +1,5 @@
 import json
+import time
 
 from steinlab import schurfun
 from steinlab.cli import run
@@ -77,6 +78,16 @@ def test_cap_exceeded_is_code_3():
     code, out = run(["steinberg", "classify", "--n", "4", "--q", "2"])
     assert code == 3
     assert out == "error: classification cap exceeded for (n, q) = (4, 2)"
+
+
+def test_iext_action_table_cap_is_code_3():
+    # M_3(Z/6) has 6^9 elements; the cap refuses them before any is built
+    start = time.perf_counter()
+    code, out = run(["functor", "iext", "--ring", "Z/6", "--coeff", "F_4",
+                     "--functor", "tdelta", "--rank", "3", "--n", "3"])
+    assert code == 3
+    assert out == "error: monoid action table exceeds cap"
+    assert time.perf_counter() - start < 20
 
 
 def test_field_too_small_is_code_2(monkeypatch):

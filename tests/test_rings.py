@@ -3,8 +3,8 @@ import pytest
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
 from steinlab.rings import (FiniteRing, all_ideals, cotrivial_ideals,
-                            matrix_monoid_generators, monoid_closure,
-                            primary_idempotents, ring_homs)
+                            mat_mul, matrix_monoid_generators,
+                            monoid_closure, primary_idempotents, ring_homs)
 
 
 def test_parse_and_size():
@@ -85,15 +85,19 @@ def test_primary_idempotents():
 
 
 def test_monoid_closure_full():
+    def monoid(ring, gens):
+        return set(gens) | {y for y, _, _ in monoid_closure(
+            lambda g, x: mat_mul(ring, g, x), gens, gens)}
+
     R2 = FiniteRing("F_2")
     gens = matrix_monoid_generators(R2, 2)
-    assert len(monoid_closure(R2, gens)) == 16
+    assert len(monoid(R2, gens)) == 16
     Z4 = FiniteRing("Z/4")
     gens1 = matrix_monoid_generators(Z4, 1)
-    assert len(monoid_closure(Z4, gens1)) == 4
+    assert len(monoid(Z4, gens1)) == 4
     Z6 = FiniteRing("Z/6")
     gens6 = matrix_monoid_generators(Z6, 2)
-    assert len(monoid_closure(Z6, gens6)) == 6 ** 4
+    assert len(monoid(Z6, gens6)) == 6 ** 4
 
 
 def test_monoid_cap():

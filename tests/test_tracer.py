@@ -33,6 +33,7 @@ def test_span_tracer_enters_and_restores():
     assert traced[0] == 0 and run(JOB) == traced
     calls, _ = spans.summary()
     assert calls["functorcat.iext_value"] > 0
+    assert calls["rings.monoid_closure"] > 0
     assert calls["matrices.rref"] > 0
 
 
