@@ -417,11 +417,6 @@ def factor_ring_map(phi, cap=8, max_extension=None):
 
 # -- linearization -------------------------------------------------------
 
-def _group_ring_space(k, group_elements):
-    index = {g: i for i, g in enumerate(group_elements)}
-    return index
-
-
 def _linear_map_matrix(k, src_elements, dst_index, images):
     """Matrix of a k-linear map k[S] -> k[T] given images as formal sums
     [(coeff sign, element), ...] per basis vector of the source."""

@@ -268,9 +268,6 @@ class Field:
             t = self._mul_rows[c] = [mul(c, b) for b in range(self.order)]
         return t
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -293,9 +290,6 @@ class Field:
         if self.kind == "rational":
             raise FieldError("Q is infinite")
         return range(self.order)
-
-    def units(self):
-        return [a for a in self.elements() if a != 0]
 
     def gen(self):
         """A multiplicative generator (the residue of x for extensions)."""

@@ -9,12 +9,17 @@ every computation below only evaluates the handful of maps it needs.
 
 The intermediate extension T(M) of a K[M_n(A)]-module is such a functor:
 its value at A^m is the image of theta in M-valued functions on
-Hom(A^m, A^n), held as a ``Subspace``, and F(h) precomposes those
-functions with h and writes them in the target value's basis with
-``Subspace.coords_matrix``.  The action of every element of M_n(A) that
-theta needs comes from ``rings.monoid_closure`` over the monoid
-generators.  The intermediate-extension module at rank m is the functor's
-value module there (``functor_value_module``).
+Hom(A^m, A^n), held as a ``Subspace``.  Every f: A^n -> A^m factors
+through the m x n matrix f0 with ones on the diagonal (f = e o f0 or
+f0 o e), so that image is spun by ``span_from_spins`` from the dim M
+functions theta(f0 (x) e_j) under precomposition by the generators of
+End(A^m); Hom(A^n, A^m) is never enumerated.  F(h) is the same
+precomposition (``_Precompose``, an index map on coordinates) written in
+the target value's basis with ``Subspace.coords_matrix``.  The action of
+every element of M_n(A) that the seeds need comes from
+``rings.monoid_closure`` over the monoid generators.  The
+intermediate-extension module at rank m is the functor's value module
+there (``functor_value_module``).
 """
 
 from functools import cached_property
@@ -23,7 +28,7 @@ from math import comb
 
 from .emlpoly import NotPolynomialUpTo
 from .fields import CapExceeded, QQ
-from .matrices import Matrix, Subspace
+from .matrices import Matrix, Subspace, span_from_spins
 from .modtools import AlgebraModule, are_isomorphic, is_simple
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
                     matrix_monoid_generators, monoid_closure)
@@ -374,13 +379,39 @@ class MonoidModule:
         return MonoidModule(ring, 1, field, action, name=name)
 
 
+class _Precompose:
+    """phi -> (g -> phi(g o h)) for h: A^m -> A^m2, on M-valued functions
+    held as one block of dim M coordinates per map to A^n: block g of the
+    image (g: A^m2 -> A^n, numbered by ``homs_to``) reads block g o h of
+    phi (numbered by ``homs_from``).  It acts by indexing, so it never
+    builds a dense matrix."""
+
+    def __init__(self, ring, n, dm, h, m, m2, homs_from, homs_to):
+        self.src = src = []
+        for g in homs_to:
+            b = homs_from[_compose(ring, g, h, n, m2, m)] * dm
+            src.extend(range(b, b + dm))
+
+    def apply_to_vector(self, v):
+        return [v[k] for k in self.src]
+
+
 def intermediate_extension_value(mm, m, hom_cap=200000):
     """T(M)(A^m) for a K[M_n(A)]-module M: the image of the canonical
     map K[Hom(A^n, A^m)] (x) M -> Maps(Hom(A^m, A^n), M), theta(f (x) v)
     sending g to rho(g o f) v.
 
+    Let f0: A^n -> A^m be the m x n matrix with ones on the diagonal.
+    Every f factors as e o f0 with e in End(A^m) when m >= n, and as
+    f0 o e with e in End(A^n) when m < n.  As theta(e o f (x) v) is
+    theta(f (x) v) precomposed with e and theta(f0 o e (x) v) is
+    theta(f0 (x) rho(e) v), the image is the span of the dim M seeds
+    theta(f0 (x) e_j) under precomposition by the monoid generators of
+    End(A^m) (none for m = 0), found by ``span_from_spins``.
+
     Returns (dimension, Subspace, dual_homs, ambient dim); the subspace
-    lives in the space of M-valued functions on Hom(A^m, A^n)."""
+    lives in the space of M-valued functions on Hom(A^m, A^n), and
+    dual_homs maps each g: A^m -> A^n to the number of its block."""
     ring, n, K = mm.ring, mm.n, mm.field
     dm = mm.dimension
     if ring.size ** (m * n) * dm > hom_cap:
@@ -388,22 +419,17 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     if ring.size ** (n * n) * dm > hom_cap:
         raise CapExceeded("monoid action table exceeds cap")
     table = mm.action_table
-    homs_in = all_ring_homs_matrices(ring, n, m)    # f: A^n -> A^m
-    homs_out = all_ring_homs_matrices(ring, m, n)   # g: A^m -> A^n
-    ambient = len(homs_out) * dm
-    sp = Subspace(K, ambient)
-    for f in homs_in:
-        cols = {}
-        for gi, g in enumerate(homs_out):
-            cols[gi] = table[_compose(ring, g, f, n, m, n)]
-        for j in range(dm):
-            vec = [K.zero] * ambient
-            for gi in range(len(homs_out)):
-                Mat = cols[gi]
-                for i in range(dm):
-                    vec[gi * dm + i] = Mat.rows[i][j]
-            sp.add_vector(vec)
-    return sp.dim, sp, homs_out, ambient
+    homs = {g: i for i, g in enumerate(all_ring_homs_matrices(ring, m, n))}
+    f0 = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
+               for i in range(m))
+    blocks = [table[_compose(ring, g, f0, n, m, n)].rows for g in homs]
+    seeds = [[rows[i][j] for rows in blocks for i in range(dm)]
+             for j in range(dm)]
+    ops = [_Precompose(ring, n, dm, e, m, m, homs, homs)
+           for e in (matrix_monoid_generators(ring, m) if m else ())]
+    ambient = len(homs) * dm
+    sp = span_from_spins(K, ambient, seeds, ops)
+    return sp.dim, sp, homs, ambient
 
 
 def intermediate_extension_module(mm, m, hom_cap=200000):
@@ -432,12 +458,9 @@ def intermediate_extension_functor(mm, N, hom_cap=200000):
         d2, sp2, homs2, _ = value(m2)
         if d1 == 0 or d2 == 0:
             return Matrix.zero(K, d2, d1)
-        index1 = {g: i for i, g in enumerate(homs1)}
-        # phi in Maps(Hom(A^m, A^n), M) goes to g' -> phi(g' o h)
-        srcs = [index1[_compose(ring, g2, h, mm.n, m2, m)] for g2 in homs2]
-        images = [[row[src * dm + j] for src in srcs for j in range(dm)]
-                  for row in sp1.basis]
-        return sp2.coords_matrix(images)
+        op = _Precompose(ring, mm.n, dm, h, m, m2, homs1, homs2)
+        return sp2.coords_matrix([op.apply_to_vector(row)
+                                  for row in sp1.basis])
 
     return FunctorRep(ring, K, N, dim_rule, act,
                       name=f"T({mm.name})" if mm.name else "T(M)")

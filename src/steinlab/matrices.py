@@ -50,13 +50,6 @@ class Matrix:
         return Matrix(field, [[o if i == j else z for j in range(n)]
                               for i in range(n)])
 
-    @staticmethod
-    def from_rows(field, rows):
-        return Matrix(field, rows)
-
-    def copy(self):
-        return Matrix(self.field, self.rows)
-
     # -- basics ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -178,13 +171,6 @@ class Matrix:
             for rb in other.rows:
                 out.append([mul(a, b) for a in ra for b in rb])
         return Matrix(F, out)
-
-    def trace(self):
-        F = self.field
-        t = F.zero
-        for i in range(min(self.nrows, self.ncols)):
-            t = F.add(t, self.rows[i][i])
-        return t
 
     # -- row reduction ---------------------------------------------------
 

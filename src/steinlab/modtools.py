@@ -42,11 +42,6 @@ class AlgebraModule:
                 f"{self.field.label()}, gens {self.gen_names()})")
 
 
-def _spin(mod, seed_vector, operators=None):
-    ops = operators if operators is not None else mod.gen_list()
-    return span_from_spins(mod.field, mod.dimension, [seed_vector], ops)
-
-
 def transpose_module(mod):
     return AlgebraModule(mod.field,
                          {n: g.transpose()

@@ -14,7 +14,7 @@ from collections import deque
 from itertools import product
 from math import gcd
 
-from .fields import CapExceeded, Field
+from .fields import Field
 
 
 class RingError(ValueError):
@@ -44,9 +44,6 @@ class _CyclicComponent:
     def elements(self):
         return range(self.m)
 
-    def additive_order(self, a):
-        return self.m // gcd(self.m, a)
-
     def from_int(self, n):
         return n % self.m
 
@@ -74,9 +71,6 @@ class _FieldComponent:
 
     def elements(self):
         return self.field.elements()
-
-    def additive_order(self, a):
-        return 1 if a == 0 else self.field.char
 
     def from_int(self, n):
         return n % self.field.char
@@ -276,20 +270,6 @@ class RingHom:
         return hash((self.ring, self.field,
                      tuple(sorted(self.table.items()))))
 
-    def is_valid(self):
-        R, K = self.ring, self.field
-        t = self.table
-        if t[R.one] != K.one or t[R.zero] != K.zero:
-            return False
-        els = R.elements()
-        for a in els:
-            for b in els:
-                if t[R.add(a, b)] != K.add(t[a], t[b]):
-                    return False
-                if t[R.mul(a, b)] != K.mul(t[a], t[b]):
-                    return False
-        return True
-
     def __repr__(self):
         return f"RingHom({self.ring.label()} -> {self.field.label()})"
 
@@ -388,18 +368,15 @@ def primary_idempotents(ring):
     return out
 
 
-def matrix_monoid_generators(ring, n, cap=None):
+def matrix_monoid_generators(ring, n):
     """Generators of the multiplicative monoid M_n(A): transvections
     e_{ij}(r) over ring generators, the scalar embeddings diag(a,1,...,1),
     permutation matrices, and the corank-one idempotent diag(1,...,1,0).
 
-    Matrices are tuples of row tuples of ring elements.  With ``cap`` set,
-    checks |A|^(n*n) <= cap before any caller attempts full enumeration.
+    Matrices are tuples of row tuples of ring elements.
     """
     if n < 1:
         raise RingError("rank must be >= 1")
-    if cap is not None and ring.size ** (n * n) > cap:
-        raise CapExceeded("enumeration cap exceeded")
     ident = tuple(tuple(ring.one if i == j else ring.zero
                         for j in range(n)) for i in range(n))
     gens = []

@@ -73,32 +73,6 @@ def _tensor_power(g, d):
     return out
 
 
-def _perm_on_tensor(K, n, d, perm):
-    """Matrix of sigma on (K^n)^{tensor d}: slot k of the output receives
-    factor sigma^{-1}(k); perm in one-line notation on 1..d."""
-    N = n ** d
-    inv = [0] * d
-    for i in range(d):
-        inv[perm[i] - 1] = i  # inv[k] = sigma^{-1}(k+1) - 1
-    rows = []
-    z, o = K.zero, K.one
-    # basis tuple index: lexicographic, i = sum t_k n^(d-1-k)
-    mat = [[z] * N for _ in range(N)]
-    for idx in range(N):
-        t = []
-        x = idx
-        for _ in range(d):
-            t.append(x % n)
-            x //= n
-        t.reverse()
-        u = [t[inv[k]] for k in range(d)]
-        j = 0
-        for x in u:
-            j = j * n + x
-        mat[j][idx] = o
-    return Matrix(K, mat)
-
-
 def elementary_value(M, n, K, cap=DEFAULT_DIM_CAP):
     """Image of the norm (the sum of all of S_d) acting on
     (K^n)^{tensor d} tensor M, with the monoid acting by g^{tensor d}."""

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import functorcat as fc
+from steinlab.cli import make_functor_expr
 from steinlab.emlpoly import NotPolynomialUpTo
 from steinlab.fields import Field
+from steinlab.matrices import Subspace
 from steinlab.rings import FiniteRing, mat_mul, ring_homs
 
 F2RING = FiniteRing("F_2")
@@ -121,6 +123,66 @@ def test_constant_module_collapses():
                           .Matrix.identity(F3, 1))
     dim, _, _, _ = fc.intermediate_extension_value(one, 2)
     assert dim == 1
+
+
+def compose(ring, g, f, n, m):
+    """g o f as an n x n matrix, for g: A^m -> A^n and f: A^n -> A^m."""
+    def entry(i, j):
+        x = ring.zero
+        for k in range(m):
+            x = ring.add(x, ring.mul(g[i][k], f[k][j]))
+        return x
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def enumerated_value(mm, m):
+    """T(M)(A^m) as the span of theta(f (x) e_j) over every f: A^n -> A^m,
+    each read off at every g: A^m -> A^n through mm.action_of(g o f): the
+    Hom x Hom enumeration, kept as an oracle for the spin."""
+    ring, n, K, dm = mm.ring, mm.n, mm.field, mm.dimension
+    homs_out = fc.all_ring_homs_matrices(ring, m, n)
+    sp = Subspace(K, len(homs_out) * dm)
+    for f in fc.all_ring_homs_matrices(ring, n, m):
+        acts = [mm.action_of(compose(ring, g, f, n, m)).rows
+                for g in homs_out]
+        for j in range(dm):
+            sp.add_vector([rows[i][j] for rows in acts for i in range(dm)])
+    return sp
+
+
+# (ring, order of the coefficient field, module of M_n(A), n, ranks m),
+# covering m = 0, m < n and m > n
+IEXT_CASES = [
+    ("F_2", 3, "delta", 1, (0, 1, 2, 3)),
+    ("F_2", 3, "gr1", 2, (0, 1, 2, 3)),
+    ("F_3", 9, "delta", 1, (0, 1, 2, 3)),
+    ("F_3", 9, "lambda1", 2, (0, 1, 2)),
+    ("F_3", 9, "const", 2, (0, 1, 2)),
+    ("F_4", 4, "delta", 1, (0, 1, 2, 3)),
+    ("F_4", 4, "gr1", 2, (0, 1)),
+    ("Z/4", 2, "delta", 1, (0, 1, 2, 3)),
+    ("Z/4", 2, "lambda1", 2, (0, 1)),
+    ("Z/6", 4, "delta", 1, (0, 1, 2)),
+    ("Z/6", 4, "lambda1*tdelta", 2, (0, 1)),
+]
+
+
+@pytest.mark.parametrize("ring, q, module, n, m", [
+    (r, q, mod, n, m) for r, q, mod, n, ms in IEXT_CASES for m in ms])
+def test_intermediate_extension_value_matches_enumeration(ring, q, module,
+                                                          n, m):
+    R = FiniteRing(ring)
+    K = Field.of_order(q)
+    if module == "delta":
+        mm = fc.MonoidModule.from_character(
+            R, K, lambda a: K.one if R.is_unit(a) else K.zero)
+    else:
+        mm = fc.functor_value_module(make_functor_expr(module, R, K, n), n)
+    oracle = enumerated_value(mm, m)
+    dim, sp, homs, ambient = fc.intermediate_extension_value(mm, m)
+    assert (dim, ambient) == (oracle.dim, oracle.ambient_dim)
+    assert list(homs) == fc.all_ring_homs_matrices(R, m, n)
+    assert sp.basis == oracle.basis
 
 
 def test_tensor_with_constant():

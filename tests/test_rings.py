@@ -1,5 +1,3 @@
-import pytest
-
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
 from steinlab.rings import (FiniteRing, all_ideals, cotrivial_ideals,
@@ -98,9 +96,3 @@ def test_monoid_closure_full():
     Z6 = FiniteRing("Z/6")
     gens6 = matrix_monoid_generators(Z6, 2)
     assert len(monoid(Z6, gens6)) == 6 ** 4
-
-
-def test_monoid_cap():
-    R = FiniteRing("F_4")
-    with pytest.raises(ValueError):
-        matrix_monoid_generators(R, 3, cap=100)

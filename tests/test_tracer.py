@@ -34,6 +34,7 @@ def test_span_tracer_enters_and_restores():
     calls, _ = spans.summary()
     assert calls["functorcat.iext_value"] > 0
     assert calls["rings.monoid_closure"] > 0
+    assert calls["matrices.span_from_spins"] > 0
     assert calls["matrices.rref"] > 0
 
 
