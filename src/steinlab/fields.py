@@ -38,22 +38,6 @@ _MODULUS_TABLE = {
 _TABLE_LIMIT = 1024  # cache full add tables only for small fields
 
 
-def _poly_mul_mod(a, b, modulus, p, e):
-    """Multiply two coefficient lists mod (modulus, p)."""
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(2 * e - 2, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j, mj in enumerate(modulus):
-                prod[k - e + j] = (prod[k - e + j] - c * mj) % p
-    return prod[:e]
-
-
 class FieldError(ValueError):
     pass
 
@@ -105,7 +89,10 @@ class Field:
             v = self._digits_int(acc)
             exp[k] = v
             log[v] = k
-            acc = _poly_mul_mod(acc, [0, 1] + [0] * (e - 2), self.modulus, p, e)
+            # times x: shift up one degree, subtract lead * modulus mod p
+            lead = acc[-1]
+            acc = [(a - lead * c) % p
+                   for a, c in zip([0] + acc[:-1], self.modulus)]
         self._exp = exp
         self._log = log
         self._neg = [self._digits_int([(-x) % p for x in d])

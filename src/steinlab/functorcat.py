@@ -407,7 +407,9 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     theta(f (x) v) precomposed with e and theta(f0 o e (x) v) is
     theta(f0 (x) rho(e) v), the image is the span of the dim M seeds
     theta(f0 (x) e_j) under precomposition by the monoid generators of
-    End(A^m) (none for m = 0), found by ``span_from_spins``.
+    End(A^m) other than the identity, found by ``span_from_spins``.  For
+    m < n the seeds already span it (e acts on M, not on the blocks), so
+    nothing is spun.
 
     Returns (dimension, Subspace, dual_homs, ambient dim); the subspace
     lives in the space of M-valued functions on Hom(A^m, A^n), and
@@ -425,8 +427,8 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     blocks = [table[_compose(ring, g, f0, n, m, n)].rows for g in homs]
     seeds = [[rows[i][j] for rows in blocks for i in range(dm)]
              for j in range(dm)]
-    ops = [_Precompose(ring, n, dm, e, m, m, homs, homs)
-           for e in (matrix_monoid_generators(ring, m) if m else ())]
+    gens = matrix_monoid_generators(ring, m)[1:] if m >= n else ()
+    ops = [_Precompose(ring, n, dm, e, m, m, homs, homs) for e in gens]
     ambient = len(homs) * dm
     sp = span_from_spins(K, ambient, seeds, ops)
     return sp.dim, sp, homs, ambient

@@ -1,10 +1,12 @@
 """Dense exact matrices over a Field, stored as lists of row lists.
 
-Everything here is exact: no floats anywhere.  Row reduction has a fast
-path for prime fields (plain int arithmetic mod p) and a fraction-free
-path for integer matrices over Q.  Other fields, and every ``Subspace``
-reduction, go through the field's row operations ``Field.row_sub``
-(v - f*row) and ``Field.row_scale``, which have one branch per field kind.
+Everything here is exact: no floats anywhere.  ``Subspace`` is the one
+place that eliminates, and ``Matrix.rref`` reads its basis.  Over a finite
+field each vector is inserted by ``Subspace.add_vector``: reduction against
+the basis, then back-reduction of the basis, on the field's row operations
+``Field.row_sub`` (v - f*row) and ``Field.row_scale``, which have one branch
+per field kind.  Over Q the rows are scaled to integers (same span) and
+eliminated fraction-free, so every entry of a Q basis is a ``Fraction``.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
@@ -16,7 +18,7 @@ the value's ``Subspace``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import Field, QQ
 
@@ -175,17 +177,13 @@ class Matrix:
     # -- row reduction ---------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot_columns)."""
+        """Reduced row echelon form; returns (matrix, pivot_columns).  The
+        nonzero rows are the basis of ``Subspace(field, ncols, rows)``."""
         F = self.field
-        if F.kind == "prime":
-            rows, piv = _rref_prime([r[:] for r in self.rows],
-                                    self.ncols, F.char)
-        elif F.kind == "rational":
-            rows, piv = _rref_rational([r[:] for r in self.rows], self.ncols)
-        else:
-            rows, piv = _rref_generic([r[:] for r in self.rows],
-                                      self.ncols, F)
-        return Matrix(F, rows) if rows else Matrix.zero(F, 0, self.ncols), piv
+        sp = Subspace(F, self.ncols, self.rows)
+        rows = sp.basis + [[F.zero] * self.ncols
+                           for _ in range(self.nrows - sp.dim)]
+        return Matrix(F, rows), sp.pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -276,51 +274,11 @@ class Matrix:
         return m
 
 
-# -- elimination kernels -------------------------------------------------
-
-def _rref_prime(rows, ncols, p):
-    piv = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        if inv != 1:
-            rows[r] = [(x * inv) % p for x in rows[r]]
-        else:
-            rows[r] = [x % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c] % p
-                if f:
-                    ri = rows[i]
-                    rows[i] = [(a - f * b) % p for a, b in zip(ri, lead)]
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, piv
-
-
-def _rref_rational(rows, ncols):
-    # fraction-free forward elimination over Z when all entries are integral
-    if all(isinstance(x, int) or (isinstance(x, Fraction)
-                                  and x.denominator == 1)
-           for r in rows for x in r):
-        irows = [[int(x) for x in r] for r in rows]
-        return _rref_int(irows, ncols)
-    return _rref_generic(rows, ncols, QQ)
-
+# -- elimination over Q ---------------------------------------------------
 
 def _rref_int(rows, ncols):
+    """The nonzero RREF rows (as Fractions) and pivots of integer rows:
+    fraction-free forward elimination, then back-substitution."""
     piv = []
     r = 0
     nrows = len(rows)
@@ -363,58 +321,34 @@ def _rref_int(rows, ncols):
             f = out[k][c]
             if f:
                 out[k] = [a - f * b for a, b in zip(out[k], out[i])]
-    for i in range(r, nrows):
-        out.append([Fraction(0)] * ncols)
     return out, piv
 
 
-def _rref_generic(rows, ncols, F):
-    z = F.zero
-    piv = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != z:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != F.one:
-            rows[r] = F.row_scale(inv, rows[r])
-        lead = rows[r]
-        row_sub = F.row_sub
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f != z:
-                    rows[i] = row_sub(rows[i], f, lead)
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, piv
+def _integral(row):
+    """The row times the lcm of its denominators (same span, int entries;
+    ints and Fractions alike have ``numerator`` and ``denominator``)."""
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 # -- subspaces -----------------------------------------------------------
 
 class Subspace:
-    """A subspace of F^n held as an RREF row basis."""
+    """A subspace of F^n held as an RREF row basis: built by inserting
+    each vector with ``add_vector`` over a finite field, and by
+    fraction-free elimination of the integral rows over Q."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        vs = [v for v in vectors]
-        if vs:
-            R, piv = Matrix(field, vs).rref()
-            self.basis = [R.rows[i] for i in range(len(piv))]
-            self.pivots = piv
+        self.basis = []
+        self.pivots = []
+        if field.kind == "rational":
+            self.basis, self.pivots = _rref_int(
+                [_integral(v) for v in vectors], ambient_dim)
         else:
-            self.basis = []
-            self.pivots = []
+            for v in vectors:
+                self.add_vector(v)
 
     @property
     def dim(self):

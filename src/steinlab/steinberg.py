@@ -12,7 +12,7 @@ from .fields import CapExceeded, Field, MAX_DEGREE
 from .matrices import Matrix
 from .modtools import (AlgebraModule, are_isomorphic, composition_factors,
                        end_dim, frobenius_twist, is_simple, tensor)
-from .schurfun import socle_simple
+from .schurfun import monoid_generator_elements, socle_simple
 from .symgrp import (digit_decomposition, is_q_restricted,
                      normalize_partition)
 
@@ -72,29 +72,15 @@ def group_generator_names(n):
 
 
 def group_generator_matrices(n, q, K):
-    """Generators of GL_n(F_q) inside GL_n(K): the diagonal with a
-    chosen generator of F_q^x, a transvection, and permutations."""
+    """Generators of GL_n(F_q) inside GL_n(K): the monoid generators of
+    ``schurfun.monoid_generator_elements`` without the idempotent "e", with
+    "d" raised to diag(z^j, 1, ..., 1), where z^j generates F_q^x."""
     p, e = _factor_pe(q)
     if K.char != p or K.degree % e != 0:
         raise ValueError(f"{K.label()} does not contain F_{q}")
-    j = (K.order - 1) // (q - 1) if q > 2 else 0
-    zq = K.pow(K.gen(), j) if q > 2 else K.one
-    out = {}
-    out["d"] = Matrix(K, [[zq if i == jj == 0 else
-                           (K.one if i == jj else K.zero)
-                           for jj in range(n)] for i in range(n)])
-    if n >= 2:
-        out["t"] = Matrix(K, [[K.one if i == jj or (i, jj) == (0, 1)
-                               else K.zero
-                               for jj in range(n)] for i in range(n)])
-        perm = list(range(n))
-        perm[0], perm[1] = perm[1], perm[0]
-        out["s"] = Matrix(K, [[K.one if perm[i] == jj else K.zero
-                               for jj in range(n)] for i in range(n)])
-    if n >= 3:
-        cyc = [(i + 1) % n for i in range(n)]
-        out["c"] = Matrix(K, [[K.one if cyc[i] == jj else K.zero
-                               for jj in range(n)] for i in range(n)])
+    out = monoid_generator_elements(n, K)
+    del out["e"]
+    out["d"] = out["d"] ** ((K.order - 1) // (q - 1))
     return out
 
 

@@ -1,6 +1,9 @@
 """Property tests for the per-kind row operations, the Subspace
-reduction built on them and ``coords_in_basis``.  Hypothesis runs
-derandomized, so the examples are the same on every run."""
+reduction built on them, ``coords_in_basis``, and elimination against an
+independent scalar Gauss-Jordan.  Hypothesis runs derandomized, so the
+examples are the same on every run."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,3 +142,87 @@ def test_coords_in_basis_rejects_image_outside_span(F, data):
     with pytest.raises(ValueError):
         coords_in_basis(F, rows, [combination(F, n, cols[-1], rows),
                                   outside])
+
+
+# -- an independent elimination oracle -------------------------------------
+
+def gauss_jordan(F, rows, ncols):
+    """Scalar Gauss-Jordan on Field.add/mul/neg/inv only: the nonzero RREF
+    rows and the pivot columns."""
+    rows = [list(r) for r in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero),
+                  None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f != F.zero:
+                rows[i] = [F.add(a, F.neg(F.mul(f, b)))
+                           for a, b in zip(rows[i], rows[r])]
+        piv.append(c)
+    return rows[:len(piv)], piv
+
+
+def q_scalars():
+    """Ints, integral Fractions and non-integral Fractions, mixed."""
+    return st.one_of(st.integers(-6, 6),
+                     st.integers(-6, 6).map(Fraction),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=6))
+
+
+@st.composite
+def elimination_case(draw, F):
+    """Up to 7 rows of up to 7 columns (wide, tall and empty shapes), with
+    zero rows and duplicate rows mixed in."""
+    n = draw(st.integers(0, 7))
+    entry = q_scalars() if F.kind == "rational" else scalars(F)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=0, max_size=7))
+    extra = draw(st.lists(st.sampled_from(["zero", "duplicate"]),
+                          max_size=2))
+    for kind in extra:
+        at = draw(st.integers(0, len(rows)))
+        if kind == "zero":
+            rows.insert(at, [0] * n)
+        elif rows:
+            rows.insert(at, list(draw(st.sampled_from(rows))))
+    return n, rows
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.label())
+@settings(SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_elimination_matches_scalar_gauss_jordan(F, data):
+    n, rows = data.draw(elimination_case(F))
+    basis, piv = gauss_jordan(F, rows, n)
+    sp = Subspace(F, n, rows)
+    assert (sp.basis, sp.pivots) == (basis, piv)
+    R, rpiv = Matrix(F, rows).rref()
+    assert rpiv == piv
+    assert R.nrows == len(rows)
+    assert R.rows == basis + [[F.zero] * R.ncols] * (len(rows) - len(piv))
+    if F.kind == "rational":
+        assert all(type(x) is Fraction for r in sp.basis + R.rows for x in r)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 4], [1, 2]],                                   # integral, rank 1
+    [[Fraction(1, 2), Fraction(1, 3)], [3, 2]],         # mixed, rank 1
+    [[0, 0, 0], [Fraction(2, 3), 0, 1], [0, 0, 0]],     # zero rows kept
+    [[1, 2, 3, 4, 5]],                                  # wide
+    [[1], [Fraction(1, 7)], [0], [5]],                  # tall
+], ids=["integral", "mixed", "zero-rows", "wide", "tall"])
+def test_q_rref_pins(rows):
+    n = len(rows[0])
+    R, piv = Matrix(QQ, rows).rref()
+    assert (R.rows[:len(piv)], piv) == gauss_jordan(QQ, rows, n)
+    assert R.rows[len(piv):] == [[0] * n] * (len(rows) - len(piv))
+    assert all(type(x) is Fraction for r in R.rows for x in r)
+

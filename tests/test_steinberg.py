@@ -2,7 +2,8 @@ import pytest
 
 from steinlab import steinberg as st
 from steinlab.fields import Field
-from steinlab.modtools import are_isomorphic, end_dim, is_simple
+from steinlab.modtools import (AlgebraModule, are_isomorphic, end_dim,
+                               is_simple)
 
 
 def test_build_natural_rep():
@@ -134,3 +135,12 @@ def test_classify_table_shape():
     rows = st.classify_table(2, 2)
     assert len(rows) == 2
     assert all(len(r) >= 3 for r in rows)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (2, 3), (2, 4)])
+def test_natural_module_matches_its_labels(n, q):
+    # the labels name the group elements the generators act by, so the
+    # natural module is the module its own labels define
+    mod = st.build((1,), n, q).module
+    assert set(mod.labels) == set(mod.generators)
+    assert are_isomorphic(mod, AlgebraModule(mod.field, mod.labels))
