@@ -336,7 +336,8 @@ def _integral(row):
 class Subspace:
     """A subspace of F^n held as an RREF row basis: built by inserting
     each vector with ``add_vector`` over a finite field, and by
-    fraction-free elimination of the integral rows over Q."""
+    fraction-free elimination of the integral rows over Q.  Entries are
+    field elements: over a finite field, ints in ``range(field.order)``."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field

@@ -74,13 +74,14 @@ def group_generator_names(n):
 def group_generator_matrices(n, q, K):
     """Generators of GL_n(F_q) inside GL_n(K): the monoid generators of
     ``schurfun.monoid_generator_elements`` without the idempotent "e", with
-    "d" raised to diag(z^j, 1, ..., 1), where z^j generates F_q^x."""
+    "d" = diag(z, 1, ..., 1) turned into diag(z^j, 1, ..., 1), where z^j
+    generates F_q^x."""
     p, e = _factor_pe(q)
     if K.char != p or K.degree % e != 0:
         raise ValueError(f"{K.label()} does not contain F_{q}")
     out = monoid_generator_elements(n, K)
     del out["e"]
-    out["d"] = out["d"] ** ((K.order - 1) // (q - 1))
+    out["d"].rows[0][0] = K.pow(K.gen(), (K.order - 1) // (q - 1))
     return out
 
 
