@@ -26,11 +26,15 @@ from .fields import Field, QQ
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols=None):
+        """``ncols`` is read from the rows when there are any; a matrix
+        with no rows needs it to know its width."""
         self.field = field
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
@@ -44,7 +48,7 @@ class Matrix:
     @staticmethod
     def zero(field, nrows, ncols):
         z = field.zero
-        return Matrix(field, [[z] * ncols for _ in range(nrows)])
+        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field, n):
@@ -56,7 +60,7 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field is other.field
-                and self.rows == other.rows)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols,
@@ -77,8 +81,10 @@ class Matrix:
         return [x for r in self.rows for x in r]
 
     def transpose(self):
-        return Matrix(self.field, [list(c) for c in zip(*self.rows)]
-                      if self.rows else [])
+        if not self.rows:
+            return Matrix(self.field, [[] for _ in range(self.ncols)])
+        return Matrix(self.field, [list(c) for c in zip(*self.rows)],
+                      self.nrows)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -86,22 +92,26 @@ class Matrix:
         F = self.field
         add = F.add
         return Matrix(F, [[add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+                          for ra, rb in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def __sub__(self, other):
         F = self.field
         sub = F.sub
         return Matrix(F, [[sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)])
+                          for ra, rb in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(a) for a in r] for r in self.rows])
+        return Matrix(F, [[F.neg(a) for a in r] for r in self.rows],
+                      self.ncols)
 
     def scale(self, c):
         F = self.field
         mul = F.mul
-        return Matrix(F, [[mul(c, a) for a in r] for r in self.rows])
+        return Matrix(F, [[mul(c, a) for a in r] for r in self.rows],
+                      self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -109,17 +119,18 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         F = self.field
+        # the columns of ``other``; with no rows, ncols empty columns
+        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         if F.kind == "prime":
             p = F.char
-            bt = list(zip(*other.rows))
             return Matrix(F, [[sum(a * b for a, b in zip(row, col)) % p
-                               for col in bt] for row in self.rows])
+                               for col in bt] for row in self.rows],
+                          other.ncols)
         if F.kind == "rational":
-            bt = list(zip(*other.rows))
             return Matrix(F, [[sum(a * b for a, b in zip(row, col))
-                               for col in bt] for row in self.rows])
+                               for col in bt] for row in self.rows],
+                          other.ncols)
         add, mul, z = F.add, F.mul, F.zero
-        bt = list(zip(*other.rows))
         out = []
         for row in self.rows:
             orow = []
@@ -130,7 +141,7 @@ class Matrix:
                         acc = add(acc, mul(a, b))
                 orow.append(acc)
             out.append(orow)
-        return Matrix(F, out)
+        return Matrix(F, out, other.ncols)
 
     def __pow__(self, n):
         if self.nrows != self.ncols:
@@ -172,7 +183,7 @@ class Matrix:
         for ra in self.rows:
             for rb in other.rows:
                 out.append([mul(a, b) for a in ra for b in rb])
-        return Matrix(F, out)
+        return Matrix(F, out, self.ncols * other.ncols)
 
     # -- row reduction ---------------------------------------------------
 
@@ -183,7 +194,7 @@ class Matrix:
         sp = Subspace(F, self.ncols, self.rows)
         rows = sp.basis + [[F.zero] * self.ncols
                            for _ in range(self.nrows - sp.dim)]
-        return Matrix(F, rows), sp.pivots
+        return Matrix(F, rows, self.ncols), sp.pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -202,14 +213,11 @@ class Matrix:
             for i, pc in enumerate(piv):
                 v[pc] = F.neg(R.rows[i][j])
             basis.append(v)
-        if not basis:
-            return Matrix.zero(F, 0, n)
-        return Matrix(F, basis).rref()[0]
+        return Matrix(F, basis, n).rref()[0]
 
     def row_space_basis(self):
         R, piv = self.rref()
-        return Matrix(self.field, R.rows[:len(piv)]) if piv \
-            else Matrix.zero(self.field, 0, self.ncols)
+        return Matrix(self.field, R.rows[:len(piv)], self.ncols)
 
     def column_space_basis(self):
         """Basis of the column space, returned as rows of length nrows."""
@@ -266,12 +274,25 @@ class Matrix:
         if F.kind == "rational":
             rows = [[Fraction(x) for x in r] for r in ent]
         else:
-            rows = [[F.from_coeffs(x) if isinstance(x, (list, tuple))
-                     else F.coerce(x) for x in r] for r in ent]
-        m = Matrix(F, rows) if rows else Matrix.zero(F, 0, obj["cols"])
-        if m.nrows != obj["rows"] or (m.rows and m.ncols != obj["cols"]):
+            rows = [[_scalar_from_json(F, x) for x in r] for r in ent]
+        if len(rows) != obj["rows"] or any(len(r) != obj["cols"]
+                                           for r in rows):
             raise ValueError("inconsistent matrix payload")
-        return m
+        return Matrix(F, rows, obj["cols"])
+
+
+def _scalar_from_json(F, x):
+    """A JSON entry over a finite field: a list of coefficients over the
+    prime field, or an int.  An int is an integer mod p over a prime field
+    and an element label in range(q) over F_{p^e}, e > 1."""
+    if isinstance(x, (list, tuple)):
+        return F.from_coeffs(x)
+    if F.degree == 1:
+        return F.coerce(x)
+    if isinstance(x, int) and 0 <= x < F.order:
+        return x
+    raise ValueError(f"{x!r} is not an element label of {F.label()}: give "
+                     f"an int in range({F.order}) or a coefficient list")
 
 
 # -- elimination over Q ---------------------------------------------------

@@ -1,10 +1,14 @@
 """Meataxe-style tools for modules given by generator matrices.
 
 A module is a field, a dimension, and a dict of named square matrices.
-Simplicity testing uses exhaustive seed spinning at small sizes and a
-Norton-criterion test (random algebra element, minimal polynomial,
-kernel spins on both the module and its transpose) above that, with a
-seeded deterministic generator and a final fallback to exhaustion.
+Simplicity over a finite field is first certified by the Holt–Rees form
+of Norton's test: one spin of a kernel vector of f(θ) on the module and
+one on its transpose, for a random algebra element θ and an irreducible
+factor f of its minimal polynomial with dim ker f(θ) = deg f.  When that
+certificate fails, the search for a submodule decides:
+exhaustive seed spinning at small sizes, Norton kernel sweeps above that
+(with a seeded deterministic generator) and a final fallback to
+exhaustion.
 Frobenius twists find the powered generators in the generated monoid with
 ``rings.monoid_closure``.
 """
@@ -265,15 +269,62 @@ def _subspace_vectors(F, basis_rows):
     yield from rec(0, [F.zero] * len(basis_rows[0]))
 
 
+# draws of θ before the Holt–Rees certificate gives up
+_HOLT_REES_ATTEMPTS = 20
+
+
+def _holt_rees_simple(mod, seed):
+    """True when the Holt–Rees test proves the finite-field module simple.
+
+    For an irreducible factor f of the minimal polynomial of a random θ
+    with dim ker f(θ) = deg f, ker f(θ) is one F[θ]/(f)-line.  A proper
+    submodule U either meets it, and then contains all of it, or f(θ) is
+    bijective on U, and then U^⊥ contains ker f(θ)^t.  So if one nonzero
+    kernel vector spins to the whole module and one nonzero vector of the
+    transpose kernel spins to the whole transpose module, no U exists.
+    The draws come from their own stream, apart from the search's.  A
+    proper spin ends the test at once: the module is then reducible."""
+    F = mod.field
+    n = mod.dimension
+    gens = mod.gen_list()
+    rng = random.Random(f"holt-rees:{seed}")
+    for _ in range(_HOLT_REES_ATTEMPTS):
+        theta = _random_algebra_element(mod, rng)
+        factors = _berlekamp_factor(minimal_polynomial(theta), F)
+        for i, f in enumerate(factors):
+            N = _poly_eval_matrix(f, theta)
+            ker = N.kernel_basis()
+            good = ker.nrows == len(f) - 1
+            # the first kernel is spun even when too large: in S ⊕ S
+            # no θ has a good factor, but that spin is often proper
+            if (good or i == 0) and span_from_spins(
+                    F, n, ker.rows[:1], gens).dim < n:
+                return False
+            if good:
+                kert = N.transpose().kernel_basis()
+                return span_from_spins(F, n, kert.rows[:1],
+                                       transpose_module(mod).gen_list()
+                                       ).dim == n
+    return False
+
+
 def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP,
                           max_tries=60):
     """A basis (list of rows) of a proper nonzero submodule, or None if
-    the module is simple."""
+    the module is simple.
+
+    Over a finite field the Holt–Rees certificate runs first and answers
+    None when it proves simplicity.  Otherwise the search below decides,
+    and its answer does not depend on the certificate: the exhaustive
+    sweep when q^n <= cap, else Norton kernel sweeps on draws seeded by
+    ``seed`` and then the exhaustive sweep."""
     F = mod.field
     n = mod.dimension
     if n == 0:
         raise ValueError("zero module")
     if n == 1:
+        return None
+    if F.order is not None and _holt_rees_simple(mod, seed):
         return None
     gens = mod.gen_list()
     if F.order is not None and F.order ** n <= cap:
@@ -496,8 +547,7 @@ def quotient_module(mod, basis_rows):
             e = [F.zero] * mod.dimension
             e[j] = F.one
             cols.append(reduce_vec(g.apply_to_vector(e)))
-        gens[name] = Matrix(F, [list(r) for r in zip(*cols)]) if free \
-            else Matrix.zero(F, 0, 0)
+        gens[name] = Matrix(F, [list(r) for r in zip(*cols)])
     return AlgebraModule(F, gens, labels=mod.labels,
                          name=f"{mod.name}/sub" if mod.name else "")
 

@@ -153,3 +153,15 @@ def test_unique_subcommand():
     data = json.loads(out)
     assert data["isomorphic"] is True
     assert data["relation"] == "det^(p-1) twist"
+
+
+def test_meataxe_refuses_int_that_is_no_element_label(tmp_path):
+    # over F_4 an int entry is an element label: 5 is none
+    mat = {"field": {"p": 2, "e": 2}, "rows": 3, "cols": 3,
+           "entries": [[2, 5, 3], [0, 1, 0], [0, 0, 1]]}
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {"g": mat}}))
+    code, out = run(["meataxe", "simple", "--module", str(mf)])
+    assert code == 2
+    assert out == ("error: 5 is not an element label of F_4: give an int "
+                   "in range(4) or a coefficient list")

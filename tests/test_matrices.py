@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
@@ -86,12 +88,40 @@ def test_solve_right():
     assert singular.solve_right([1, 0]) is None
 
 
+def test_matrix_without_rows_keeps_its_width():
+    F = Field.prime(3)
+    Z = Matrix.zero(F, 0, 3)
+    assert (Z.nrows, Z.ncols) == (0, 3)
+    # no equations: the kernel is all of F_3^3
+    assert kernel_basis(Z) == Subspace(F, 3, Matrix.identity(F, 3).rows)
+    assert (Z.transpose().nrows, Z.transpose().ncols) == (3, 0)
+    assert Z.transpose().transpose() == Z
+    assert Matrix.from_json(Z.to_json()) == Z
+    assert Z != Matrix.zero(F, 0, 2)
+
+
 def test_json_roundtrip():
     F = Field.galois(3, 2)
     M = Matrix(F, [[F.gen(), F.one], [F.zero, F.gen()]])
     assert Matrix.from_json(M.to_json()) == M
     Q = Matrix(QQ, [[Fraction(1, 2), Fraction(-3)]])
     assert Matrix.from_json(Q.to_json()) == Q
+
+
+def test_json_int_entries_have_one_meaning():
+    def payload(p, e, entries):
+        return {"field": {"p": p, "e": e}, "rows": 1,
+                "cols": len(entries), "entries": [entries]}
+
+    # over a prime field an int is an integer mod p
+    assert Matrix.from_json(payload(3, 1, [4, -1])).rows == [[1, 2]]
+    # over F_4 an int is an element label, and only a label
+    F = Field.galois(2, 2)
+    assert Matrix.from_json(payload(2, 2, [2, 3, [1, 1]])).rows == [
+        [2, 3, F.from_coeffs([1, 1])]]
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="not an element label of F_4"):
+            Matrix.from_json(payload(2, 2, [2, bad, 3]))
 
 
 def test_subspace_membership_and_intersection():

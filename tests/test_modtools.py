@@ -1,6 +1,17 @@
+from hypothesis import given, settings, strategies as st
+
 from steinlab import modtools as mt
+from steinlab import steinberg
 from steinlab.fields import Field
-from steinlab.matrices import Matrix
+from steinlab.matrices import Matrix, Subspace
+
+# Hypothesis runs derandomized, so the examples are the same on every run
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+# F_2, F_3, F_4, F_9 with the largest dimension whose q^n vectors the
+# exhaustive oracle sweeps quickly
+ORACLE_FIELDS = [(Field.prime(2), 6), (Field.prime(3), 5),
+                 (Field.galois(2, 2), 4), (Field.galois(3, 2), 3)]
 
 
 def natural_gl2_f2(K=None):
@@ -126,3 +137,197 @@ def test_berlekamp_splits_repeated_factors_over_extensions():
     # the derivative's coefficients are integers, not element labels
     assert mt._berlekamp_factor([1, 0, 1], Field.galois(2, 2)) == [[1, 1]]
     assert mt._berlekamp_factor([1, 0, 0, 1], Field.galois(3, 2)) == [[1, 1]]
+
+
+# -- the Holt-Rees certificate against the exhaustive oracle --------------
+
+def _block_upper(F, top, corner, bottom):
+    """[[top, corner], [0, bottom]]; the first block spans a submodule."""
+    a, b = top.nrows, bottom.nrows
+    rows = [top.rows[i] + corner.rows[i] for i in range(a)]
+    rows += [[F.zero] * a + bottom.rows[i] for i in range(b)]
+    return Matrix(F, rows)
+
+
+@st.composite
+def oracle_modules(draw):
+    """(module, reducible by construction?) over F_2, F_3, F_4 or F_9:
+    uniformly random generators, a direct sum, block upper-triangular
+    generators (an extension, with a random corner block), or the group
+    algebra of a cyclic group (reducible, yet cyclic and self-dual)."""
+    F, nmax = draw(st.sampled_from(ORACLE_FIELDS))
+    names = ["a", "b"][:draw(st.integers(1, 2))]
+    kind = draw(st.sampled_from(["random", "sum", "extension", "shift"]))
+    if kind == "shift":
+        return cyclic_shift_module(draw(st.integers(2, nmax)), F), True
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def block(r, c):
+        return Matrix(F, [[rnd.randrange(F.order) for _ in range(c)]
+                          for _ in range(r)], c)
+
+    if kind == "random":
+        n = draw(st.integers(2, nmax))
+        return mt.AlgebraModule(F, {nm: block(n, n) for nm in names}), False
+    a = draw(st.integers(1, nmax - 1))
+    b = draw(st.integers(1, nmax - a))
+    gens = {nm: _block_upper(F, block(a, a),
+                             block(a, b) if kind == "extension"
+                             else Matrix.zero(F, a, b), block(b, b))
+            for nm in names}
+    return mt.AlgebraModule(F, gens), True
+
+
+def _is_proper_submodule(mod, rows):
+    sp = Subspace(mod.field, mod.dimension, rows)
+    return 0 < sp.dim < mod.dimension and all(
+        sp.contains(g.apply_to_vector(list(r)))
+        for g in mod.gen_list() for r in sp.basis)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(oracle_modules(), st.sampled_from([0, 1, 7]),
+       st.sampled_from([mt.DEFAULT_EXHAUSTIVE_CAP, 10]))
+def test_certificate_agrees_with_exhaustive_oracle(case, seed, cap):
+    mod, reducible = case
+    oracle = mt._find_submodule_exhaustive(mod)
+    if reducible:
+        assert oracle is not None
+    found = mt.find_proper_submodule(mod, seed=seed, cap=cap)
+    assert (found is None) == (oracle is None)
+    if found is not None:
+        assert _is_proper_submodule(mod, found)
+    # with no certificate attempts the search alone answers, as it did
+    # before the certificate existed: reducible modules get its basis
+    saved = mt._HOLT_REES_ATTEMPTS
+    mt._HOLT_REES_ATTEMPTS = 0
+    try:
+        search = mt.find_proper_submodule(mod, seed=seed, cap=cap)
+    finally:
+        mt._HOLT_REES_ATTEMPTS = saved
+    assert (search is None) == (oracle is None)
+    if oracle is not None:
+        assert found == search
+
+
+def test_fallback_without_certificate_still_decides(monkeypatch):
+    monkeypatch.setattr(mt, "_HOLT_REES_ATTEMPTS", 0)
+    assert mt.is_simple(natural_gl2_f2())
+    assert mt.is_simple(steinberg.build((2, 1), 3, 2).module)
+    M = cyclic_shift_module(3, Field.prime(2))
+    assert _is_proper_submodule(M, mt.find_proper_submodule(M))
+
+
+def test_certificate_on_simple_module_that_is_not_absolutely_simple():
+    # the natural GL_2(F_4)-module read over F_2: End is F_4, yet some θ
+    # has a factor f with dim ker f(θ) = deg f
+    K = Field.prime(2)
+    z, one, nil = [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+
+    def over_f2(blocks):
+        return Matrix.from_ints(K, [b[0][r] + b[1][r]
+                                    for b in blocks for r in range(2)])
+
+    M = mt.AlgebraModule(K, {"d": over_f2([[z, nil], [nil, one]]),
+                             "u": over_f2([[one, one], [nil, one]]),
+                             "s": over_f2([[nil, one], [one, nil]])})
+    assert mt.end_dim(M) == 2
+    assert mt._find_submodule_exhaustive(M) is None
+    assert mt._holt_rees_simple(M, 0)
+
+
+def test_simple_steinberg_module_needs_few_spins(monkeypatch):
+    # the 8-dim Steinberg module of GL_3(F_2): the exhaustive sweep made
+    # 255 spins; the certificate makes one on the module, one on its dual
+    module = steinberg.build((2, 1), 3, 2).module
+    assert module.dimension == 8
+    calls = []
+    spin = mt.span_from_spins
+
+    def counted(*args):
+        calls.append(args)
+        return spin(*args)
+
+    monkeypatch.setattr(mt, "span_from_spins", counted)
+    assert mt.is_simple(module)
+    assert len(calls) <= 4
+
+
+def test_certificate_stops_early_on_a_square(monkeypatch):
+    # in S ⊕ S no θ has a factor f with dim ker f(θ) = deg f; the proper
+    # spin of a kernel vector ends the test, instead of every draw
+    S = steinberg.build((2, 1), 3, 2).module
+    K, n = S.field, S.dimension
+    M = mt.AlgebraModule(K, {nm: _block_upper(K, g, Matrix.zero(K, n, n), g)
+                             for nm, g in S.generators.items()})
+    draws = []
+    minpoly = mt.minimal_polynomial
+
+    def counted(A):
+        draws.append(A)
+        return minpoly(A)
+
+    monkeypatch.setattr(mt, "minimal_polynomial", counted)
+    for seed in (0, 1, 7):
+        draws.clear()
+        assert not mt._holt_rees_simple(M, seed)
+        assert len(draws) <= 2
+    assert _is_proper_submodule(M, mt.find_proper_submodule(M))
+
+
+# -- Berlekamp factors are the distinct monic irreducibles -----------------
+
+def _rem(f, g, F):
+    """f mod g for little-endian coefficient lists, g monic."""
+    f = list(f)
+    while len(f) >= len(g):
+        c = f[-1]
+        k = len(f) - len(g)
+        for j, b in enumerate(g):
+            f[k + j] = F.sub(f[k + j], F.mul(c, b))
+        f.pop()
+        while f and f[-1] == F.zero:
+            f.pop()
+    return f
+
+
+def _times(f, g, F):
+    out = [F.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return out
+
+
+def _monic_polys(F, d):
+    """Every monic polynomial of degree d."""
+    polys = [[]]
+    for _ in range(d):
+        polys = [p + [c] for p in polys for c in F.elements()]
+    return [p + [F.one] for p in polys]
+
+
+@SETTINGS
+@given(st.sampled_from([F for F, _ in ORACLE_FIELDS]), st.data())
+def test_berlekamp_factors_are_distinct_monic_irreducibles(F, data):
+    deg = data.draw(st.integers(1, 6))
+    f = data.draw(st.lists(st.integers(0, F.order - 1),
+                           min_size=deg, max_size=deg))
+    f.append(data.draw(st.integers(1, F.order - 1)))
+    monic = [F.mul(F.inv(f[-1]), c) for c in f]
+    factors = mt._berlekamp_factor(f, F)
+    assert len({tuple(h) for h in factors}) == len(factors)
+    radical = [F.one]
+    for h in factors:
+        assert len(h) >= 2 and h[-1] == F.one
+        assert not _rem(monic, h, F)
+        for d in range(1, (len(h) - 1) // 2 + 1):
+            assert all(_rem(h, g, F) for g in _monic_polys(F, d))
+        radical = _times(radical, h, F)
+    # the product divides f, and f divides a power of it: it is the
+    # squarefree part of f
+    assert not _rem(monic, radical, F)
+    power = [F.one]
+    for _ in range(deg):
+        power = _times(power, radical, F)
+    assert not _rem(power, monic, F)
