@@ -43,18 +43,6 @@ def ring_identity(ring, m):
                        for j in range(m)) for i in range(m))
 
 
-def _compose(ring, g, f, rows, inner, cols):
-    """g o f as a rows x cols ring matrix, tolerating empty shapes."""
-    if rows == 0:
-        return ()
-    if cols == 0:
-        return tuple(() for _ in range(rows))
-    if inner == 0:
-        return tuple(tuple(ring.zero for _ in range(cols))
-                     for _ in range(rows))
-    return mat_mul(ring, g, f)
-
-
 def all_ring_homs_matrices(ring, m, m2):
     """Every A-linear map A^m -> A^m2, i.e. every m2 x m matrix."""
     els = ring.elements()
@@ -156,7 +144,7 @@ def representable_functor(ring, field, N, cap=100000):
         z, o = field.zero, field.one
         mat = [[z] * len(bs) for _ in range(len(b2))]
         for j, v in enumerate(bs):
-            w = _compose(ring, h, v, m2, m, 1)
+            w = mat_mul(ring, h, v, 1)
             mat[index2[w]][j] = o
         return Matrix(field, mat)
     return FunctorRep(ring, field, N, dim_rule, act, name="P")
@@ -366,7 +354,7 @@ class MonoidModule:
         acts = [self.module.generators[nm] for nm in self.gen_elements]
         table = {ident: Matrix.identity(self.field, self.dimension)}
         for e, i, prev in monoid_closure(
-                lambda g, x: mat_mul(ring, g, x), [ident], gens):
+                lambda g, x: mat_mul(ring, g, x, self.n), [ident], gens):
             table[e] = acts[i] * table[prev]
         return table
 
@@ -389,7 +377,7 @@ class _Precompose:
     def __init__(self, ring, n, dm, h, m, m2, homs_from, homs_to):
         self.src = src = []
         for g in homs_to:
-            b = homs_from[_compose(ring, g, h, n, m2, m)] * dm
+            b = homs_from[mat_mul(ring, g, h, m)] * dm
             src.extend(range(b, b + dm))
 
     def apply_to_vector(self, v):
@@ -424,7 +412,7 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     homs = {g: i for i, g in enumerate(all_ring_homs_matrices(ring, m, n))}
     f0 = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
                for i in range(m))
-    blocks = [table[_compose(ring, g, f0, n, m, n)].rows for g in homs]
+    blocks = [table[mat_mul(ring, g, f0, n)].rows for g in homs]
     seeds = [[rows[i][j] for rows in blocks for i in range(dm)]
              for j in range(dm)]
     gens = matrix_monoid_generators(ring, m)[1:] if m >= n else ()

@@ -412,7 +412,8 @@ class Subspace:
             if x is None:
                 raise ValueError("image outside the span of the basis")
             cols.append(x)
-        return Matrix(self.field, [list(r) for r in zip(*cols)])
+        return Matrix(self.field, [[x[i] for x in cols]
+                                   for i in range(self.dim)], len(cols))
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""

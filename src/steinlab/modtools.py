@@ -120,10 +120,12 @@ def minimal_polynomial(A):
     n = A.nrows
     m = [F.one]
     for i in range(n):
-        v = [F.zero] * n
-        v[i] = F.one
-        # reduce: local min poly of v relative to what m already kills
-        w = _poly_eval_matrix(m, A).apply_to_vector(v)
+        # reduce: local min poly of e_i relative to what m already kills,
+        # with m(A)e_i by Horner's rule on the vector
+        w = [m[-1] if k == i else F.zero for k in range(n)]
+        for c in reversed(m[:-1]):
+            w = A.apply_to_vector(w)
+            w[i] = F.add(w[i], c)
         local = _local_min_poly(A, w)
         m = _poly_mul(m, local, F)
     return m
@@ -324,10 +326,13 @@ def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP,
         raise ValueError("zero module")
     if n == 1:
         return None
-    if F.order is not None and _holt_rees_simple(mod, seed):
+    if F.order is None:
+        raise ValueError(f"simplicity testing needs a finite field, "
+                         f"not {F.label()}")
+    if _holt_rees_simple(mod, seed):
         return None
     gens = mod.gen_list()
-    if F.order is not None and F.order ** n <= cap:
+    if F.order ** n <= cap:
         return _find_submodule_exhaustive(mod)
     rng = random.Random(seed)
     tmod = transpose_module(mod)

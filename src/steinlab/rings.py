@@ -413,20 +413,21 @@ def matrix_monoid_generators(ring, n):
     return [ident] + gens
 
 
-def mat_mul(ring, A, B):
-    """Multiply two matrices of ring elements (tuple-of-tuples form)."""
-    n = len(A)
-    m = len(B[0])
+def mat_mul(ring, A, B, cols):
+    """Multiply two matrices of ring elements (tuple-of-tuples form).
+    A matrix without rows cannot carry its width, so the column count of
+    the product is given; empty shapes (no rows, no columns or an empty
+    inner dimension) come out of the same loop."""
     k = len(B)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
+    for row in A:
+        prod = []
+        for j in range(cols):
             acc = ring.zero
             for t in range(k):
-                acc = ring.add(acc, ring.mul(A[i][t], B[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
+                acc = ring.add(acc, ring.mul(row[t], B[t][j]))
+            prod.append(acc)
+        out.append(tuple(prod))
     return tuple(out)
 
 

@@ -238,39 +238,22 @@ def socle_simple(lam, n, K, cap=DEFAULT_DIM_CAP, seed=0):
 # -- weights -------------------------------------------------------------
 
 def _torus_matrices(rep):
-    """Representation matrices of diag(1,...,z,...,1) for each slot."""
+    """Representation matrices of D_i = diag(1,...,z,...,1), z in slot i.
+
+    The cycle c sends e_i to e_(i+1), so D_(i+1) = c D_i c^(-1) and
+    slot i+1 is rho(c) rho(D_i) rho(c)^(n-1); for n = 2 the swap s is that
+    cycle."""
     n = rep.rank
     gens = rep.generators
-    D1 = gens["d"]
-    out = [D1]
+    out = [gens["d"]]
     if n == 1:
         return out
-    # transposition (1 i) as a word in s and the cycle c
-    s = gens["s"]
-    c = gens.get("c")
-    K = rep.field
-    ident = Matrix.identity(K, rep.dimension)
-    cinv = None
-    if c is not None:
-        cinv = c
-        for _ in range(n - 2):
-            cinv = cinv * c
-    adj = []  # adjacent transpositions sigma_k = (k, k+1), 1-based k
-    for k in range(1, n):
-        if k == 1:
-            adj.append(s)
-        else:
-            # sigma_{k+1} = c sigma_k c^{-1} for the cycle x -> x+1
-            w = c * adj[-1] * cinv if c is not None else s
-            adj.append(w)
-    for i in range(2, n + 1):
-        w = ident
-        for k in range(i - 1, 0, -1):
-            w = w * adj[k - 1]
-        for k in range(2, i):
-            w = w * adj[k - 1]
-        # w is now (1 i); conjugate D1
-        out.append(w * D1 * w)
+    c = gens["c"] if n >= 3 else gens["s"]
+    cinv = c
+    for _ in range(n - 2):
+        cinv = cinv * c
+    for _ in range(n - 1):
+        out.append(c * out[-1] * cinv)
     return out
 
 

@@ -6,7 +6,7 @@ cross-checked against a conjugacy-class count obtained by direct group
 enumeration, independent of all representation code.
 """
 
-from math import gcd
+from math import lcm
 
 from .fields import CapExceeded, Field, MAX_DEGREE
 from .matrices import Matrix
@@ -106,8 +106,10 @@ def build(lam, n, q, K=None, seed=0):
     names = group_generator_names(n)
     j = (K.order - 1) // (q - 1)
     restricted = []
+    expected = 1
     for i, dg in enumerate(digits):
         Li = socle_simple(dg, n, K, seed=seed)
+        expected *= Li.dimension
         twisted = frobenius_twist(Li, i) if i else Li
         gens = {}
         for nm in names:
@@ -124,9 +126,6 @@ def build(lam, n, q, K=None, seed=0):
     module = AlgebraModule(K, module.generators,
                            labels={nm: labels[nm] for nm in names},
                            name=f"L_{lam}(F_{q}^{n})")
-    expected = 1
-    for i, dg in enumerate(digits):
-        expected *= socle_simple(dg, n, K, seed=seed).dimension
     if module.dimension != expected:
         raise RuntimeError("dimension is not multiplicative over digits")
     return SteinbergDatum(n, q, lam, digits, module, K)
@@ -158,14 +157,6 @@ def element_order(g):
     return k
 
 
-def group_exponent(n, q):
-    exp = 1
-    for g in group_elements(n, q):
-        o = element_order(g)
-        exp = exp * o // gcd(exp, o)
-    return exp
-
-
 def p_regular_class_count(n, q):
     """Number of conjugacy classes of elements of order prime to p,
     counted by direct orbit enumeration."""
@@ -189,20 +180,18 @@ def p_regular_class_count(n, q):
 
 
 def splitting_field(n, q):
-    """F_{q^s} with s minimal such that the p'-part of the group
-    exponent divides q^s - 1; falls back to F_q itself when the needed
-    degree exceeds the supported range (the representatives happen to be
-    absolutely simple over F_q in the capped cases where that occurs)."""
-    p, e = _factor_pe(q)
-    exp = group_exponent(n, q)
-    while exp % p == 0:
-        exp //= p
-    s = 1
-    while e * s <= MAX_DEGREE:
-        if (q ** s - 1) % exp == 0:
-            return Field.of_order(q ** s)
-        s += 1
-    return Field.of_order(q)
+    """F_{q^s} with s = lcm(1, ..., n), or F_q itself when e*s exceeds
+    ``MAX_DEGREE`` for q = p^e (the representatives happen to be
+    absolutely simple over F_q in the capped cases where that occurs).
+
+    The p'-part of the order of g in GL_n(F_q) is the order of its
+    semisimple part, whose eigenvalues lie in fields F_{q^k} with k <= n;
+    so the p'-exponent of the group is lcm(q^k - 1 : k <= n), and
+    q^k - 1 divides q^s - 1 exactly when k divides s.  The least s whose
+    F_{q^s} holds every such eigenvalue is therefore lcm(1, ..., n)."""
+    _, e = _factor_pe(q)
+    s = lcm(*range(1, n + 1))
+    return Field.of_order(q ** s if e * s <= MAX_DEGREE else q)
 
 
 # -- classification ------------------------------------------------------

@@ -165,3 +165,14 @@ def test_meataxe_refuses_int_that_is_no_element_label(tmp_path):
     assert code == 2
     assert out == ("error: 5 is not an element label of F_4: give an int "
                    "in range(4) or a coefficient list")
+
+
+def test_meataxe_simple_over_q_names_the_finite_field_need(tmp_path):
+    # the swap module over Q: the Meataxe draws from a finite field
+    mat = {"field": {"p": 0, "e": 1}, "rows": 2, "cols": 2,
+           "entries": [[0, 1], [1, 0]]}
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {"g": mat}}))
+    code, out = run(["meataxe", "simple", "--module", str(mf)])
+    assert code == 2
+    assert out == "error: simplicity testing needs a finite field, not Q"

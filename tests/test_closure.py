@@ -78,7 +78,7 @@ def test_frobenius_twist_of_natural_module():
 def _matrices_case():
     gens = matrix_monoid_generators(F2RING, 2)
     F = make_functor("gr1", F2RING, F3, 2)
-    return ((lambda g, x: mat_mul(F2RING, g, x)), gens[0],
+    return ((lambda g, x: mat_mul(F2RING, g, x, 2)), gens[0],
             Matrix.identity(F3, F.dim(2)), gens,
             [F.act_ranks(g, 2, 2) for g in gens])
 

@@ -72,7 +72,7 @@ def test_functoriality_on_random_pairs():
         g = tuple(tuple(rng.choice(els) for _ in range(k))
                   for _ in range(m2))
         from steinlab.rings import mat_mul
-        gf = mat_mul(F2RING, g, f)
+        gf = mat_mul(F2RING, g, f, m)
         assert G.act_ranks(gf, m, m2) == \
             G.act_ranks(g, k, m2) * G.act_ranks(f, m, k)
 
@@ -95,7 +95,7 @@ def test_tdelta_functoriality_on_z6(data):
     m, k, m2 = (data.draw(st.integers(1, 2)) for _ in range(3))
     f = data.draw(ring_matrices(k, m))
     g = data.draw(ring_matrices(m2, k))
-    gf = mat_mul(Z6, g, f)
+    gf = mat_mul(Z6, g, f, m)
     assert T.act_ranks(gf, m, m2) == \
         T.act_ranks(g, k, m2) * T.act_ranks(f, m, k)
 

@@ -74,6 +74,30 @@ def test_minimal_polynomial_of_shift():
     assert mp == [K.coerce(-1), K.zero, K.zero, K.zero, K.one]
 
 
+def minimal_polynomial_by_matrices(A):
+    """The minimal polynomial with m(A) built as a dense matrix for each
+    basis vector, as lcm of the local annihilators."""
+    F, n = A.field, A.nrows
+    m = [F.one]
+    for i in range(n):
+        v = [F.one if k == i else F.zero for k in range(n)]
+        w = mt._poly_eval_matrix(m, A).apply_to_vector(v)
+        m = mt._poly_mul(m, mt._local_min_poly(A, w), F)
+    return m
+
+
+@settings(SETTINGS)
+@given(st.data())
+def test_minimal_polynomial_matches_matrix_evaluation(data):
+    K, _ = data.draw(st.sampled_from(ORACLE_FIELDS))
+    n = data.draw(st.integers(1, 5))
+    A = Matrix(K, [[data.draw(st.integers(0, K.order - 1))
+                    for _ in range(n)] for _ in range(n)])
+    mp = mt.minimal_polynomial(A)
+    assert mp == minimal_polynomial_by_matrices(A)
+    assert mt._poly_eval_matrix(mp, A) == Matrix.zero(K, n, n)
+
+
 def test_hom_space_and_iso():
     K = Field.prime(2)
     a = natural_gl2_f2(K)

@@ -85,7 +85,7 @@ def test_primary_idempotents():
 def test_monoid_closure_full():
     def monoid(ring, gens):
         return set(gens) | {y for y, _, _ in monoid_closure(
-            lambda g, x: mat_mul(ring, g, x), gens, gens)}
+            lambda g, x: mat_mul(ring, g, x, len(x)), gens, gens)}
 
     R2 = FiniteRing("F_2")
     gens = matrix_monoid_generators(R2, 2)
@@ -96,3 +96,15 @@ def test_monoid_closure_full():
     Z6 = FiniteRing("Z/6")
     gens6 = matrix_monoid_generators(Z6, 2)
     assert len(monoid(Z6, gens6)) == 6 ** 4
+
+
+def test_mat_mul_empty_shapes():
+    R = FiniteRing("Z/6")
+    a, b, c, d = R.elements()[1:5]
+    g = ((a, b), (c, d), (b, a))   # 3 x 2
+    # no rows: a 0 x 2 map composed with a 2 x 2 one
+    assert mat_mul(R, (), g[:2], 2) == ()
+    # no columns: the 2 x 0 matrix has one empty tuple per row
+    assert mat_mul(R, g, ((), ()), 0) == ((), (), ())
+    # empty inner dimension: a 3 x 0 by 0 x 2 product is the zero matrix
+    assert mat_mul(R, ((), (), ()), (), 2) == ((R.zero, R.zero),) * 3

@@ -144,6 +144,15 @@ def test_coords_in_basis_rejects_image_outside_span(F, data):
                                   outside])
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.label())
+def test_coords_matrix_of_no_images_keeps_its_rows(F):
+    # one column per image: no images give a dim x 0 matrix, not 0 x 0
+    sp = Subspace(F, 3, [[F.one, F.zero, F.one]])
+    X = sp.coords_matrix([])
+    assert (X.nrows, X.ncols) == (1, 0)
+    assert (X * Matrix.zero(F, 0, 2)) == Matrix.zero(F, 1, 2)
+
+
 # -- an independent elimination oracle -------------------------------------
 
 def gauss_jordan(F, rows, ncols):

@@ -3,6 +3,7 @@ import pytest
 from steinlab import schurfun as sf
 from steinlab import symgrp as sg
 from steinlab.fields import Field, QQ
+from steinlab.matrices import Matrix
 from steinlab.modtools import end_dim, is_simple
 
 
@@ -95,3 +96,54 @@ def test_delta_rep_and_det():
     assert delta.generators["e"].rows[0][0] == K.zero
     det = sf.det_rep(2, K)
     assert det.dimension == 1
+
+
+def torus_by_words(rep):
+    """The torus generators diag(1,...,z,...,1) built the long way: each
+    transposition (1 i) as the word s_(i-1)...s_2 s_1 s_2...s_(i-1) in the
+    adjacent transpositions s_k = c^(k-1) s c^(-(k-1)), then (1 i) D_1 (1 i)."""
+    n = rep.rank
+    gens = rep.generators
+    D1 = gens["d"]
+    out = [D1]
+    if n == 1:
+        return out
+    s = gens["s"]
+    c = gens.get("c")
+    ident = Matrix.identity(rep.field, rep.dimension)
+    cinv = None
+    if c is not None:
+        cinv = c
+        for _ in range(n - 2):
+            cinv = cinv * c
+    adj = [s]
+    for _ in range(2, n):
+        adj.append(c * adj[-1] * cinv)
+    for i in range(2, n + 1):
+        w = ident
+        for k in range(i - 1, 0, -1):
+            w = w * adj[k - 1]
+        for k in range(2, i):
+            w = w * adj[k - 1]
+        out.append(w * D1 * w)
+    return out
+
+
+TORUS_FIELDS = [Field.of_order(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+
+
+@pytest.mark.parametrize("K", TORUS_FIELDS, ids=lambda K: K.label())
+def test_torus_conjugation_matches_word_oracle(K):
+    checked = 0
+    for n in range(1, 5):
+        for d in range(4):
+            for lam in sg.all_partitions(d):
+                reps = [sf.schur_value(lam, n, K)]
+                if sg.is_p_restricted(lam, K.char):
+                    reps.append(sf.socle_simple(lam, n, K))
+                for rep in reps:
+                    if rep.dimension:
+                        assert sf._torus_matrices(rep) == \
+                            torus_by_words(rep)
+                        checked += 1
+    assert checked >= 40

@@ -1,7 +1,9 @@
+from math import lcm
+
 import pytest
 
 from steinlab import steinberg as st
-from steinlab.fields import Field
+from steinlab.fields import MAX_DEGREE, Field
 from steinlab.modtools import (AlgebraModule, are_isomorphic, end_dim,
                                is_simple)
 
@@ -65,15 +67,54 @@ def test_p_regular_class_count_matches():
     assert st.p_regular_class_count(3, 2) == 4
 
 
+def group_exponent(n, q):
+    """The exponent of GL_n(F_q), by the order of every element."""
+    exp = 1
+    for g in st.group_elements(n, q):
+        exp = lcm(exp, st.element_order(g))
+    return exp
+
+
 def test_group_exponent():
     # GL_2(F_2) has elements of orders 1, 2, 3
-    assert st.group_exponent(2, 2) == 6
+    assert group_exponent(2, 2) == 6
 
 
 def test_splitting_fields():
     assert st.splitting_field(2, 2).order == 4
     assert st.splitting_field(1, 4).order == 4
     assert st.splitting_field(2, 4).order == 16
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 4), (3, 2), (2, 3), (2, 5)]
+                         + [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)])
+def test_splitting_field_matches_group_exponent(n, q):
+    # the least F_{q^s} whose units hold the p'-part of the exponent,
+    # within MAX_DEGREE, else F_q
+    p, e = st._factor_pe(q)
+    exp = group_exponent(n, q)
+    while exp % p == 0:
+        exp //= p
+    s = next((s for s in range(1, MAX_DEGREE // e + 1)
+              if (q ** s - 1) % exp == 0), None)
+    expect = Field.of_order(q ** s if s else q)
+    assert st.splitting_field(n, q) is expect
+
+
+def test_build_makes_each_digit_simple_once(monkeypatch):
+    calls = []
+    socle_simple = st.socle_simple
+
+    def counted(lam, *args, **kwargs):
+        calls.append(lam)
+        return socle_simple(lam, *args, **kwargs)
+
+    monkeypatch.setattr(st, "socle_simple", counted)
+    datum = st.build((3, 1), 2, 4)
+    assert calls == datum.digits == [(1, 1), (1, 0)]
+    calls.clear()
+    datum = st.build((5,), 1, 8)
+    assert calls == datum.digits == [(1,), (0,), (1,)]
 
 
 def test_restricted_representatives():
