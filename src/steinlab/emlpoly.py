@@ -7,7 +7,11 @@ The d-th deviation of f: U -> V is
 
 and f is polynomial of degree <= d when dev_{d+1}(f) vanishes
 identically.  Sources are finite abelian groups or Z restricted to a
-bounded evaluation window.
+bounded evaluation window W.  There dev_d is tested on arguments in
+[-b, b], b = W // d, whose partial sums fill [-d*b, d*b]; it vanishes
+exactly when the d-th finite differences of f on [-d*b, d*b] do (Passi,
+LNM 715: the (t^u_1 - 1)...(t^u_d - 1) with |u_i| <= b span the same
+Z-module as the t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
 """
 
 from fractions import Fraction
@@ -46,6 +50,8 @@ class AbGroup:
         if window is not None:
             if orders is not None:
                 raise ValueError("give cyclic orders or a window, not both")
+            if window < 0:
+                raise ValueError(f"window must be >= 0, got {window}")
             self.orders = None
             self.window = window
             return
@@ -190,29 +196,34 @@ def _is_zero_value(v, zero):
 def deviation_vanishes(f, d):
     """Whether dev_d(f) is identically zero.
 
-    Deviations are symmetric functions of their arguments, so it is
-    enough to run over multisets.  Z sources are checked on arguments
-    small enough that all partial sums stay inside the window.
+    A Z source with window W and d >= 1 reads f once at each of the
+    2*d*b + 1 points of [-d*b, d*b], b = W // d, and tests the d-th
+    differences there (module docstring; b = 0 leaves dev_d(0,...,0) = 0).
+    Otherwise the arguments run over multisets, as dev_d is symmetric.
     """
-    dev = deviation(f, d)
-    _a, _n, zero = f.value_ops()
-    if d == 0:
-        return _is_zero_value(dev(), zero)
+    if d < 0:
+        raise ValueError(f"deviation order d must be >= 0, got {d}")
     U = f.source
-    if U.is_integers:
-        bound = U.window // max(d, 1)
-        args = range(-bound, bound + 1)
-    else:
-        args = U.elements()
-    for us in combinations_with_replacement(args, d):
-        if not _is_zero_value(dev(*us), zero):
-            return False
-    return True
+    if U.is_integers and d:
+        b = U.window // d
+        if b == 0:
+            return True
+        table = [f(x) for x in range(-d * b, d * b + 1)]
+        add, neg, zero = _target_ops(f.target, table[0])
+        for _ in range(d):
+            table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
+        return all(_is_zero_value(v, zero) for v in table)
+    dev = deviation(f, d)
+    zero = f.value_ops()[2]
+    return all(_is_zero_value(dev(*us), zero)
+               for us in combinations_with_replacement(U.elements(), d))
 
 
 def eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) identically zero, else the
     NotPolynomialUpTo(cap) sentinel."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     for d in range(cap + 1):
         if deviation_vanishes(f, d + 1):
             return d
@@ -256,15 +267,10 @@ def homogeneous_decomposition(f, degree=None, cap=8):
             return total
         return fk
 
-    out = []
-    for k in range(d + 1):
-        fk = component(k)
-        if f.source.is_integers:
-            src = AbGroup(window=f.source.window // max(d, 1))
-            out.append(AbMap(src, f.target, func=fk))
-        else:
-            out.append(AbMap(f.source, f.target, func=fk))
-    return out
+    src = f.source
+    if src.is_integers:
+        src = AbGroup(window=src.window // max(d, 1))
+    return [AbMap(src, f.target, func=component(k)) for k in range(d + 1)]
 
 
 # -- multiplicative factorization ---------------------------------------

@@ -6,7 +6,8 @@ field each vector is inserted by ``Subspace.add_vector``: reduction against
 the basis, then back-reduction of the basis, on the field's row operations
 ``Field.row_sub`` (v - f*row) and ``Field.row_scale``, which have one branch
 per field kind.  Over Q the rows are scaled to integers (same span) and
-eliminated fraction-free, so every entry of a Q basis is a ``Fraction``.
+eliminated fraction-free, so every entry of a Q basis is a ``Fraction``;
+``apply_to_vector`` and ``kron`` multiply only nonzero pairs of entries.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
@@ -163,7 +164,9 @@ class Matrix:
             return [sum(a * b for a, b in zip(row, v)) % p
                     for row in self.rows]
         if F.kind == "rational":
-            return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
+            nz = [(j, b) for j, b in enumerate(v) if b]
+            return [sum((row[j] * b for j, b in nz if row[j]), F.zero)
+                    for row in self.rows]
         add, mul, z = F.add, F.mul, F.zero
         out = []
         for row in self.rows:
@@ -178,11 +181,12 @@ class Matrix:
         """Kronecker product; basis of the product space is ordered
         lexicographically: index (i, k) -> i * other.n + k."""
         F = self.field
-        mul = F.mul
+        mul, z = F.mul, F.zero
         out = []
         for ra in self.rows:
             for rb in other.rows:
-                out.append([mul(a, b) for a in ra for b in rb])
+                out.append([mul(a, b) if a and b else z
+                            for a in ra for b in rb])
         return Matrix(F, out, self.ncols * other.ncols)
 
     # -- row reduction ---------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from steinlab import schurfun
 from steinlab.cli import run
 
@@ -176,3 +178,17 @@ def test_meataxe_simple_over_q_names_the_finite_field_need(tmp_path):
     code, out = run(["meataxe", "simple", "--module", str(mf)])
     assert code == 2
     assert out == "error: simplicity testing needs a finite field, not Q"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["emlpoly", "deviate", "--window", "20", "--poly", "0,1", "--d", "-1"],
+     "error: deviation order d must be >= 0, got -1"),
+    (["emlpoly", "degree", "--window", "20", "--poly", "0,1", "--cap", "-1"],
+     "error: cap must be >= 0, got -1"),
+    (["emlpoly", "homog", "--window", "20", "--poly", "0,1", "--cap", "-1"],
+     "error: cap must be >= 0, got -1"),
+    (["emlpoly", "degree", "--window", "-3", "--poly", "0,1"],
+     "error: window must be >= 0, got -3"),
+])
+def test_emlpoly_refuses_negative_options(argv, message):
+    assert run(argv) == (2, message)

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinlab import emlpoly as ep
 from steinlab.fields import Field, QQ
+from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
 
@@ -127,3 +130,108 @@ def test_check_short_exact_rejects_bad_pair():
     incl = ep.AbMap(A, B, func=lambda u: (0,))
     proj = ep.AbMap(B, C, func=lambda u: (u[0] % 2,))
     assert not ep.check_short_exact(A, B, C, incl, proj)
+
+
+# -- Z windows: finite differences against the multiset check ------------
+
+def _is_zero(v):
+    return v.is_zero() if isinstance(v, Matrix) else v == 0
+
+
+def multiset_vanishes(f, d):
+    """The multiset check on a Z window, the oracle for deviation_vanishes:
+    dev_d on every multiset of d arguments in [-b, b], b = window // d."""
+    dev = ep.deviation(f, d)
+    b = f.source.window // d
+    return all(_is_zero(dev(*us))
+               for us in combinations_with_replacement(range(-b, b + 1), d))
+
+
+class Recorder:
+    """A Z-window callback that records the points it is read at."""
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = []
+
+    def __call__(self, u):
+        self.reads.append(u)
+        return self.values(u)
+
+
+def _poly(coeffs, u):
+    v = Fraction(0)
+    for c in reversed(coeffs):
+        v = v * u + c
+    return v
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def window_values(draw):
+    """(window, d, value function): arbitrary tables, polynomials with an
+    optional bump at one point, and 2x2 Q-matrix values built from them."""
+    window = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 5))
+    points = range(-window, window + 1)
+    kind = draw(st.sampled_from(["table", "poly", "matrix"]))
+    if kind == "table":
+        table = draw(st.lists(small, min_size=len(points),
+                              max_size=len(points)))
+        values = dict(zip(points, table))
+        return window, d, values.__getitem__
+    polys = draw(st.lists(st.lists(small, min_size=0, max_size=d + 1),
+                          min_size=4, max_size=4))
+    bump = {}
+    if draw(st.booleans()):
+        at = draw(st.sampled_from(points))
+        bump[at] = draw(small.filter(lambda x: x != 0))
+
+    def scalar(u, coeffs=polys[0]):
+        return _poly(coeffs, u) + bump.get(u, 0)
+    if kind == "poly":
+        return window, d, scalar
+
+    def matrix(u):
+        entries = [scalar(u)] + [_poly(c, u) for c in polys[1:]]
+        return Matrix(QQ, [entries[:2], entries[2:]])
+    return window, d, matrix
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(window_values())
+def test_deviation_vanishes_matches_multiset_oracle(case):
+    window, d, values = case
+    f = window_map(window, Recorder(values))
+    got = ep.deviation_vanishes(f, d)
+    b = window // d
+    reads = f.func.reads
+    # f is read at most once per point of [-d*b, d*b], and nowhere else
+    assert len(reads) <= 2 * d * b + 1
+    assert all(abs(u) <= d * b for u in reads)
+    assert got == multiset_vanishes(f, d)
+
+
+def test_finite_differences_read_only_the_reachable_points():
+    # window 7, d = 2: the multiset test reaches [-6, 6], never f(+-7);
+    # a bump at 7 leaves dev_2 of a linear map vanishing
+    f = window_map(7, lambda u: Fraction(3 * u + 1 + (u == 7)))
+    assert multiset_vanishes(f, 2)
+    assert ep.deviation_vanishes(f, 2)
+    g = window_map(7, lambda u: Fraction(3 * u + 1 + (u == 6)))
+    assert not ep.deviation_vanishes(g, 2)
+    # window < d: every argument is 0, and f is not read at all
+    h = window_map(3, Recorder(lambda u: Fraction(2 ** u)))
+    assert ep.deviation_vanishes(h, 4)
+    assert h.func.reads == []
+
+
+def test_deviation_count_guard():
+    # each Z call reads f at most 2*d*(W//d) + 1 times
+    for window in range(13):
+        for d in range(1, 6):
+            f = window_map(window, Recorder(lambda u: Fraction(u) ** 3))
+            ep.deviation_vanishes(f, d)
+            assert len(f.func.reads) <= 2 * d * (window // d) + 1

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
@@ -140,3 +141,74 @@ def test_module_level_helpers():
     R, piv = rref(M)
     assert len(piv) == 1
     assert kernel_basis(M).dim == 1
+
+
+# -- apply_to_vector and kron against scalar oracles ----------------------
+
+# Q, F_2, F_5, F_4 and F_9
+KERNEL_FIELDS = [QQ, Field.prime(2), Field.prime(5), Field.galois(2, 2),
+                 Field.galois(3, 2)]
+
+
+def nonzero_scalars(F):
+    if F.kind == "rational":
+        return st.fractions(min_value=-4, max_value=4,
+                            max_denominator=5).filter(bool)
+    return st.integers(1, F.order - 1)
+
+
+@st.composite
+def kernel_rows(draw, F, nrows, ncols):
+    """Rows over F that are sparse (a quarter nonzero) or dense (three
+    quarters nonzero), with zero rows mixed in."""
+    sparse = draw(st.booleans())
+
+    def entry():
+        if (draw(st.integers(0, 3)) == 0) == sparse:
+            return draw(nonzero_scalars(F))
+        return F.zero
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if draw(st.integers(0, 4)) == 0:
+            rows[i] = [F.zero] * ncols
+    return rows
+
+
+@st.composite
+def kernel_matrix(draw, F):
+    """A matrix over F of at most 4 x 4; either dimension may be 0."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return Matrix(F, draw(kernel_rows(F, nrows, ncols)), ncols)
+
+
+def _all_fractions(F, rows):
+    return F.kind != "rational" or all(isinstance(x, Fraction)
+                                       for r in rows for x in r)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_apply_to_vector_matches_scalar_oracle(F, data):
+    M = data.draw(kernel_matrix(F))
+    (v,) = data.draw(kernel_rows(F, 1, M.ncols))
+    expected = []
+    for row in M.rows:
+        acc = F.zero
+        for a, b in zip(row, v):
+            acc = F.add(acc, F.mul(a, b))
+        expected.append(acc)
+    got = M.apply_to_vector(v)
+    assert got == expected
+    assert _all_fractions(F, [got])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_kron_matches_scalar_oracle(F, data):
+    A = data.draw(kernel_matrix(F))
+    B = data.draw(kernel_matrix(F))
+    K = A.kron(B)
+    assert (K.nrows, K.ncols) == (A.nrows * B.nrows, A.ncols * B.ncols)
+    assert K.rows == [[F.mul(a, b) for a in ra for b in rb]
+                      for ra in A.rows for rb in B.rows]
+    assert _all_fractions(F, K.rows)

@@ -67,6 +67,14 @@ def test_p_regular_class_count_matches():
     assert st.p_regular_class_count(3, 2) == 4
 
 
+@pytest.mark.parametrize("n,q", [(1, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_p_regular_class_count_is_semisimple_class_count(n, q):
+    # classify checks its simples against q^n - q^(n-1), the number of
+    # semisimple classes of GL_n(F_q); the orbit count must agree
+    assert st.p_regular_class_count(n, q) == q ** n - q ** (n - 1)
+
+
 def group_exponent(n, q):
     """The exponent of GL_n(F_q), by the order of every element."""
     exp = 1
