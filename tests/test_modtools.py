@@ -1,8 +1,11 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import modtools as mt
 from steinlab import steinberg
-from steinlab.fields import Field
+from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
 # Hypothesis runs derandomized, so the examples are the same on every run
@@ -161,6 +164,82 @@ def test_berlekamp_splits_repeated_factors_over_extensions():
     # the derivative's coefficients are integers, not element labels
     assert mt._berlekamp_factor([1, 0, 1], Field.galois(2, 2)) == [[1, 1]]
     assert mt._berlekamp_factor([1, 0, 0, 1], Field.galois(3, 2)) == [[1, 1]]
+
+
+# -- one enumerator of F-spans ---------------------------------------------
+
+def _all_vectors(F, n):
+    """Every vector of F^n, the first coordinate varying slowest: the
+    exhaustive search's former enumerator, kept as an oracle."""
+    els = list(F.elements())
+
+    def rec(prefix):
+        if len(prefix) == n:
+            yield list(prefix)
+            return
+        for a in els:
+            yield from rec(prefix + [a])
+    yield from rec([])
+
+
+def _hom_combinations(F, homs):
+    """Every F-combination of the matrices, the coefficient of the first
+    varying slowest: are_isomorphic's former enumerator, kept as an
+    oracle."""
+    els = list(F.elements())
+    zero = Matrix.zero(F, homs[0].nrows, homs[0].ncols)
+
+    def rec(i, acc):
+        if i == len(homs):
+            yield acc
+            return
+        for a in els:
+            yield from rec(i + 1, acc if a == F.zero
+                           else acc + homs[i].scale(a))
+    yield from rec(0, zero)
+
+
+@pytest.mark.parametrize("F, n", [(Field.prime(2), 4), (Field.prime(3), 3),
+                                  (Field.galois(2, 2), 3),
+                                  (Field.galois(3, 2), 2)],
+                         ids=["F_2", "F_3", "F_4", "F_9"])
+def test_span_enumerator_matches_former_enumerators(F, n):
+    ident = Matrix.identity(F, n).rows
+    assert list(mt._subspace_vectors(F, ident)) == list(_all_vectors(F, n))
+    rnd = random.Random(F.order)
+    homs = [Matrix(F, [[rnd.randrange(F.order) for _ in range(3)]
+                       for _ in range(2)]) for _ in range(n)]
+    combos = [Matrix(F, [v[:3], v[3:]]) for v in
+              mt._subspace_vectors(F, [H.entries_flat() for H in homs])]
+    assert combos == list(_hom_combinations(F, homs))
+
+
+def diagonal_module(F, *eigenvalues):
+    """F^n with one generator acting by diag(eigenvalues)."""
+    n = len(eigenvalues)
+    return mt.AlgebraModule(F, {"g": Matrix(F, [
+        [eigenvalues[i] if i == j else F.zero for j in range(n)]
+        for i in range(n)])})
+
+
+@pytest.mark.parametrize("F, cap", [(Field.prime(3), mt.DEFAULT_EXHAUSTIVE_CAP),
+                                    (Field.prime(3), 2),
+                                    (QQ, mt.DEFAULT_EXHAUSTIVE_CAP)],
+                         ids=["F_3", "F_3-cap2", "Q"])
+def test_isomorphism_found_only_by_a_combination(F, cap):
+    # A + B with non-isomorphic 1-dim A and B (g acts by 1 and by 2): the
+    # hom basis diag(1, 0), diag(0, 1) is singular, so only a combination
+    # is invertible; over F_3 the sweep finds it at the default cap and
+    # the random phase at cap 2, over Q the random integer combinations
+    one = F.one
+    two = F.add(one, one)
+    AB, AA = diagonal_module(F, one, two), diagonal_module(F, one, one)
+    homs = mt.hom_space(AB, AB)
+    assert len(homs) == 2 and not any(T.is_invertible() for T in homs)
+    assert mt.are_isomorphic(AB, diagonal_module(F, one, two), cap=cap)
+    # nonzero homs, none invertible: every phase runs and finds nothing
+    assert mt.hom_space(AB, AA)
+    assert not mt.are_isomorphic(AB, AA, cap=cap)
 
 
 # -- the Holt-Rees certificate against the exhaustive oracle --------------
