@@ -16,8 +16,9 @@ Z-module as the t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import factorial
 
-from .fields import Field, QQ
+from .fields import MAX_DEGREE, Field, QQ
 from .matrices import Matrix
 from .rings import ring_homs
 
@@ -379,7 +380,7 @@ def _ring_elem_to_tuple(ring, a):
     return tuple(out)
 
 
-def factor_ring_map(phi, cap=8, max_extension=None):
+def factor_ring_map(phi, cap=8):
     """Factorization proper for RingMap inputs; see factor_multiplicative."""
     phi.check_multiplicative()
     f = phi.as_abmap()
@@ -391,10 +392,7 @@ def factor_ring_map(phi, cap=8, max_extension=None):
         # product of homomorphisms
         return [], phi.field
     K = phi.field
-    from math import factorial
-    bound = factorial(d) if max_extension is None else max_extension
-    from .fields import MAX_DEGREE
-    for s in range(1, bound + 1):
+    for s in range(1, factorial(d) + 1):
         if K.degree * s > MAX_DEGREE:
             break
         L = Field.galois(K.char, K.degree * s)

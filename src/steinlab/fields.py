@@ -290,18 +290,21 @@ class Field:
             return 1
         return self.char  # the class of x, primitive by table construction
 
-    def coerce(self, x):
-        """Accept ints (and fractions for Q) as field scalars."""
+    def from_int(self, n):
+        """The image of the integer n under Z -> F."""
         if self.kind == "rational":
-            return Fraction(x)
-        return int(x) % self.char if self.degree == 1 else self._coerce_int(x)
+            return Fraction(n)
+        return int(n) % self.char
 
-    def _coerce_int(self, x):
-        x = int(x)
-        if 0 <= x < self.order:
-            return x
-        # treat as an integer scalar: image of x under Z -> F_{p^e}
-        return x % self.char
+    def element(self, label):
+        """The element with this label: an int in ``range(q)``, or over Q
+        any rational; ValueError for anything else."""
+        if self.kind == "rational":
+            return Fraction(label)
+        if isinstance(label, int) and 0 <= label < self.order:
+            return label
+        raise ValueError(f"{label!r} is not an element label of "
+                         f"{self.label()}: give an int in range({self.order})")
 
     def to_coeffs(self, a):
         """Element as a coefficient vector over the prime field."""

@@ -33,6 +33,12 @@ from .modtools import AlgebraModule, are_isomorphic, is_simple
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
                     matrix_monoid_generators, monoid_closure)
 
+# the largest value |A|^m of a representable functor
+REPRESENTABLE_CAP = 100000
+# the largest ambient |Hom(A^m, A^n)| * dim M of an intermediate extension
+# value, and the largest action table |M_n(A)| * dim M it reads
+HOM_CAP = 200000
+
 
 class NotIntermediateExtension(RuntimeError):
     pass
@@ -119,7 +125,7 @@ def additive_functor(ring, field, N, hom):
     return FunctorRep(ring, field, N, lambda m: m, act, name="Lambda1")
 
 
-def representable_functor(ring, field, N, cap=100000):
+def representable_functor(ring, field, N):
     """P = K[Hom(A, -)]: the free K-module on A^m at rank m."""
     def basis(m):
         return all_ring_homs_matrices(ring, 1, m)
@@ -134,7 +140,7 @@ def representable_functor(ring, field, N, cap=100000):
 
     def dim_rule(m):
         d = ring.size ** m
-        if d > cap:
+        if d > REPRESENTABLE_CAP:
             raise CapExceeded("representable value exceeds cap")
         return d
 
@@ -292,10 +298,10 @@ def dimension_profile(F, fit=True):
         report["reason"] = "base ring is not a p-ring"
         return report
     N = F.N
-    pts = [(QQ.coerce(p ** m), QQ.coerce(values[m])) for m in range(N)]
+    pts = [(QQ.from_int(p ** m), QQ.from_int(values[m])) for m in range(N)]
     coeffs = _lagrange_coeffs(pts)
     # verify on every rank including the held-out last one
-    ok = all(_poly_val(coeffs, QQ.coerce(p ** m)) == values[m]
+    ok = all(_poly_val(coeffs, QQ.from_int(p ** m)) == values[m]
              for m in range(N + 1))
     report["fit"] = [str(c) for c in coeffs]
     report["fit_ok"] = ok
@@ -384,7 +390,7 @@ class _Precompose:
         return [v[k] for k in self.src]
 
 
-def intermediate_extension_value(mm, m, hom_cap=200000):
+def intermediate_extension_value(mm, m):
     """T(M)(A^m) for a K[M_n(A)]-module M: the image of the canonical
     map K[Hom(A^n, A^m)] (x) M -> Maps(Hom(A^m, A^n), M), theta(f (x) v)
     sending g to rho(g o f) v.
@@ -404,9 +410,9 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     dual_homs maps each g: A^m -> A^n to the number of its block."""
     ring, n, K = mm.ring, mm.n, mm.field
     dm = mm.dimension
-    if ring.size ** (m * n) * dm > hom_cap:
+    if ring.size ** (m * n) * dm > HOM_CAP:
         raise CapExceeded("intermediate extension value exceeds cap")
-    if ring.size ** (n * n) * dm > hom_cap:
+    if ring.size ** (n * n) * dm > HOM_CAP:
         raise CapExceeded("monoid action table exceeds cap")
     table = mm.action_table
     homs = {g: i for i, g in enumerate(all_ring_homs_matrices(ring, m, n))}
@@ -422,13 +428,13 @@ def intermediate_extension_value(mm, m, hom_cap=200000):
     return sp.dim, sp, homs, ambient
 
 
-def intermediate_extension_module(mm, m, hom_cap=200000):
+def intermediate_extension_module(mm, m):
     """T(M)(A^m) with its End(A^m)-action, as a MonoidModule."""
     return functor_value_module(
-        intermediate_extension_functor(mm, m, hom_cap=hom_cap), m)
+        intermediate_extension_functor(mm, m), m)
 
 
-def intermediate_extension_functor(mm, N, hom_cap=200000):
+def intermediate_extension_functor(mm, N):
     """T(M) as a truncated FunctorRep."""
     ring, K = mm.ring, mm.field
     dm = mm.dimension
@@ -436,8 +442,7 @@ def intermediate_extension_functor(mm, N, hom_cap=200000):
 
     def value(m):
         if m not in cache:
-            cache[m] = intermediate_extension_value(mm, m,
-                                                    hom_cap=hom_cap)
+            cache[m] = intermediate_extension_value(mm, m)
         return cache[m]
 
     def dim_rule(m):
@@ -530,7 +535,7 @@ def functor_value_module(F, m):
                         name=f"{F.name}(A^{m})" if F.name else "")
 
 
-def simplicity_test(F, n, seed=0, hom_cap=200000):
+def simplicity_test(F, n, seed=0):
     """True iff F(A^n) is simple over K[M_n(A)] and F agrees with the
     intermediate extension of that value at every rank up to the
     truncation; a failed agreement is inconclusive and raises."""
@@ -539,7 +544,7 @@ def simplicity_test(F, n, seed=0, hom_cap=200000):
         raise ValueError("zero value at the support rank")
     if not is_simple(mm.module, seed=seed):
         return False
-    T = intermediate_extension_functor(mm, F.N, hom_cap=hom_cap)
+    T = intermediate_extension_functor(mm, F.N)
     for m in range(F.N + 1):
         if F.dim(m) != T.dim(m):
             raise NotIntermediateExtension(

@@ -1,13 +1,20 @@
 """Dense exact matrices over a Field, stored as lists of row lists.
 
-Everything here is exact: no floats anywhere.  ``Subspace`` is the one
-place that eliminates, and ``Matrix.rref`` reads its basis.  Over a finite
-field each vector is inserted by ``Subspace.add_vector``: reduction against
-the basis, then back-reduction of the basis, on the field's row operations
-``Field.row_sub`` (v - f*row) and ``Field.row_scale``, which have one branch
-per field kind.  Over Q the rows are scaled to integers (same span) and
-eliminated fraction-free, so every entry of a Q basis is a ``Fraction``;
-``apply_to_vector`` and ``kron`` multiply only nonzero pairs of entries.
+Everything here is exact: no floats anywhere.  Each job has one kernel.
+``Matrix.apply_to_vector`` is the one product: ``A * B`` applies the
+columns of B to each row of A.  Over Q it multiplies only nonzero pairs of
+entries and starts each sum at ``F.zero``, so Q products hold
+``Fraction``s.  ``+``, ``-``, unary ``-`` and ``scale`` are the field's
+row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
+``kron`` keeps its own loop, which skips zero factors.  Only
+``apply_to_vector``, the Q elimination and JSON branch on the field kind.
+
+``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
+its basis.  Over a finite field each vector is inserted by
+``Subspace.add_vector``: reduction against the basis, then back-reduction
+of the basis, on the same row operations.  Over Q the rows are scaled to
+integers (same span) and eliminated fraction-free, so every entry of a Q
+basis is a ``Fraction``.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
@@ -41,10 +48,6 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def from_ints(field, rows):
-        return Matrix(field, [[field.coerce(x) for x in r] for r in rows])
 
     @staticmethod
     def zero(field, nrows, ncols):
@@ -91,27 +94,22 @@ class Matrix:
 
     def __add__(self, other):
         F = self.field
-        add = F.add
-        return Matrix(F, [[add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)],
-                      self.ncols)
+        m1 = F.neg(F.one)
+        return Matrix(F, [F.row_sub(a, m1, b)
+                          for a, b in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         F = self.field
-        sub = F.sub
-        return Matrix(F, [[sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)],
-                      self.ncols)
+        return Matrix(F, [F.row_sub(a, F.one, b)
+                          for a, b in zip(self.rows, other.rows)], self.ncols)
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(a) for a in r] for r in self.rows],
-                      self.ncols)
+        return self.scale(F.neg(F.one))
 
     def scale(self, c):
-        F = self.field
-        mul = F.mul
-        return Matrix(F, [[mul(c, a) for a in r] for r in self.rows],
+        row_scale = self.field.row_scale
+        return Matrix(self.field, [row_scale(c, r) for r in self.rows],
                       self.ncols)
 
     def __mul__(self, other):
@@ -119,30 +117,9 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        F = self.field
-        # the columns of ``other``; with no rows, ncols empty columns
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        if F.kind == "prime":
-            p = F.char
-            return Matrix(F, [[sum(a * b for a, b in zip(row, col)) % p
-                               for col in bt] for row in self.rows],
-                          other.ncols)
-        if F.kind == "rational":
-            return Matrix(F, [[sum(a * b for a, b in zip(row, col))
-                               for col in bt] for row in self.rows],
-                          other.ncols)
-        add, mul, z = F.add, F.mul, F.zero
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = z
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(F, out, other.ncols)
+        cols = other.transpose()
+        return Matrix(self.field, [cols.apply_to_vector(row)
+                                   for row in self.rows], other.ncols)
 
     def __pow__(self, n):
         if self.nrows != self.ncols:
@@ -157,7 +134,8 @@ class Matrix:
         return r
 
     def apply_to_vector(self, v):
-        """Matrix times column vector (v a plain list)."""
+        """Matrix times column vector (v a plain list): the one product
+        kernel, with one branch per field kind."""
         F = self.field
         if F.kind == "prime":
             p = F.char
@@ -292,11 +270,11 @@ def _scalar_from_json(F, x):
     if isinstance(x, (list, tuple)):
         return F.from_coeffs(x)
     if F.degree == 1:
-        return F.coerce(x)
-    if isinstance(x, int) and 0 <= x < F.order:
-        return x
-    raise ValueError(f"{x!r} is not an element label of {F.label()}: give "
-                     f"an int in range({F.order}) or a coefficient list")
+        return F.from_int(x)
+    try:
+        return F.element(x)
+    except ValueError as e:
+        raise ValueError(f"{e} or a coefficient list") from None
 
 
 # -- elimination over Q ---------------------------------------------------

@@ -239,21 +239,11 @@ def _berlekamp_factor(f, F):
 DEFAULT_EXHAUSTIVE_CAP = 4096
 
 
-def _all_vectors(F, n):
-    els = list(F.elements())
-
-    def rec(prefix):
-        if len(prefix) == n:
-            yield list(prefix)
-            return
-        for a in els:
-            yield from rec(prefix + [a])
-    yield from rec([])
-
-
 def _subspace_vectors(F, basis_rows):
-    """All vectors in the span of the given rows."""
-    els = list(F.elements())
+    """Every vector in the span of the given rows, each once: the
+    coefficient of the first row varies slowest, in element order.  The
+    one enumerator of F-spans."""
+    steps = [(a, F.neg(a)) for a in F.elements()]
     n = len(basis_rows)
 
     def rec(i, acc):
@@ -261,18 +251,16 @@ def _subspace_vectors(F, basis_rows):
             yield acc
             return
         row = basis_rows[i]
-        for a in els:
-            if a == F.zero:
-                yield from rec(i + 1, acc)
-            else:
-                yield from rec(i + 1,
-                               [F.add(x, F.mul(a, y))
-                                for x, y in zip(acc, row)])
+        for a, na in steps:
+            yield from rec(i + 1, acc if a == F.zero
+                           else F.row_sub(acc, na, row))
     yield from rec(0, [F.zero] * len(basis_rows[0]))
 
 
 # draws of θ before the Holt–Rees certificate gives up
 _HOLT_REES_ATTEMPTS = 20
+# draws of θ before the Norton search falls back to exhaustion
+_NORTON_ATTEMPTS = 60
 
 
 def _holt_rees_simple(mod, seed):
@@ -310,8 +298,7 @@ def _holt_rees_simple(mod, seed):
     return False
 
 
-def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP,
-                          max_tries=60):
+def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
     """A basis (list of rows) of a proper nonzero submodule, or None if
     the module is simple.
 
@@ -337,7 +324,7 @@ def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP,
     rng = random.Random(seed)
     tmod = transpose_module(mod)
     tgens = tmod.gen_list()
-    for attempt in range(max_tries):
+    for attempt in range(_NORTON_ATTEMPTS):
         theta = _random_algebra_element(mod, rng)
         mp = minimal_polynomial(theta)
         if len(mp) <= 1:
@@ -349,7 +336,8 @@ def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP,
         ker = N.kernel_basis()
         if ker.nrows == 0:
             continue
-        if F.order ** ker.nrows > 4 * cap and attempt < max_tries - 1:
+        if (F.order ** ker.nrows > 4 * cap
+                and attempt < _NORTON_ATTEMPTS - 1):
             continue  # try for a thinner kernel first
         for v in _subspace_vectors(F, ker.rows):
             if all(x == F.zero for x in v):
@@ -376,7 +364,7 @@ def _find_submodule_exhaustive(mod):
     F = mod.field
     n = mod.dimension
     gens = mod.gen_list()
-    for v in _all_vectors(F, n):
+    for v in _subspace_vectors(F, Matrix.identity(F, n).rows):
         if all(x == F.zero for x in v):
             continue
         sp = span_from_spins(F, n, [v], gens)
@@ -442,7 +430,10 @@ def end_dim(mod):
 
 
 def are_isomorphic(mod_m, mod_n, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
-    """Whether an invertible intertwiner exists."""
+    """Whether an invertible intertwiner exists: a hom basis element or a
+    combination of them.  Over Q, 200 random small integer combinations
+    decide; over F_q every combination is swept, after 200 random ones
+    when q^dim Hom > cap."""
     if mod_m.dimension != mod_n.dimension:
         return False
     if mod_m.dimension == 0:
@@ -454,44 +445,27 @@ def are_isomorphic(mod_m, mod_n, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
         if T.is_invertible():
             return True
     F = mod_m.field
-    if F.order is None:
+    r, c = homs[0].nrows, homs[0].ncols
+    if F.order is None or F.order ** len(homs) > cap:
         # over Q, invertibility of some combination is a Zariski-open
         # condition: small integer combinations decide it
+        scalars = (list(F.elements()) if F.order
+                   else [F.from_int(a) for a in range(-5, 6)])
         rng = random.Random(seed)
         for _ in range(200):
-            T = Matrix.zero(F, homs[0].nrows, homs[0].ncols)
+            T = Matrix.zero(F, r, c)
             for H in homs:
-                T = T + H.scale(F.coerce(rng.randrange(-5, 6)))
+                T = T + H.scale(scalars[rng.randrange(len(scalars))])
             if T.is_invertible():
                 return True
-        return False
-    if F.order ** len(homs) <= cap:
-        return any(T.is_invertible() for T in _hom_combinations(F, homs))
-    rng = random.Random(seed)
-    els = list(F.elements())
-    for _ in range(200):
-        T = Matrix.zero(F, homs[0].nrows, homs[0].ncols)
-        for H in homs:
-            T = T + H.scale(els[rng.randrange(len(els))])
-        if T.is_invertible():
-            return True
-    # random phase found nothing; decide by exhaustion (hom spaces at
-    # desk scale are tiny)
-    return any(T.is_invertible() for T in _hom_combinations(F, homs))
-
-
-def _hom_combinations(F, homs):
-    els = list(F.elements())
-    zero = Matrix.zero(F, homs[0].nrows, homs[0].ncols)
-
-    def rec(i, acc):
-        if i == len(homs):
-            yield acc
-            return
-        for a in els:
-            yield from rec(i + 1, acc if a == F.zero
-                           else acc + homs[i].scale(a))
-    yield from rec(0, zero)
+        if F.order is None:
+            return False
+    # every combination, as the span of the flattened basis (hom spaces
+    # at desk scale are tiny)
+    return any(Matrix(F, [v[i * c:(i + 1) * c] for i in range(r)], c)
+               .is_invertible()
+               for v in _subspace_vectors(F, [H.entries_flat()
+                                              for H in homs]))
 
 
 # -- constructions -------------------------------------------------------

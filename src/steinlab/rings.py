@@ -73,7 +73,7 @@ class _FieldComponent:
         return self.field.elements()
 
     def from_int(self, n):
-        return n % self.field.char
+        return self.field.from_int(n)
 
     def label(self):
         return self.field.label()
@@ -305,9 +305,7 @@ def _component_homs(comp, field):
     if isinstance(comp, _CyclicComponent):
         if comp.m % field.char != 0:
             return []
-        # reduce mod p first: small ints would otherwise be read as
-        # element labels of an extension field
-        return [lambda a, K=field: K.coerce(a % K.char)]
+        return [field.from_int]
     Fq = comp.field
     if Fq.char != field.char or field.degree % Fq.degree != 0:
         return []

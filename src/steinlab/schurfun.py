@@ -24,7 +24,7 @@ class FieldTooSmall(ValueError):
     pass
 
 
-DEFAULT_DIM_CAP = 4096
+DIM_CAP = 4096
 
 
 class GLRep(AlgebraModule):
@@ -73,15 +73,15 @@ def _tensor_power(g, d):
     return out
 
 
-def elementary_value(M, n, K, cap=DEFAULT_DIM_CAP):
+def elementary_value(M, n, K):
     """Image of the norm (the sum of all of S_d) acting on
     (K^n)^{tensor d} tensor M, with the monoid acting by g^{tensor d}."""
     d = M.degree
     if M.field is not K:
         raise ValueError("module field mismatch")
     dim_big = n ** d * M.dimension
-    if dim_big > cap:
-        raise CapExceeded(f"dimension {dim_big} exceeds cap {cap}")
+    if dim_big > DIM_CAP:
+        raise CapExceeded(f"dimension {dim_big} exceeds cap {DIM_CAP}")
     # accumulate the norm columnwise: the (t, m) column picks up, for
     # each sigma, the m-th column of sigma on M placed in block sigma(t)
     dm = M.dimension
@@ -191,12 +191,12 @@ def _sym_action(n, lam, K, g, sym, index):
     return Matrix(K, [list(r) for r in zip(*cols)])
 
 
-def schur_value(lam, n, K, cap=DEFAULT_DIM_CAP):
+def schur_value(lam, n, K):
     """The Schur module S_lam(K^n) with its M_n(K)-action; zero when the
     diagram has more rows than n."""
     lam = normalize_partition(lam)
     d = sum(lam)
-    if n ** max(d, 1) > cap * 16:
+    if n ** max(d, 1) > DIM_CAP * 16:
         raise CapExceeded("cap exceeded")
     elements = monoid_generator_elements(n, K)
     if lam and len(lam) > n:
@@ -217,16 +217,16 @@ def schur_value(lam, n, K, cap=DEFAULT_DIM_CAP):
                  name=f"S_{lam}(K^{n})", degree=d)
 
 
-def socle_simple(lam, n, K, cap=DEFAULT_DIM_CAP, seed=0):
+def socle_simple(lam, n, K, seed=0):
     """L_lam(K^n): the socle of the Schur module, simple for p-restricted
     lam in characteristic p (and all of S_lam in characteristic 0)."""
     lam = normalize_partition(lam)
     p = K.char
     if p == 0:
-        return schur_value(lam, n, K, cap=cap)
+        return schur_value(lam, n, K)
     if not is_p_restricted(lam, p):
         raise ValueError(f"{lam} is not {p}-restricted")
-    S = schur_value(lam, n, K, cap=cap)
+    S = schur_value(lam, n, K)
     if S.dimension == 0:
         return S
     rows = _socle_rows(S, seed=seed)

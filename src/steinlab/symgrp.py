@@ -16,6 +16,9 @@ from .matrices import Matrix, coords_in_basis
 from .modtools import AlgebraModule, quotient_module
 from .rings import monoid_closure
 
+# the largest degree d of a Specht module S^lam, lam a partition of d
+DEGREE_CAP = 7
+
 
 # -- partition combinatorics ---------------------------------------------
 
@@ -269,12 +272,12 @@ class SymModule:
                 f"over {self.field.label()})")
 
 
-def specht_module(lam, k, cap=7):
+def specht_module(lam, k):
     """The Specht module S^lam over k on the standard-polytabloid basis."""
     lam = normalize_partition(lam)
     d = sum(lam)
-    if d > cap:
-        raise CapExceeded(f"degree {d} exceeds cap {cap}")
+    if d > DEGREE_CAP:
+        raise CapExceeded(f"degree {d} exceeds cap {DEGREE_CAP}")
     if d == 0:
         raise ValueError("empty partition")
     tabloids = _all_tabloids(lam)
@@ -311,16 +314,16 @@ def specht_gram_matrix(mod):
     return E * E.transpose()
 
 
-def simple_module(lam, k, cap=7):
+def simple_module(lam, k):
     """D^lam = S^lam / rad over a field of characteristic p, for
     p-regular lam; nonzero by p-regularity."""
     lam = normalize_partition(lam)
     p = k.char
     if p == 0:
-        return specht_module(lam, k, cap=cap)
+        return specht_module(lam, k)
     if not is_p_regular(lam, p):
         raise ValueError(f"{lam} is not {p}-regular")
-    S = specht_module(lam, k, cap=cap)
+    S = specht_module(lam, k)
     G = specht_gram_matrix(S)
     rad = G.kernel_basis()  # RREF rows
     if rad.nrows == 0:

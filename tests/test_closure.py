@@ -133,9 +133,9 @@ def spin_case(draw):
               else st.integers(0, F.order - 1))
     vec = st.lists(scalar, min_size=n, max_size=n)
     seeds = draw(st.lists(vec, min_size=1, max_size=3))
-    ops = [Matrix.from_ints(F, m) for m in draw(
+    ops = [Matrix(F, [[F.element(x) for x in r] for r in m]) for m in draw(
         st.lists(st.lists(vec, min_size=n, max_size=n), max_size=3))]
-    seeds = [[F.coerce(x) for x in v] for v in seeds]
+    seeds = [[F.element(x) for x in v] for v in seeds]
     return F, n, seeds, ops
 
 

@@ -94,7 +94,7 @@ def test_factor_square_on_z4():
     F2 = Field.prime(2)
     # x -> x^2 lands in {0, 1} and coincides with reduction mod 2, so a
     # single homomorphism factor suffices
-    phi = ep.RingMap(R, F2, func=lambda a: F2.coerce(a[0] ** 2))
+    phi = ep.RingMap(R, F2, func=lambda a: F2.from_int(a[0] ** 2))
     factors, L = ep.factor_multiplicative(phi)
     assert len(factors) == 1
     assert L is F2

@@ -1,5 +1,6 @@
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -115,3 +116,18 @@ def test_concurrent_first_use_interns_one_field():
         if old is not None:
             Field._cache[key] = old
 
+
+
+def test_integers_and_labels_have_one_meaning():
+    F3, F4 = Field.prime(3), Field.galois(2, 2)
+    # from_int is the image of Z: -1 is 2 in F_3 and 1 in F_4
+    assert [F3.from_int(n) for n in (-1, 3, 4)] == [2, 0, 1]
+    assert F4.from_int(-1) == F4.neg(F4.one) == F4.one
+    assert F4.from_int(3) == F4.one and F4.from_int(2) == F4.zero
+    assert QQ.from_int(-3) == Fraction(-3)
+    # element reads labels in range(q), and nothing else
+    assert [F4.element(a) for a in range(4)] == list(F4.elements())
+    assert QQ.element(Fraction(1, 2)) == Fraction(1, 2)
+    for F, bad in ((F3, 3), (F3, -1), (F4, 4), (F4, Fraction(1))):
+        with pytest.raises(ValueError, match="not an element label"):
+            F.element(bad)

@@ -7,6 +7,11 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
 
+def from_ints(F, rows):
+    """The matrix of integer entries, each read as its image in F."""
+    return Matrix(F, [[F.from_int(x) for x in r] for r in rows])
+
+
 def rref(m):
     return m.rref()
 
@@ -19,13 +24,14 @@ def kernel_basis(m):
 
 def test_rank_nullity():
     F = Field.prime(5)
-    M = Matrix.from_ints(F, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    M = from_ints(F, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert M.rank() + M.kernel_basis().nrows == 3
 
 
 def test_rref_idempotent():
     F = Field.galois(2, 2)
-    M = Matrix.from_ints(F, [[1, 2, 3], [2, 3, 1], [1, 1, 1]])
+    M = Matrix(F, [[F.element(x) for x in r]
+                   for r in [[1, 2, 3], [2, 3, 1], [1, 1, 1]]])
     R, piv = M.rref()
     R2, piv2 = R.rref()
     assert R == R2 and piv == piv2
@@ -33,7 +39,7 @@ def test_rref_idempotent():
 
 def test_inverse_roundtrip():
     F = Field.prime(3)
-    M = Matrix.from_ints(F, [[1, 2, 0], [0, 1, 1], [0, 0, 1]])
+    M = from_ints(F, [[1, 2, 0], [0, 1, 1], [0, 0, 1]])
     ident = Matrix.identity(F, 3)
     assert M * M.inverse() == ident
     assert M.inverse() * M == ident
@@ -65,7 +71,7 @@ def test_rational_subspace_of_int_vector_is_exact():
 
 def test_kernel_vectors_annihilate():
     F = Field.prime(7)
-    M = Matrix.from_ints(F, [[1, 2, 3, 4], [2, 4, 6, 1]])
+    M = from_ints(F, [[1, 2, 3, 4], [2, 4, 6, 1]])
     K = M.kernel_basis()
     for row in K.rows:
         assert all(x == F.zero for x in M.apply_to_vector(list(row)))
@@ -73,19 +79,19 @@ def test_kernel_vectors_annihilate():
 
 def test_kron_mixed_product():
     F = Field.prime(3)
-    A = Matrix.from_ints(F, [[1, 2], [0, 1]])
-    B = Matrix.from_ints(F, [[2, 1], [1, 1]])
-    C = Matrix.from_ints(F, [[1, 1], [2, 0]])
-    D = Matrix.from_ints(F, [[0, 1], [1, 2]])
+    A = from_ints(F, [[1, 2], [0, 1]])
+    B = from_ints(F, [[2, 1], [1, 1]])
+    C = from_ints(F, [[1, 1], [2, 0]])
+    D = from_ints(F, [[0, 1], [1, 2]])
     assert (A * C).kron(B * D) == A.kron(B) * C.kron(D)
 
 
 def test_solve_right():
     F = Field.prime(5)
-    M = Matrix.from_ints(F, [[1, 1], [0, 2]])
+    M = from_ints(F, [[1, 1], [0, 2]])
     x = M.solve_right([3, 4])
     assert M.apply_to_vector(x) == [3, 4]
-    singular = Matrix.from_ints(F, [[1, 1], [2, 2]])
+    singular = from_ints(F, [[1, 1], [2, 2]])
     assert singular.solve_right([1, 0]) is None
 
 
@@ -137,17 +143,17 @@ def test_subspace_membership_and_intersection():
 
 def test_module_level_helpers():
     F = Field.prime(3)
-    M = Matrix.from_ints(F, [[1, 2], [2, 4]])
+    M = from_ints(F, [[1, 2], [2, 4]])
     R, piv = rref(M)
     assert len(piv) == 1
     assert kernel_basis(M).dim == 1
 
 
-# -- apply_to_vector and kron against scalar oracles ----------------------
+# -- products and entrywise operations against scalar oracles -------------
 
-# Q, F_2, F_5, F_4 and F_9
+# Q, F_2, F_5, F_4, F_9 and F_{7^4}, whose row operations have no add table
 KERNEL_FIELDS = [QQ, Field.prime(2), Field.prime(5), Field.galois(2, 2),
-                 Field.galois(3, 2)]
+                 Field.galois(3, 2), Field.galois(7, 4)]
 
 
 def nonzero_scalars(F):
@@ -212,3 +218,51 @@ def test_kron_matches_scalar_oracle(F, data):
     assert K.rows == [[F.mul(a, b) for a in ra for b in rb]
                       for ra in A.rows for rb in B.rows]
     assert _all_fractions(F, K.rows)
+
+
+def _dot(F, xs, ys):
+    acc = F.zero
+    for a, b in zip(xs, ys):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_product_matches_scalar_oracle(F, data):
+    # any of the outer and inner dimensions may be 0
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A = Matrix(F, data.draw(kernel_rows(F, r, k)), k)
+    B = Matrix(F, data.draw(kernel_rows(F, k, c)), c)
+    P = A * B
+    assert (P.nrows, P.ncols) == (r, c)
+    cols = [[row[j] for row in B.rows] for j in range(c)]
+    assert P.rows == [[_dot(F, ra, col) for col in cols] for ra in A.rows]
+    assert _all_fractions(F, P.rows)
+
+
+def test_rational_product_over_empty_inner_dimension_is_fractions():
+    P = Matrix(QQ, [[], []], 0) * Matrix(QQ, [], 3)
+    assert P.rows == [[0, 0, 0], [0, 0, 0]]
+    assert _all_fractions(QQ, P.rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_entrywise_ops_match_scalar_oracle(F, data):
+    A = data.draw(kernel_matrix(F))
+    B = Matrix(F, data.draw(kernel_rows(F, A.nrows, A.ncols)), A.ncols)
+    c = data.draw(st.one_of(st.just(F.zero), nonzero_scalars(F)))
+
+    def entrywise(op, *mats):
+        return [[op(*xs) for xs in zip(*rows)]
+                for rows in zip(*(M.rows for M in mats))]
+
+    cases = [(A + B, entrywise(F.add, A, B)),
+             (A - B, entrywise(lambda a, b: F.add(a, F.neg(b)), A, B)),
+             (-A, entrywise(F.neg, A)),
+             (A.scale(c), entrywise(lambda a: F.mul(c, a), A))]
+    for got, expected in cases:
+        assert (got.nrows, got.ncols) == (A.nrows, A.ncols)
+        assert got.rows == expected
+        assert _all_fractions(F, got.rows)

@@ -17,11 +17,16 @@ ORACLE_FIELDS = [(Field.prime(2), 6), (Field.prime(3), 5),
                  (Field.galois(2, 2), 4), (Field.galois(3, 2), 3)]
 
 
+def from_ints(F, rows):
+    """The matrix of integer entries, each read as its image in F."""
+    return Matrix(F, [[F.from_int(x) for x in r] for r in rows])
+
+
 def natural_gl2_f2(K=None):
     K = K or Field.prime(2)
     return mt.AlgebraModule(K, {
-        "t": Matrix.from_ints(K, [[1, 1], [0, 1]]),
-        "s": Matrix.from_ints(K, [[0, 1], [1, 0]]),
+        "t": from_ints(K, [[1, 1], [0, 1]]),
+        "s": from_ints(K, [[0, 1], [1, 0]]),
     })
 
 
@@ -64,7 +69,7 @@ def test_norton_path_certifies_companion_matrix():
     for i in range(1, n):
         rows[i][i - 1] = K.one
     for i in range(n):
-        rows[i][n - 1] = K.coerce(-coeffs[i] if i < len(coeffs) else 0)
+        rows[i][n - 1] = K.from_int(-coeffs[i] if i < len(coeffs) else 0)
     M = mt.AlgebraModule(K, {"g": Matrix(K, rows)})
     assert mt.is_simple(M, cap=10)
 
@@ -74,7 +79,7 @@ def test_minimal_polynomial_of_shift():
     M = cyclic_shift_module(4, K)
     mp = mt.minimal_polynomial(M.generators["g"])
     # x^4 - 1
-    assert mp == [K.coerce(-1), K.zero, K.zero, K.zero, K.one]
+    assert mp == [K.from_int(-1), K.zero, K.zero, K.zero, K.one]
 
 
 def minimal_polynomial_by_matrices(A):
@@ -136,7 +141,7 @@ def test_tensor_dimensions():
 def test_frobenius_twist_composition():
     K = Field.galois(2, 2)
     labels = {
-        "t": Matrix.from_ints(K, [[1, 1], [0, 1]]),
+        "t": from_ints(K, [[1, 1], [0, 1]]),
         "d": Matrix(K, [[K.gen(), K.zero], [K.zero, K.one]]),
     }
     M = mt.AlgebraModule(K, dict(labels), labels=labels)
@@ -328,8 +333,8 @@ def test_certificate_on_simple_module_that_is_not_absolutely_simple():
     z, one, nil = [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]
 
     def over_f2(blocks):
-        return Matrix.from_ints(K, [b[0][r] + b[1][r]
-                                    for b in blocks for r in range(2)])
+        return from_ints(K, [b[0][r] + b[1][r]
+                             for b in blocks for r in range(2)])
 
     M = mt.AlgebraModule(K, {"d": over_f2([[z, nil], [nil, one]]),
                              "u": over_f2([[one, one], [nil, one]]),
