@@ -301,7 +301,7 @@ class Field:
         any rational; ValueError for anything else."""
         if self.kind == "rational":
             return Fraction(label)
-        if isinstance(label, int) and 0 <= label < self.order:
+        if type(label) is int and 0 <= label < self.order:
             return label
         raise ValueError(f"{label!r} is not an element label of "
                          f"{self.label()}: give an int in range({self.order})")

@@ -20,6 +20,12 @@ every element of M_n(A) that the seeds need comes from
 ``rings.monoid_closure`` over the monoid generators.  The
 intermediate-extension module at rank m is the functor's value module
 there (``functor_value_module``).
+
+A map's index in ``all_ring_homs_matrices`` reads its entries' ring
+labels as mixed-radix digits.  ``_row_table`` lists the index of x.h for
+every row vector x, on the ring's label tables, and the index of g.h is
+a sum of row-table entries over the rows of g: precomposition and the
+representable action form no ring matrix product per Hom element.
 """
 
 from functools import cached_property
@@ -126,18 +132,8 @@ def additive_functor(ring, field, N, hom):
 
 
 def representable_functor(ring, field, N):
-    """P = K[Hom(A, -)]: the free K-module on A^m at rank m."""
-    def basis(m):
-        return all_ring_homs_matrices(ring, 1, m)
-
-    cache = {}
-
-    def idx(m):
-        if m not in cache:
-            b = basis(m)
-            cache[m] = (b, {v: i for i, v in enumerate(b)})
-        return cache[m]
-
+    """P = K[Hom(A, -)]: the free K-module on A^m at rank m.  F(h) sends
+    v to h.v, read from the row table of the transpose of h."""
     def dim_rule(m):
         d = ring.size ** m
         if d > REPRESENTABLE_CAP:
@@ -145,13 +141,11 @@ def representable_functor(ring, field, N):
         return d
 
     def act(h, m, m2):
-        bs, _ = idx(m)
-        b2, index2 = idx(m2)
+        images = _row_table(ring, tuple(zip(*h)), m, m2)
         z, o = field.zero, field.one
-        mat = [[z] * len(bs) for _ in range(len(b2))]
-        for j, v in enumerate(bs):
-            w = mat_mul(ring, h, v, 1)
-            mat[index2[w]][j] = o
+        mat = [[z] * len(images) for _ in range(ring.size ** m2)]
+        for j, i in enumerate(images):
+            mat[i][j] = o
         return Matrix(field, mat)
     return FunctorRep(ring, field, N, dim_rule, act, name="P")
 
@@ -217,13 +211,8 @@ def grassmannian_functor(ring, field, N, r=1):
 
 def _deletion_matrix(ring, d, i):
     """The map A^d -> A^(d-1) forgetting coordinate i."""
-    rows = []
-    for k in range(d):
-        if k == i:
-            continue
-        rows.append(tuple(ring.one if j == k else ring.zero
-                          for j in range(d)))
-    return tuple(rows)
+    ident = ring_identity(ring, d)
+    return ident[:i] + ident[i + 1:]
 
 
 def cross_effect(F, d):
@@ -373,18 +362,39 @@ class MonoidModule:
         return MonoidModule(ring, 1, field, action, name=name)
 
 
+def _row_table(ring, h, k, cols):
+    """The index of x.h in A^cols for every row vector x in A^k, in index
+    order, for a k x cols ring matrix h: built one row of h at a time on
+    the ring's label tables, as x = (x', a) has x.h = x'.h + a.h[t]."""
+    q = ring.size
+    if not cols:
+        return [0] * q ** k
+    add, mul = ring.label_tables
+    vecs = [(ring.index[ring.zero],) * cols]
+    for t in range(k):
+        row = [ring.index[x] for x in h[t]]
+        vecs = [tuple([add[u][mul[a][y]] for u, y in zip(v, row)])
+                for v in vecs for a in range(q)]
+    weights = [q ** j for j in reversed(range(cols))]
+    return [sum(d * w for d, w in zip(v, weights)) for v in vecs]
+
+
 class _Precompose:
     """phi -> (g -> phi(g o h)) for h: A^m -> A^m2, on M-valued functions
     held as one block of dim M coordinates per map to A^n: block g of the
-    image (g: A^m2 -> A^n, numbered by ``homs_to``) reads block g o h of
-    phi (numbered by ``homs_from``).  It acts by indexing, so it never
-    builds a dense matrix."""
+    image (g: A^m2 -> A^n) reads block g o h of phi.  Row i of g o h is
+    row_i(g).h, so with R the row table of h and w = |A|^m the block of
+    g o h is the sum of R[row_i(g)] * w^(n-1-i); listing g in index order
+    lists every choice of rows, row 0 slowest.  It acts by indexing, so
+    it never builds a dense matrix."""
 
-    def __init__(self, ring, n, dm, h, m, m2, homs_from, homs_to):
-        self.src = src = []
-        for g in homs_to:
-            b = homs_from[mat_mul(ring, g, h, m)] * dm
-            src.extend(range(b, b + dm))
+    def __init__(self, ring, n, dm, h, m, m2):
+        R = _row_table(ring, h, m2, m)
+        w = ring.size ** m
+        blocks = [0]
+        for _ in range(n):
+            blocks = [b * w + r for b in blocks for r in R]
+        self.src = [b * dm + k for b in blocks for k in range(dm)]
 
     def apply_to_vector(self, v):
         return [v[k] for k in self.src]
@@ -416,13 +426,13 @@ def intermediate_extension_value(mm, m):
         raise CapExceeded("monoid action table exceeds cap")
     table = mm.action_table
     homs = {g: i for i, g in enumerate(all_ring_homs_matrices(ring, m, n))}
-    f0 = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
-               for i in range(m))
-    blocks = [table[mat_mul(ring, g, f0, n)].rows for g in homs]
+    # g o f0 is the first n columns of g, padded with zeros when m < n
+    pad = (ring.zero,) * (n - m)
+    blocks = [table[tuple(row[:n] + pad for row in g)].rows for g in homs]
     seeds = [[rows[i][j] for rows in blocks for i in range(dm)]
              for j in range(dm)]
     gens = matrix_monoid_generators(ring, m)[1:] if m >= n else ()
-    ops = [_Precompose(ring, n, dm, e, m, m, homs, homs) for e in gens]
+    ops = [_Precompose(ring, n, dm, e, m, m) for e in gens]
     ambient = len(homs) * dm
     sp = span_from_spins(K, ambient, seeds, ops)
     return sp.dim, sp, homs, ambient
@@ -449,11 +459,11 @@ def intermediate_extension_functor(mm, N):
         return value(m)[0]
 
     def act(h, m, m2):
-        d1, sp1, homs1, _ = value(m)
-        d2, sp2, homs2, _ = value(m2)
+        d1, sp1, _, _ = value(m)
+        d2, sp2, _, _ = value(m2)
         if d1 == 0 or d2 == 0:
             return Matrix.zero(K, d2, d1)
-        op = _Precompose(ring, mm.n, dm, h, m, m2, homs1, homs2)
+        op = _Precompose(ring, mm.n, dm, h, m, m2)
         return sp2.coords_matrix([op.apply_to_vector(row)
                                   for row in sp1.basis])
 
@@ -492,18 +502,9 @@ def unipotence_ideal(F, n):
         raise ValueError("truncation too small for the unipotence test")
     members = []
     for a in ring.elements():
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if i == j:
-                    row.append(ring.one)
-                elif (i, j) == (1, 0):
-                    row.append(a)
-                else:
-                    row.append(ring.zero)
-            rows.append(tuple(row))
-        M = F.act_ranks(tuple(rows), m, m)
+        rows = [list(row) for row in ring_identity(ring, m)]
+        rows[1][0] = a
+        M = F.act_ranks(tuple(map(tuple, rows)), m, m)
         if _is_unipotent(M):
             members.append(a)
     mem = set(members)

@@ -25,6 +25,7 @@ whose module at each rank is the functor's value module, straight against
 the value's ``Subspace``.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -252,23 +253,33 @@ class Matrix:
     def from_json(obj):
         p, e = obj["field"]["p"], obj["field"]["e"]
         F = QQ if p == 0 else Field.galois(p, e)
-        ent = obj["entries"]
-        if F.kind == "rational":
-            rows = [[Fraction(x) for x in r] for r in ent]
-        else:
-            rows = [[_scalar_from_json(F, x) for x in r] for r in ent]
+        rows = [[_scalar_from_json(F, x) for x in r]
+                for r in obj["entries"]]
         if len(rows) != obj["rows"] or any(len(r) != obj["cols"]
                                            for r in rows):
             raise ValueError("inconsistent matrix payload")
         return Matrix(F, rows, obj["cols"])
 
 
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
+
+
 def _scalar_from_json(F, x):
-    """A JSON entry over a finite field: a list of coefficients over the
-    prime field, or an int.  An int is an integer mod p over a prime field
-    and an element label in range(q) over F_{p^e}, e > 1."""
-    if isinstance(x, (list, tuple)):
+    """A JSON entry.  Over Q: an int, or a "num/den" string as ``to_json``
+    writes.  Over a finite field: a list of int coefficients over the
+    prime field, or an int, which is an integer mod p over a prime field
+    and an element label in range(q) over F_{p^e}, e > 1.  Bools and
+    floats have no meaning, bare or in a list."""
+    if F.kind == "rational":
+        if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
+            return Fraction(x)
+        raise ValueError(f"{x!r} is not an entry of Q: give an int or a "
+                         f"\"num/den\" string")
+    if isinstance(x, (list, tuple)) and all(type(c) is int for c in x):
         return F.from_coeffs(x)
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an entry of {F.label()}: give an "
+                         f"int or a list of int coefficients")
     if F.degree == 1:
         return F.from_int(x)
     try:

@@ -3,6 +3,8 @@
 Spec strings look like ``"Z/6"``, ``"F_4"`` or ``"Z/4xF_9"`` (components
 joined by 'x').  Elements are tuples of component values: plain residues
 for cyclic components, encoded field elements for Galois components.
+A ring also labels its elements 0..|A|-1 in ``elements()`` order, with
+add and mul tables on the labels, built once per ring instance.
 
 ``monoid_closure`` is the one closure routine of the package: ideals here,
 the action of every element of M_n(A) in ``functorcat``, the powered
@@ -11,6 +13,7 @@ of ``symgrp.SymModule`` are all breadth-first searches through it.
 """
 
 from collections import deque
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -138,6 +141,19 @@ class FiniteRing:
     def elements(self):
         return [tuple(v) for v in
                 product(*[c.elements() for c in self.components])]
+
+    @cached_property
+    def index(self):
+        """The label of each element: its position in ``elements()``."""
+        return {a: i for i, a in enumerate(self.elements())}
+
+    @cached_property
+    def label_tables(self):
+        """(add, mul): the label of a + b and of a * b at [i][j], for a
+        and b labelled i and j."""
+        els, index = self.elements(), self.index
+        return tuple([[index[op(a, b)] for b in els] for a in els]
+                     for op in (self.add, self.mul))
 
     def is_unit(self, a):
         return any(self.mul(a, b) == self.one for b in self.elements())

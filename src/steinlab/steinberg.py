@@ -85,11 +85,12 @@ def group_generator_matrices(n, q, K):
     return out
 
 
-def build(lam, n, q, K=None, seed=0):
+def build(lam, n, q, K=None, seed=0, *, _simples=None):
     """The simple GL_n(F_q)-module attached to a q-restricted partition:
     the tensor product over i of the i-fold Frobenius twist of the
     socle-simple module of the i-th digit partition, restricted to the
-    group generators."""
+    group generators.  ``classify`` and ``uniqueness_check`` share a
+    dict ``_simples`` (digit -> simple) across their builds."""
     p, e = _factor_pe(q)
     if K is None:
         K = splitting_field(n, q)
@@ -108,7 +109,11 @@ def build(lam, n, q, K=None, seed=0):
     restricted = []
     expected = 1
     for i, dg in enumerate(digits):
-        Li = socle_simple(dg, n, K, seed=seed)
+        Li = None if _simples is None else _simples.get(dg)
+        if Li is None:
+            Li = socle_simple(dg, n, K, seed=seed)
+        if _simples is not None:
+            _simples[dg] = Li
         expected *= Li.dimension
         twisted = frobenius_twist(Li, i) if i else Li
         gens = {}
@@ -222,7 +227,9 @@ def classify(n, q, K=None, seed=0):
     if K is None:
         K = splitting_field(n, q)
     reps = q_restricted_representatives(n, q)
-    data = [build(lam, n, q, K, seed=seed) for lam in reps]
+    simples = {}
+    data = [build(lam, n, q, K, seed=seed, _simples=simples)
+            for lam in reps]
     for d in data:
         if not is_simple(d.module, seed=seed):
             raise RuntimeError(f"module for {d.lam} is not simple")
@@ -297,8 +304,9 @@ def uniqueness_check(lam, lam2, n, q, K=None, seed=0):
     """Builds both modules; when they are isomorphic, verifies that the
     digit sequences agree or differ coherently by the determinant-power
     twist (every digit shifted by (p-1, ..., p-1) the same way)."""
-    a = build(lam, n, q, K, seed=seed)
-    b = build(lam2, n, q, a.field, seed=seed)
+    simples = {}
+    a = build(lam, n, q, K, seed=seed, _simples=simples)
+    b = build(lam2, n, q, a.field, seed=seed, _simples=simples)
     iso = are_isomorphic(a.module, b.module, seed=seed)
     p = a.p
     shift = tuple(p - 1 for _ in range(n))

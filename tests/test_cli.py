@@ -169,6 +169,26 @@ def test_meataxe_refuses_int_that_is_no_element_label(tmp_path):
                    "in range(4) or a coefficient list")
 
 
+@pytest.mark.parametrize("p, e, entries, message", [
+    (3, 1, [[1.5, True], [0, 1]],
+     "1.5 is not an entry of F_3: give an int or a list of int "
+     "coefficients"),
+    (2, 2, [[True, 0], [0, 1]],
+     "True is not an entry of F_4: give an int or a list of int "
+     "coefficients"),
+    (0, 1, [[0.1, 0], [0, 1]],
+     "0.1 is not an entry of Q: give an int or a \"num/den\" string"),
+])
+def test_meataxe_refuses_bool_and_float_entries(tmp_path, p, e, entries,
+                                                message):
+    mat = {"field": {"p": p, "e": e}, "rows": 2, "cols": 2,
+           "entries": entries}
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {"g": mat}}))
+    assert run(["meataxe", "simple", "--module", str(mf)]) == \
+        (2, f"error: {message}")
+
+
 def test_meataxe_simple_over_q_names_the_finite_field_need(tmp_path):
     # the swap module over Q: the Meataxe draws from a finite field
     mat = {"field": {"p": 0, "e": 1}, "rows": 2, "cols": 2,

@@ -128,6 +128,7 @@ def test_integers_and_labels_have_one_meaning():
     # element reads labels in range(q), and nothing else
     assert [F4.element(a) for a in range(4)] == list(F4.elements())
     assert QQ.element(Fraction(1, 2)) == Fraction(1, 2)
-    for F, bad in ((F3, 3), (F3, -1), (F4, 4), (F4, Fraction(1))):
+    for F, bad in ((F3, 3), (F3, -1), (F4, 4), (F4, Fraction(1)),
+                   (F4, True)):
         with pytest.raises(ValueError, match="not an element label"):
             F.element(bad)

@@ -1,12 +1,16 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinlab import functorcat as fc
-from steinlab.cli import make_functor_expr
+from steinlab import rings
+from steinlab.cli import make_functor_expr, run
 from steinlab.emlpoly import NotPolynomialUpTo
 from steinlab.fields import Field
 from steinlab.matrices import Subspace
-from steinlab.rings import FiniteRing, mat_mul, ring_homs
+from steinlab.rings import (FiniteRing, mat_mul, matrix_monoid_generators,
+                            ring_homs)
 
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
@@ -240,3 +244,87 @@ def test_truncation_guard():
     C = fc.constant_functor(F2RING, F3, 2)
     with pytest.raises(ValueError):
         C.dim(3)
+
+
+class MatMulPrecompose:
+    """The former ``_Precompose``: block g of the image reads block g o h,
+    found by a ring matrix product per g and a dict from matrices to their
+    numbers.  Kept as the oracle for the row-table index arithmetic."""
+
+    def __init__(self, ring, n, dm, h, m, m2):
+        homs_from = {g: i for i, g in
+                     enumerate(fc.all_ring_homs_matrices(ring, m, n))}
+        self.src = src = []
+        for g in fc.all_ring_homs_matrices(ring, m2, n):
+            b = homs_from[mat_mul(ring, g, h, m)] * dm
+            src.extend(range(b, b + dm))
+
+
+PRECOMPOSE_RINGS = ("F_2", "F_3", "F_4", "F_9", "Z/4", "Z/6", "Z/2xF_2")
+# the oracle enumerates Hom(A^m2, A^n) and Hom(A^m, A^n) with one product
+# per map; bound both
+PRECOMPOSE_HOM_BOUND = 729
+
+
+def precompose_maps(ring, m, m2, rng):
+    """Every monoid generator of End(A^m) when m = m2, plus random maps."""
+    maps = list(matrix_monoid_generators(ring, m)) if m == m2 >= 1 else []
+    els = ring.elements()
+    for _ in range(3):
+        maps.append(tuple(tuple(rng.choice(els) for _ in range(m))
+                          for _ in range(m2)))
+    return maps
+
+
+@pytest.mark.parametrize("spec", PRECOMPOSE_RINGS)
+def test_precompose_matches_mat_mul_oracle(spec):
+    import random
+    rng = random.Random(spec)
+    R = FiniteRing(spec)
+    cases = 0
+    for n, m, m2 in product((1, 2), range(4), range(4)):
+        if max(R.size ** (n * m), R.size ** (n * m2)) > PRECOMPOSE_HOM_BOUND:
+            continue
+        for h in precompose_maps(R, m, m2, rng):
+            blocks = MatMulPrecompose(R, n, 1, h, m, m2).src
+            assert fc._Precompose(R, n, 1, h, m, m2).src == blocks
+            assert fc._Precompose(R, n, 3, h, m, m2).src == \
+                [3 * b + k for b in blocks for k in range(3)]
+            cases += 1
+    assert cases >= 40
+
+
+@pytest.mark.parametrize("spec", PRECOMPOSE_RINGS)
+def test_representable_action_matches_mat_mul_oracle(spec):
+    import random
+    rng = random.Random(spec)
+    R = FiniteRing(spec)
+    P = fc.representable_functor(R, F3, 3)
+    for m, m2 in product(range(4), range(4)):
+        if R.size ** max(m, m2) > 81:
+            continue
+        basis = fc.all_ring_homs_matrices(R, 1, m)
+        index2 = {v: i for i, v in
+                  enumerate(fc.all_ring_homs_matrices(R, 1, m2))}
+        for h in precompose_maps(R, m, m2, rng):
+            rows = [[F3.zero] * len(basis) for _ in index2]
+            for j, v in enumerate(basis):
+                rows[index2[mat_mul(R, h, v, 1)]][j] = F3.one
+            assert P.act_ranks(h, m, m2).rows == rows
+
+
+def test_tdelta_dimtable_makes_few_ring_products(monkeypatch):
+    # precomposition is index arithmetic: the only ring products left are
+    # the action-table closure of M_1(Z/6) (3421 before the row tables)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return mat_mul(*args)
+
+    for mod in (rings, fc):
+        monkeypatch.setattr(mod, "mat_mul", counted)
+    code, _ = run(["functor", "dimtable", "--ring", "Z/6", "--coeff", "F_4",
+                   "--functor", "tdelta", "--rank", "3"])
+    assert code == 0
+    assert 0 < len(calls) <= 100

@@ -131,6 +131,26 @@ def test_json_int_entries_have_one_meaning():
             Matrix.from_json(payload(2, 2, [2, bad, 3]))
 
 
+@pytest.mark.parametrize("p, e, entry", [
+    (3, 1, 1.5), (3, 1, True), (3, 1, [1.5]), (3, 1, [False]),
+    (2, 2, True), (2, 2, 1.0), (2, 2, [1, True]), (2, 2, "1"),
+    (0, 1, 0.1), (0, 1, True), (0, 1, "0.1"), (0, 1, "1/0"), (0, 1, "1"),
+    (0, 1, [1]),
+])
+def test_json_refuses_bools_floats_and_strays(p, e, entry):
+    payload = {"field": {"p": p, "e": e}, "rows": 1, "cols": 2,
+               "entries": [[1, entry]]}
+    with pytest.raises(ValueError, match="is not an entry of"):
+        Matrix.from_json(payload)
+
+
+def test_json_rationals_are_ints_or_num_den_strings():
+    payload = {"field": {"p": 0, "e": 1}, "rows": 1, "cols": 4,
+               "entries": [[3, -2, "-1/3", "4/2"]]}
+    assert Matrix.from_json(payload).rows == [
+        [Fraction(3), Fraction(-2), Fraction(-1, 3), Fraction(2)]]
+
+
 def test_subspace_membership_and_intersection():
     F = Field.prime(2)
     sp = Subspace(F, 3, [[1, 1, 0], [0, 1, 1]])

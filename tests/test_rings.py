@@ -19,6 +19,19 @@ def test_ring_axioms_z6():
         assert R.add(a, R.neg(a)) == R.zero
 
 
+def test_label_tables_follow_element_arithmetic():
+    for spec in ("Z/6", "F_4", "F_9", "Z/2xF_2"):
+        R = FiniteRing(spec)
+        els = R.elements()
+        assert [R.index[a] for a in els] == list(range(R.size))
+        assert R.index[R.zero] == 0
+        add, mul = R.label_tables
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                assert els[add[i][j]] == R.add(a, b)
+                assert els[mul[i][j]] == R.mul(a, b)
+
+
 def test_units():
     R = FiniteRing("Z/6")
     units = [a for a in R.elements() if R.is_unit(a)]

@@ -125,6 +125,30 @@ def test_build_makes_each_digit_simple_once(monkeypatch):
     assert calls == datum.digits == [(1,), (0,), (1,)]
 
 
+def test_classify_and_unique_make_each_distinct_digit_simple_once(
+        monkeypatch):
+    calls = []
+    socle_simple = st.socle_simple
+
+    def counted(lam, *args, **kwargs):
+        calls.append(lam)
+        return socle_simple(lam, *args, **kwargs)
+
+    monkeypatch.setattr(st, "socle_simple", counted)
+    data = st.classify(2, 4)
+    digits = {dg for d in data for dg in d.digits}
+    # 12 weights of two digits each, four distinct digits
+    assert sorted(calls) == sorted(digits) == [(0, 0), (1, 0), (1, 1),
+                                                (2, 1)]
+    calls.clear()
+    st.uniqueness_check((1,), (2,), 2, 4)
+    assert sorted(calls) == [(0, 0), (1, 0)]
+    # reuse stays within one call
+    calls.clear()
+    st.uniqueness_check((1,), (2,), 2, 4)
+    assert len(calls) == 2
+
+
 def test_restricted_representatives():
     reps = st.q_restricted_representatives(1, 4)
     assert len(reps) == 3
