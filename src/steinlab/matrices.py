@@ -266,20 +266,21 @@ _RATIONAL = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
 
 def _scalar_from_json(F, x):
     """A JSON entry.  Over Q: an int, or a "num/den" string as ``to_json``
-    writes.  Over a finite field: a list of int coefficients over the
-    prime field, or an int, which is an integer mod p over a prime field
-    and an element label in range(q) over F_{p^e}, e > 1.  Bools and
-    floats have no meaning, bare or in a list."""
+    writes.  Over F_{p^e}: a list of e int coefficients over the prime
+    field, or an int, which is an integer mod p over a prime field and an
+    element label in range(q) when e > 1.  Bools and floats have no
+    meaning, bare or in a list."""
     if F.kind == "rational":
         if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
             return Fraction(x)
         raise ValueError(f"{x!r} is not an entry of Q: give an int or a "
                          f"\"num/den\" string")
-    if isinstance(x, (list, tuple)) and all(type(c) is int for c in x):
+    if isinstance(x, (list, tuple)) and len(x) == F.degree and \
+            all(type(c) is int for c in x):
         return F.from_coeffs(x)
     if type(x) is not int:
         raise ValueError(f"{x!r} is not an entry of {F.label()}: give an "
-                         f"int or a list of int coefficients")
+                         f"int or a list of {F.degree} int coefficients")
     if F.degree == 1:
         return F.from_int(x)
     try:

@@ -171,10 +171,10 @@ def test_meataxe_refuses_int_that_is_no_element_label(tmp_path):
 
 @pytest.mark.parametrize("p, e, entries, message", [
     (3, 1, [[1.5, True], [0, 1]],
-     "1.5 is not an entry of F_3: give an int or a list of int "
+     "1.5 is not an entry of F_3: give an int or a list of 1 int "
      "coefficients"),
     (2, 2, [[True, 0], [0, 1]],
-     "True is not an entry of F_4: give an int or a list of int "
+     "True is not an entry of F_4: give an int or a list of 2 int "
      "coefficients"),
     (0, 1, [[0.1, 0], [0, 1]],
      "0.1 is not an entry of Q: give an int or a \"num/den\" string"),

@@ -134,6 +134,7 @@ def test_json_int_entries_have_one_meaning():
 @pytest.mark.parametrize("p, e, entry", [
     (3, 1, 1.5), (3, 1, True), (3, 1, [1.5]), (3, 1, [False]),
     (2, 2, True), (2, 2, 1.0), (2, 2, [1, True]), (2, 2, "1"),
+    (2, 2, [1]), (2, 2, [1, 1, 1]), (3, 1, []), (3, 1, [1, 1]),
     (0, 1, 0.1), (0, 1, True), (0, 1, "0.1"), (0, 1, "1/0"), (0, 1, "1"),
     (0, 1, [1]),
 ])
