@@ -113,12 +113,13 @@ class Field:
 
     @staticmethod
     def galois(p, e):
-        f = Field._cache.get((p, e))
+        # ints only: 3.0 == 3 would otherwise intern a field F_3.0
+        f = Field._cache.get((p, e)) if type(p) is type(e) is int else None
         if f is None:
-            if p not in SUPPORTED_PRIMES:
-                raise FieldError(f"unsupported characteristic {p}")
-            if not 1 <= e <= MAX_DEGREE:
-                raise FieldError(f"unsupported extension degree {e}")
+            if type(p) is not int or p not in SUPPORTED_PRIMES:
+                raise FieldError(f"unsupported characteristic {p!r}")
+            if type(e) is not int or not 1 <= e <= MAX_DEGREE:
+                raise FieldError(f"unsupported extension degree {e!r}")
             f = Field._intern(p, e)
         return f
 

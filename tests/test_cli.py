@@ -178,6 +178,7 @@ def test_meataxe_refuses_int_that_is_no_element_label(tmp_path):
      "coefficients"),
     (0, 1, [[0.1, 0], [0, 1]],
      "0.1 is not an entry of Q: give an int or a \"num/den\" string"),
+    (3.0, 1, [[1, 0], [0, 1]], "unsupported characteristic 3.0"),
 ])
 def test_meataxe_refuses_bool_and_float_entries(tmp_path, p, e, entries,
                                                 message):

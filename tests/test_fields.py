@@ -118,6 +118,15 @@ def test_concurrent_first_use_interns_one_field():
 
 
 
+def test_galois_takes_int_characteristic_and_degree():
+    # 3.0 == 3, so a float must not reach the intern table
+    for p, e in ((3.0, 1), (True, 1), (3, 1.0), (2, True)):
+        with pytest.raises(FieldError, match="unsupported"):
+            Field.galois(p, e)
+    F3 = Field.galois(3, 1)
+    assert (F3.char, F3.label()) == (3, "F_3")
+
+
 def test_integers_and_labels_have_one_meaning():
     F3, F4 = Field.prime(3), Field.galois(2, 2)
     # from_int is the image of Z: -1 is 2 in F_3 and 1 in F_4
