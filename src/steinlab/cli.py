@@ -192,14 +192,13 @@ def _coeff_list(spec):
 def cmd_meataxe(args):
     mod = load_module(args.modfile)
     if args.action == "simple":
-        return {"simple": modtools.is_simple(mod, seed=args.seed,
-                                             cap=args.cap_dim)}
+        return {"simple": modtools.is_simple(mod, seed=args.seed)}
     if args.action == "end":
         return {"end_dim": modtools.end_dim(mod)}
     if args.action == "iso":
         other = load_module(args.modfile2)
         return {"isomorphic": modtools.are_isomorphic(
-            mod, other, seed=args.seed, cap=args.cap_dim)}
+            mod, other, seed=args.seed)}
     if args.action == "tensor":
         other = load_module(args.modfile2)
         t = modtools.tensor(mod, other)
@@ -315,8 +314,6 @@ def build_parser():
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--format", choices=("json", "tsv"), default=None)
-    top.add_argument("--cap-dim", type=int, default=4096,
-                     dest="cap_dim")
     sub = top.add_subparsers(dest="module", required=True)
 
     pt = sub.add_parser("partition")

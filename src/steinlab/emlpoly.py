@@ -415,8 +415,8 @@ def factor_ring_map(phi, cap=8):
             if len(found) > 1:
                 raise NoFactorization("factorization not unique at size d")
             return found[0], L
-    raise NoFactorization(
-        f"no factorization within extension degree bound {bound}")
+    raise NoFactorization(f"no factorization within extension degree "
+                          f"MAX_DEGREE = {MAX_DEGREE}")
 
 
 # -- linearization -------------------------------------------------------

@@ -253,12 +253,15 @@ class Matrix:
     def from_json(obj):
         p, e = obj["field"]["p"], obj["field"]["e"]
         F = QQ if p == 0 else Field.galois(p, e)
+        nrows, ncols = obj["rows"], obj["cols"]
+        if any(type(x) is not int or x < 0 for x in (nrows, ncols)):
+            raise ValueError(f"matrix rows and cols must be ints >= 0, "
+                             f"not {nrows!r} and {ncols!r}")
         rows = [[_scalar_from_json(F, x) for x in r]
                 for r in obj["entries"]]
-        if len(rows) != obj["rows"] or any(len(r) != obj["cols"]
-                                           for r in rows):
+        if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError("inconsistent matrix payload")
-        return Matrix(F, rows, obj["cols"])
+        return Matrix(F, rows, ncols)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")

@@ -1,14 +1,12 @@
 """Meataxe-style tools for modules given by generator matrices.
 
 A module is a field, a dimension, and a dict of named square matrices.
-Simplicity over a finite field is first certified by the Holt–Rees form
-of Norton's test: one spin of a kernel vector of f(θ) on the module and
-one on its transpose, for a random algebra element θ and an irreducible
-factor f of its minimal polynomial with dim ker f(θ) = deg f.  When that
-certificate fails, the search for a submodule decides:
-exhaustive seed spinning at small sizes, Norton kernel sweeps above that
-(with a seeded deterministic generator) and a final fallback to
-exhaustion.
+Simplicity over a finite field is decided by one loop over seeded random
+algebra elements θ, applying Norton's test to ker f(θ) for irreducible
+factors f of the minimal polynomial.  When dim ker f(θ) = deg f, one
+spin of a kernel vector on the module and one on its transpose decide
+(the Holt–Rees form of the test); when no draw gives such an f, every
+vector of the thinnest kernel seen, and of its transpose, is spun.
 Frobenius twists find the powered generators in the generated monoid with
 ``rings.monoid_closure``.
 """
@@ -236,9 +234,6 @@ def _berlekamp_factor(f, F):
 
 # -- simplicity ----------------------------------------------------------
 
-DEFAULT_EXHAUSTIVE_CAP = 4096
-
-
 def _subspace_vectors(F, basis_rows):
     """Every vector in the span of the given rows, each once: the
     coefficient of the first row varies slowest, in element order.  The
@@ -257,56 +252,55 @@ def _subspace_vectors(F, basis_rows):
     yield from rec(0, [F.zero] * len(basis_rows[0]))
 
 
-# draws of θ before the Holt–Rees certificate gives up
-_HOLT_REES_ATTEMPTS = 20
-# draws of θ before the Norton search falls back to exhaustion
-_NORTON_ATTEMPTS = 60
+# draws of θ before the thinnest kernel seen is swept
+_ATTEMPTS = 20
 
 
-def _holt_rees_simple(mod, seed):
-    """True when the Holt–Rees test proves the finite-field module simple.
-
-    For an irreducible factor f of the minimal polynomial of a random θ
-    with dim ker f(θ) = deg f, ker f(θ) is one F[θ]/(f)-line.  A proper
-    submodule U either meets it, and then contains all of it, or f(θ) is
-    bijective on U, and then U^⊥ contains ker f(θ)^t.  So if one nonzero
-    kernel vector spins to the whole module and one nonzero vector of the
-    transpose kernel spins to the whole transpose module, no U exists.
-    The draws come from their own stream, apart from the search's.  A
-    proper spin ends the test at once: the module is then reducible."""
-    F = mod.field
-    n = mod.dimension
-    gens = mod.gen_list()
-    rng = random.Random(f"holt-rees:{seed}")
-    for _ in range(_HOLT_REES_ATTEMPTS):
-        theta = _random_algebra_element(mod, rng)
-        factors = _berlekamp_factor(minimal_polynomial(theta), F)
-        for i, f in enumerate(factors):
-            N = _poly_eval_matrix(f, theta)
-            ker = N.kernel_basis()
-            good = ker.nrows == len(f) - 1
-            # the first kernel is spun even when too large: in S ⊕ S
-            # no θ has a good factor, but that spin is often proper
-            if (good or i == 0) and span_from_spins(
-                    F, n, ker.rows[:1], gens).dim < n:
-                return False
-            if good:
-                kert = N.transpose().kernel_basis()
-                return span_from_spins(F, n, kert.rows[:1],
-                                       transpose_module(mod).gen_list()
-                                       ).dim == n
-    return False
+def _proper_spin(F, n, vectors, gens):
+    """The basis of the first proper spin of a nonzero vector, or None."""
+    for v in vectors:
+        if any(x != F.zero for x in v):
+            sp = span_from_spins(F, n, [v], gens)
+            if sp.dim < n:
+                return sp.basis
+    return None
 
 
-def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
+def _norton(mod, N, ker, sweep):
+    """Norton's test on ker f(θ), with N = f(θ) and ``ker`` its kernel:
+    a proper submodule spun from a nonzero vector of ker f(θ), else the
+    annihilator of a proper transpose submodule spun from ker f(θ)^t,
+    else None.  ``sweep`` spins every vector of both kernels, which
+    decides; without it one vector of each is spun, which decides when
+    ker f(θ) is a line."""
+    F, n = mod.field, mod.dimension
+
+    def vectors(rows):
+        return _subspace_vectors(F, rows) if sweep else rows[:1]
+
+    sub = _proper_spin(F, n, vectors(ker.rows), mod.gen_list())
+    if sub is None:
+        subt = _proper_spin(F, n, vectors(N.transpose().kernel_basis().rows),
+                            transpose_module(mod).gen_list())
+        if subt is not None:
+            sub = [list(r) for r in Matrix(F, subt).kernel_basis().rows]
+    return sub
+
+
+def find_proper_submodule(mod, seed=0):
     """A basis (list of rows) of a proper nonzero submodule, or None if
     the module is simple.
 
-    Over a finite field the Holt–Rees certificate runs first and answers
-    None when it proves simplicity.  Otherwise the search below decides,
-    and its answer does not depend on the certificate: the exhaustive
-    sweep when q^n <= cap, else Norton kernel sweeps on draws seeded by
-    ``seed`` and then the exhaustive sweep."""
+    Each draw of θ on the ``holt-rees:{seed}`` stream is factored; for
+    an irreducible factor f with K = ker f(θ), a proper submodule U
+    either meets K, and then a nonzero vector of K spins inside U, or
+    f(θ) is bijective on U, and then every nonzero vector of ker f(θ)^t
+    spins inside the annihilator of U.  When dim K = deg f, K is one
+    F[θ]/(f)-line, so one vector of each kernel decides (Holt–Rees).
+    The first kernel of every draw is spun too: in S ⊕ S no θ has a
+    line, but that spin is often proper.  After ``_ATTEMPTS`` draws
+    without a line, every vector of the thinnest kernel seen, and of
+    its transpose, is spun (Norton)."""
     F = mod.field
     n = mod.dimension
     if n == 0:
@@ -316,61 +310,24 @@ def find_proper_submodule(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
     if F.order is None:
         raise ValueError(f"simplicity testing needs a finite field, "
                          f"not {F.label()}")
-    if _holt_rees_simple(mod, seed):
-        return None
     gens = mod.gen_list()
-    if F.order ** n <= cap:
-        return _find_submodule_exhaustive(mod)
-    rng = random.Random(seed)
-    tmod = transpose_module(mod)
-    tgens = tmod.gen_list()
-    for attempt in range(_NORTON_ATTEMPTS):
+    rng = random.Random(f"holt-rees:{seed}")
+    thinnest = None
+    for _ in range(_ATTEMPTS):
         theta = _random_algebra_element(mod, rng)
-        mp = minimal_polynomial(theta)
-        if len(mp) <= 1:
-            continue
-        fac = _berlekamp_factor(mp, F)
-        # smallest-degree factor first keeps kernels small
-        f = fac[0]
-        N = _poly_eval_matrix(f, theta)
-        ker = N.kernel_basis()
-        if ker.nrows == 0:
-            continue
-        if (F.order ** ker.nrows > 4 * cap
-                and attempt < _NORTON_ATTEMPTS - 1):
-            continue  # try for a thinner kernel first
-        for v in _subspace_vectors(F, ker.rows):
-            if all(x == F.zero for x in v):
-                continue
-            sp = span_from_spins(F, n, [v], gens)
-            if sp.dim < n:
-                return sp.basis
-        kert = N.transpose().kernel_basis()
-        for w in _subspace_vectors(F, kert.rows):
-            if all(x == F.zero for x in w):
-                continue
-            spt = span_from_spins(F, n, [w], tgens)
-            if spt.dim < n:
-                # annihilator of a proper transpose submodule is a
-                # proper submodule
-                ann = Matrix(F, spt.basis).kernel_basis()
-                return [list(r) for r in ann.rows]
-        return None  # Norton criterion: simple
-    # certified fallback
-    return _find_submodule_exhaustive(mod)
-
-
-def _find_submodule_exhaustive(mod):
-    F = mod.field
-    n = mod.dimension
-    gens = mod.gen_list()
-    for v in _subspace_vectors(F, Matrix.identity(F, n).rows):
-        if all(x == F.zero for x in v):
-            continue
-        sp = span_from_spins(F, n, [v], gens)
-        if sp.dim < n:
-            return sp.basis
-    return None
+        factors = _berlekamp_factor(minimal_polynomial(theta), F)
+        for i, f in enumerate(factors):
+            N = _poly_eval_matrix(f, theta)
+            ker = N.kernel_basis()
+            if ker.nrows == len(f) - 1:
+                return _norton(mod, N, ker, sweep=False)
+            if i == 0:
+                sub = _proper_spin(F, n, ker.rows[:1], gens)
+                if sub is not None:
+                    return sub
+            if thinnest is None or ker.nrows < thinnest[1].nrows:
+                thinnest = N, ker
+    return _norton(mod, *thinnest, sweep=True)
 
 
 def _random_algebra_element(mod, rng):
@@ -388,10 +345,10 @@ def _random_algebra_element(mod, rng):
     return total
 
 
-def is_simple(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
+def is_simple(mod, seed=0):
     if mod.dimension == 0:
         raise ValueError("zero module")
-    return find_proper_submodule(mod, seed=seed, cap=cap) is None
+    return find_proper_submodule(mod, seed=seed) is None
 
 
 # -- endomorphisms and homomorphisms -------------------------------------
@@ -429,11 +386,15 @@ def end_dim(mod):
     return len(hom_space(mod, mod))
 
 
-def are_isomorphic(mod_m, mod_n, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
+# q^dim Hom above which 200 random combinations are tried before the sweep
+_ISO_SWEEP_MAX = 4096
+
+
+def are_isomorphic(mod_m, mod_n, seed=0):
     """Whether an invertible intertwiner exists: a hom basis element or a
     combination of them.  Over Q, 200 random small integer combinations
     decide; over F_q every combination is swept, after 200 random ones
-    when q^dim Hom > cap."""
+    when q^dim Hom > _ISO_SWEEP_MAX."""
     if mod_m.dimension != mod_n.dimension:
         return False
     if mod_m.dimension == 0:
@@ -446,7 +407,7 @@ def are_isomorphic(mod_m, mod_n, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
             return True
     F = mod_m.field
     r, c = homs[0].nrows, homs[0].ncols
-    if F.order is None or F.order ** len(homs) > cap:
+    if F.order is None or F.order ** len(homs) > _ISO_SWEEP_MAX:
         # over Q, invertibility of some combination is a Zariski-open
         # condition: small integer combinations decide it
         scalars = (list(F.elements()) if F.order
@@ -484,13 +445,6 @@ def tensor(mod_m, mod_n):
     if mod_m.name or mod_n.name:
         name = f"{mod_m.name or '?'}(x){mod_n.name or '?'}"
     return AlgebraModule(mod_m.field, gens, labels=labels, name=name)
-
-
-def trivial_like(mod):
-    """The one-dimensional module with every generator acting as 1."""
-    one = Matrix.identity(mod.field, 1)
-    return AlgebraModule(mod.field, {n: one for n in mod.gen_names()},
-                         labels=mod.labels, name="triv")
 
 
 def restrict_to_submodule(mod, basis_rows):
@@ -531,27 +485,27 @@ def quotient_module(mod, basis_rows):
                          name=f"{mod.name}/sub" if mod.name else "")
 
 
-def composition_factors(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
+def composition_factors(mod, seed=0):
     """Composition factors as AlgebraModules (with multiplicity)."""
     if mod.dimension == 0:
         return []
-    sub = find_proper_submodule(mod, seed=seed, cap=cap)
+    sub = find_proper_submodule(mod, seed=seed)
     if sub is None:
         return [mod]
     lower = restrict_to_submodule(mod, sub)
     upper = quotient_module(mod, sub)
-    return (composition_factors(lower, seed=seed, cap=cap)
-            + composition_factors(upper, seed=seed, cap=cap))
+    return (composition_factors(lower, seed=seed)
+            + composition_factors(upper, seed=seed))
 
 
-def socle(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
+def socle(mod, seed=0):
     """Basis rows of the socle: the sum over iso-classes S of
     composition factors of the images of **all** homomorphisms S -> M."""
     F = mod.field
-    factors = composition_factors(mod, seed=seed, cap=cap)
+    factors = composition_factors(mod, seed=seed)
     reps = []
     for S in factors:
-        if not any(are_isomorphic(S, T, seed=seed, cap=cap) for T in reps):
+        if not any(are_isomorphic(S, T, seed=seed) for T in reps):
             reps.append(S)
     sp = Subspace(F, mod.dimension)
     for S in reps:
@@ -559,11 +513,6 @@ def socle(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
             for col in zip(*T.rows):
                 sp.add_vector(list(col))
     return [list(r) for r in sp.basis]
-
-
-def socle_module(mod, seed=0, cap=DEFAULT_EXHAUSTIVE_CAP):
-    rows = socle(mod, seed=seed, cap=cap)
-    return restrict_to_submodule(mod, rows)
 
 
 # -- Frobenius twists ----------------------------------------------------

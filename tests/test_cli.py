@@ -190,6 +190,17 @@ def test_meataxe_refuses_bool_and_float_entries(tmp_path, p, e, entries,
         (2, f"error: {message}")
 
 
+@pytest.mark.parametrize("nrows, ncols", [(True, 1), (1.0, 1), (1, 2.5)])
+def test_meataxe_refuses_non_int_headers(tmp_path, nrows, ncols):
+    mat = {"field": {"p": 3, "e": 1}, "rows": nrows, "cols": ncols,
+           "entries": [[1]]}
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {"g": mat}}))
+    assert run(["meataxe", "simple", "--module", str(mf)]) == \
+        (2, f"error: matrix rows and cols must be ints >= 0, not "
+            f"{nrows!r} and {ncols!r}")
+
+
 def test_meataxe_simple_over_q_names_the_finite_field_need(tmp_path):
     # the swap module over Q: the Meataxe draws from a finite field
     mat = {"field": {"p": 0, "e": 1}, "rows": 2, "cols": 2,

@@ -107,6 +107,16 @@ def test_factor_integer_cube():
     assert L is QQ
 
 
+def test_factor_beyond_max_degree_raises_no_factorization():
+    # the norm F_8 -> F_2 inside F_4 is the product of the three
+    # embeddings of F_8, which meet F_4 only in degree 6 > MAX_DEGREE
+    R = FiniteRing("F_8")
+    K = Field.galois(2, 2)
+    phi = ep.RingMap(R, K, func=lambda a: K.one if a[0] else K.zero)
+    with pytest.raises(ep.NoFactorization, match="MAX_DEGREE = 4"):
+        ep.factor_multiplicative(phi)
+
+
 def test_factor_rejects_non_multiplicative():
     R = FiniteRing("F_4")
     K = Field.galois(2, 2)

@@ -145,6 +145,17 @@ def test_json_refuses_bools_floats_and_strays(p, e, entry):
         Matrix.from_json(payload)
 
 
+@pytest.mark.parametrize("nrows, ncols, entries", [
+    (True, 2, [[1, 0]]), (1.0, 2, [[1, 0]]), (1, 2.0, [[1, 0]]),
+    (0, 2.5, []), (0, -1, []), (-1, 0, []), ("1", 2, [[1, 0]]),
+])
+def test_json_refuses_non_int_headers(nrows, ncols, entries):
+    payload = {"field": {"p": 3, "e": 1}, "rows": nrows, "cols": ncols,
+               "entries": entries}
+    with pytest.raises(ValueError, match="rows and cols must be ints >= 0"):
+        Matrix.from_json(payload)
+
+
 def test_json_rationals_are_ints_or_num_den_strings():
     payload = {"field": {"p": 0, "e": 1}, "rows": 1, "cols": 4,
                "entries": [[3, -2, "-1/3", "4/2"]]}

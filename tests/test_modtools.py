@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab import modtools as mt
 from steinlab import steinberg
 from steinlab.fields import Field, QQ
-from steinlab.matrices import Matrix, Subspace
+from steinlab.matrices import Matrix, Subspace, span_from_spins
 
 # Hypothesis runs derandomized, so the examples are the same on every run
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -61,7 +61,8 @@ def test_composition_factors_z7_shift():
 
 def test_norton_path_certifies_companion_matrix():
     # an irreducible-minimal-polynomial companion matrix generates a
-    # simple module too large for exhaustive spinning at cap 10
+    # simple module: F_3[g] is the field F_729, so ker f(θ) is the whole
+    # module, a line whenever θ lies in no proper subfield
     K = Field.prime(3)
     coeffs = [1, 0, 0, 0, 1, 1]   # x^6 + x^5 + x^4 + 1, irreducible mod 3
     n = 6
@@ -71,7 +72,7 @@ def test_norton_path_certifies_companion_matrix():
     for i in range(n):
         rows[i][n - 1] = K.from_int(-coeffs[i] if i < len(coeffs) else 0)
     M = mt.AlgebraModule(K, {"g": Matrix(K, rows)})
-    assert mt.is_simple(M, cap=10)
+    assert mt.is_simple(M)
 
 
 def test_minimal_polynomial_of_shift():
@@ -112,14 +113,15 @@ def test_hom_space_and_iso():
     b = natural_gl2_f2(K)
     assert len(mt.hom_space(a, b)) == 1
     assert mt.are_isomorphic(a, b)
-    triv = mt.trivial_like(a)
+    one = Matrix.identity(K, 1)
+    triv = mt.AlgebraModule(K, {nm: one for nm in a.gen_names()})
     assert not mt.are_isomorphic(a, triv)
 
 
 def test_socle_of_group_algebra():
     K = Field.prime(2)
     M = cyclic_shift_module(3, K)
-    soc = mt.socle_module(M)
+    soc = mt.restrict_to_submodule(M, mt.socle(M))
     assert soc.dimension == 3  # semisimple: p does not divide 3
 
 
@@ -127,7 +129,7 @@ def test_socle_nontrivial():
     # K[Z/2] in characteristic 2 has a 1-dimensional socle
     K = Field.prime(2)
     M = cyclic_shift_module(2, K)
-    soc = mt.socle_module(M)
+    soc = mt.restrict_to_submodule(M, mt.socle(M))
     assert soc.dimension == 1
 
 
@@ -227,27 +229,29 @@ def diagonal_module(F, *eigenvalues):
         for i in range(n)])})
 
 
-@pytest.mark.parametrize("F, cap", [(Field.prime(3), mt.DEFAULT_EXHAUSTIVE_CAP),
-                                    (Field.prime(3), 2),
-                                    (QQ, mt.DEFAULT_EXHAUSTIVE_CAP)],
+@pytest.mark.parametrize("F, sweep_max", [(Field.prime(3), mt._ISO_SWEEP_MAX),
+                                          (Field.prime(3), 2),
+                                          (QQ, mt._ISO_SWEEP_MAX)],
                          ids=["F_3", "F_3-cap2", "Q"])
-def test_isomorphism_found_only_by_a_combination(F, cap):
+def test_isomorphism_found_only_by_a_combination(F, sweep_max, monkeypatch):
     # A + B with non-isomorphic 1-dim A and B (g acts by 1 and by 2): the
     # hom basis diag(1, 0), diag(0, 1) is singular, so only a combination
-    # is invertible; over F_3 the sweep finds it at the default cap and
-    # the random phase at cap 2, over Q the random integer combinations
+    # is invertible; over F_3 the sweep finds it at the default limit and
+    # the random phase at limit 2 (3^2 > 2), over Q the random integer
+    # combinations
+    monkeypatch.setattr(mt, "_ISO_SWEEP_MAX", sweep_max)
     one = F.one
     two = F.add(one, one)
     AB, AA = diagonal_module(F, one, two), diagonal_module(F, one, one)
     homs = mt.hom_space(AB, AB)
     assert len(homs) == 2 and not any(T.is_invertible() for T in homs)
-    assert mt.are_isomorphic(AB, diagonal_module(F, one, two), cap=cap)
+    assert mt.are_isomorphic(AB, diagonal_module(F, one, two))
     # nonzero homs, none invertible: every phase runs and finds nothing
     assert mt.hom_space(AB, AA)
-    assert not mt.are_isomorphic(AB, AA, cap=cap)
+    assert not mt.are_isomorphic(AB, AA)
 
 
-# -- the Holt-Rees certificate against the exhaustive oracle --------------
+# -- the decision loop against the exhaustive oracle -----------------------
 
 def _block_upper(F, top, corner, bottom):
     """[[top, corner], [0, bottom]]; the first block spans a submodule."""
@@ -293,42 +297,82 @@ def _is_proper_submodule(mod, rows):
         for g in mod.gen_list() for r in sp.basis)
 
 
-@settings(SETTINGS, max_examples=100)
-@given(oracle_modules(), st.sampled_from([0, 1, 7]),
-       st.sampled_from([mt.DEFAULT_EXHAUSTIVE_CAP, 10]))
-def test_certificate_agrees_with_exhaustive_oracle(case, seed, cap):
-    mod, reducible = case
-    oracle = mt._find_submodule_exhaustive(mod)
-    if reducible:
-        assert oracle is not None
-    found = mt.find_proper_submodule(mod, seed=seed, cap=cap)
-    assert (found is None) == (oracle is None)
-    if found is not None:
-        assert _is_proper_submodule(mod, found)
-    # with no certificate attempts the search alone answers, as it did
-    # before the certificate existed: reducible modules get its basis
-    saved = mt._HOLT_REES_ATTEMPTS
-    mt._HOLT_REES_ATTEMPTS = 0
-    try:
-        search = mt.find_proper_submodule(mod, seed=seed, cap=cap)
-    finally:
-        mt._HOLT_REES_ATTEMPTS = saved
-    assert (search is None) == (oracle is None)
-    if oracle is not None:
-        assert found == search
+def find_submodule_exhaustive(mod):
+    """The first proper spin of a nonzero vector of F^n, or None: the
+    former exhaustive search, kept as the oracle."""
+    F, n = mod.field, mod.dimension
+    for v in _all_vectors(F, n):
+        if any(x != F.zero for x in v):
+            sp = span_from_spins(F, n, [v], mod.gen_list())
+            if sp.dim < n:
+                return sp.basis
+    return None
+
+
+def test_certificate_agrees_with_exhaustive_oracle(monkeypatch):
+    # at the default number of draws and at one draw, where modules with
+    # no line in their first draw reach the thinnest-kernel sweep
+    sweeps = []
+    sweep = mt._subspace_vectors
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(mt, "_subspace_vectors", counted)
+
+    @settings(SETTINGS, max_examples=100)
+    @given(oracle_modules(), st.sampled_from([0, 1, 7]),
+           st.sampled_from([mt._ATTEMPTS, 1]))
+    def check(case, seed, attempts):
+        mod, reducible = case
+        oracle = find_submodule_exhaustive(mod)
+        if reducible:
+            assert oracle is not None
+        monkeypatch.setattr(mt, "_ATTEMPTS", attempts)
+        found = mt.find_proper_submodule(mod, seed=seed)
+        assert (found is None) == (oracle is None)
+        if found is not None:
+            assert _is_proper_submodule(mod, found)
+
+    check()
+    assert sweeps
+
+
+@SETTINGS
+@given(oracle_modules(), st.integers(0, 3))
+def test_norton_sweep_on_every_factor_agrees_with_oracle(case, seed):
+    # Norton's test decides on ker f(θ) for every irreducible factor f,
+    # a line or not; a proper spin may come from either kernel
+    mod, _ = case
+    F = mod.field
+    oracle = find_submodule_exhaustive(mod)
+    theta = mt._random_algebra_element(mod, random.Random(seed))
+    for f in mt._berlekamp_factor(mt.minimal_polynomial(theta), F):
+        N = mt._poly_eval_matrix(f, theta)
+        found = mt._norton(mod, N, N.kernel_basis(), sweep=True)
+        assert (found is None) == (oracle is None)
+        if found is not None:
+            assert _is_proper_submodule(mod, found)
 
 
 def test_fallback_without_certificate_still_decides(monkeypatch):
-    monkeypatch.setattr(mt, "_HOLT_REES_ATTEMPTS", 0)
+    # with θ = 1 on every draw the one kernel is the whole module, never
+    # a line, so the sweep of it and of its transpose decides
+    monkeypatch.setattr(mt, "_ATTEMPTS", 1)
+    monkeypatch.setattr(mt, "_random_algebra_element",
+                        lambda mod, rng: Matrix.identity(mod.field,
+                                                         mod.dimension))
     assert mt.is_simple(natural_gl2_f2())
     assert mt.is_simple(steinberg.build((2, 1), 3, 2).module)
     M = cyclic_shift_module(3, Field.prime(2))
     assert _is_proper_submodule(M, mt.find_proper_submodule(M))
 
 
-def test_certificate_on_simple_module_that_is_not_absolutely_simple():
+def test_certificate_on_simple_module_that_is_not_absolutely_simple(
+        monkeypatch):
     # the natural GL_2(F_4)-module read over F_2: End is F_4, yet some θ
-    # has a factor f with dim ker f(θ) = deg f
+    # has a factor f with dim ker f(θ) = deg f, so no sweep runs
     K = Field.prime(2)
     z, one, nil = [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]
 
@@ -340,8 +384,13 @@ def test_certificate_on_simple_module_that_is_not_absolutely_simple():
                              "u": over_f2([[one, one], [nil, one]]),
                              "s": over_f2([[nil, one], [one, nil]])})
     assert mt.end_dim(M) == 2
-    assert mt._find_submodule_exhaustive(M) is None
-    assert mt._holt_rees_simple(M, 0)
+    assert find_submodule_exhaustive(M) is None
+
+    def no_sweep(*args):
+        raise AssertionError("the kernel sweep ran")
+
+    monkeypatch.setattr(mt, "_subspace_vectors", no_sweep)
+    assert mt.find_proper_submodule(M) is None
 
 
 def test_simple_steinberg_module_needs_few_spins(monkeypatch):
@@ -363,7 +412,7 @@ def test_simple_steinberg_module_needs_few_spins(monkeypatch):
 
 def test_certificate_stops_early_on_a_square(monkeypatch):
     # in S ⊕ S no θ has a factor f with dim ker f(θ) = deg f; the proper
-    # spin of a kernel vector ends the test, instead of every draw
+    # spin of a first kernel vector is returned within two draws
     S = steinberg.build((2, 1), 3, 2).module
     K, n = S.field, S.dimension
     M = mt.AlgebraModule(K, {nm: _block_upper(K, g, Matrix.zero(K, n, n), g)
@@ -378,9 +427,9 @@ def test_certificate_stops_early_on_a_square(monkeypatch):
     monkeypatch.setattr(mt, "minimal_polynomial", counted)
     for seed in (0, 1, 7):
         draws.clear()
-        assert not mt._holt_rees_simple(M, seed)
+        assert _is_proper_submodule(M, mt.find_proper_submodule(M,
+                                                                seed=seed))
         assert len(draws) <= 2
-    assert _is_proper_submodule(M, mt.find_proper_submodule(M))
 
 
 # -- Berlekamp factors are the distinct monic irreducibles -----------------
