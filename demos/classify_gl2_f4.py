@@ -12,7 +12,7 @@ from steinlab import steinberg as st
 def main():
     n, q = 2, 4
     print(f"splitting field: {st.splitting_field(n, q).label()}")
-    print(f"2-regular class count: {st.p_regular_class_count(n, q)}")
+    print(f"2-regular class count: {q ** n - q ** (n - 1)}")
     print()
     print("weight      digits              dim")
     for datum in st.classify(n, q):

@@ -75,7 +75,7 @@ def make_functor(name, ring, K, N):
     if name in ("p", "rep"):
         return functorcat.representable_functor(ring, K, N)
     if name == "gr1":
-        return functorcat.grassmannian_functor(ring, K, N, r=1)
+        return functorcat.grassmannian_functor(ring, K, N)
     if name == "tdelta":
         delta = functorcat.MonoidModule.from_character(
             ring, K, lambda a: K.one if ring.is_unit(a) else K.zero,
@@ -382,6 +382,34 @@ def build_parser():
     return top
 
 
+# the options an action cannot run without, beyond those the parser
+# requires: option -> None, or the option whose presence makes it needed
+NEEDS = {
+    ("emlpoly", "degree"): {"map": "ring"},
+    ("emlpoly", "deviate"): {"map": "ring"},
+    ("emlpoly", "factor"): {"ring": None, "map": None},
+    ("emlpoly", "linearize"): {"orders": None},
+    ("meataxe", "iso"): {"module2": None},
+    ("meataxe", "tensor"): {"module2": None},
+    ("steinberg", "build"): {"lam": None},
+    ("steinberg", "unique"): {"lam": None, "lam2": None},
+    ("steinberg", "product"): {"module": None, "names1": None,
+                               "names2": None},
+}
+# option -> its attribute, where the two differ
+_DEST = {"module": "modfile", "module2": "modfile2"}
+
+
+def _missing_option(args):
+    """The first option in ``NEEDS`` that this job lacks, or None."""
+    given = vars(args)
+    for opt, when in NEEDS.get((args.module, args.action), {}).items():
+        if given[_DEST.get(opt, opt)] is None and \
+                (when is None or given[when] is not None):
+            return opt
+    return None
+
+
 HANDLERS = {
     "partition": cmd_partition,
     "emlpoly": cmd_emlpoly,
@@ -414,6 +442,9 @@ def run(argv):
         return (1 if exc.code else 0), ""
     if args.module == "batch":
         return run_batch(args)
+    missing = _missing_option(args)
+    if missing:
+        return 2, f"error: {args.module} {args.action} needs --{missing}"
     try:
         result = HANDLERS[args.module](args)
     except CapExceeded as exc:
@@ -425,10 +456,20 @@ def run(argv):
 
 
 def run_batch(args):
-    with open(args.manifest) as fh:
-        jobs = json.load(fh)
+    try:
+        with open(args.manifest) as fh:
+            jobs = json.load(fh)
+    except (OSError, ValueError) as exc:
+        return 2, f"error: cannot read manifest: {exc}"
     if not isinstance(jobs, list):
         return 2, "error: manifest must be a JSON array"
+    for i, job in enumerate(jobs):
+        if not isinstance(job, dict):
+            return 2, f"error: job {i} must be a JSON object"
+        argv = job.get("args", [])
+        if not (isinstance(argv, list)
+                and all(isinstance(a, str) for a in argv)):
+            return 2, f"error: args of job {i} must be a list of strings"
 
     def one(job):
         argv = list(job.get("args", []))

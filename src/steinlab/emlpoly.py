@@ -231,8 +231,9 @@ def eml_degree(f, cap):
     return NotPolynomialUpTo(cap)
 
 
-def homogeneous_decomposition(f, degree=None, cap=8):
-    """Split a polynomial map into homogeneous components f_0 + ... + f_d.
+def homogeneous_decomposition(f, cap=8):
+    """Split a polynomial map into homogeneous components f_0 + ... + f_d,
+    d = ``eml_degree(f, cap)``.
 
     The target must be a Q-space (values are Fractions or matrices over
     Q): f_k is recovered from f(lambda * u) for lambda = 0..d by
@@ -243,11 +244,9 @@ def homogeneous_decomposition(f, degree=None, cap=8):
             or (isinstance(sample, Matrix) and sample.field is QQ)
             or isinstance(sample, int)):
         raise ValueError("target must be uniquely divisible (a Q-space)")
-    d = degree
-    if d is None:
-        d = eml_degree(f, cap)
-        if isinstance(d, NotPolynomialUpTo):
-            raise ValueError(f"map is not polynomial up to degree {cap}")
+    d = eml_degree(f, cap)
+    if isinstance(d, NotPolynomialUpTo):
+        raise ValueError(f"map is not polynomial up to degree {cap}")
     # inverse Vandermonde on nodes 0..d
     V = Matrix(QQ, [[Fraction(lam ** k) for k in range(d + 1)]
                     for lam in range(d + 1)])

@@ -142,15 +142,11 @@ class Field:
     @staticmethod
     def of_order(q):
         """The field with q elements (q a supported prime power)."""
-        for p in SUPPORTED_PRIMES:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n == 1 and e >= 1:
-                return Field.galois(p, e)
-        raise FieldError(f"no supported field of order {q}")
+        try:
+            p, e = prime_power(q)
+        except ValueError:
+            raise FieldError(f"no supported field of order {q}") from None
+        return Field.galois(p, e)
 
     # -- helpers ---------------------------------------------------------
 
@@ -371,6 +367,21 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.label()})"
+
+
+def prime_power(q):
+    """(p, e) with q = p^e, e >= 1, for p the least supported prime that
+    divides q; ValueError when there is none or q is not a power of it."""
+    for p in SUPPORTED_PRIMES:
+        if q > 1 and q % p == 0:
+            n, e = q, 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if n != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
+    raise ValueError(f"unsupported prime-power {q}")
 
 
 def _prime_divisors(n):

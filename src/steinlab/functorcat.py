@@ -30,11 +30,10 @@ representable action form no ring matrix product per Hom element.
 
 from functools import cached_property
 from itertools import product
-from math import comb
 
 from .emlpoly import NotPolynomialUpTo
-from .fields import CapExceeded, QQ
-from .matrices import Matrix, Subspace, span_from_spins
+from .fields import CapExceeded, QQ, prime_power
+from .matrices import Matrix, span_from_spins
 from .modtools import AlgebraModule, are_isomorphic, is_simple
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
                     matrix_monoid_generators, monoid_closure)
@@ -85,12 +84,6 @@ class FunctorRep:
                 raise ValueError(f"rank {m} exceeds truncation {self.N}")
             self._dim_cache[m] = self._dim_rule(m)
         return self._dim_cache[m]
-
-    def act(self, h):
-        """Matrix of F(h) for h: A^m -> A^m2 (h an m2 x m ring matrix;
-        a 0 x m or m2 x 0 shape needs explicit ranks via act_ranks)."""
-        m2, m = len(h), len(h[0]) if h else 0
-        return self.act_ranks(h, m, m2)
 
     def act_ranks(self, h, m, m2):
         key = (h, m, m2)
@@ -156,55 +149,38 @@ def _field_of_ring(ring):
     return ring.components[0].field
 
 
-def grassmannian_functor(ring, field, N, r=1):
-    """K[Gr_r]: free K-module on the r-dimensional subspaces of A^m,
-    for A a finite field; a map sends a subspace class to the class of
-    its image when the dimension survives and to zero otherwise."""
+def grassmannian_functor(ring, field, N):
+    """K[Gr_1]: the free K-module on the lines of A^m, for A a finite
+    field.  A line is listed by its vector whose first nonzero entry is
+    1, in ``product`` order; h sends it to the line of h.v scaled to a
+    leading 1, or to zero when h.v = 0."""
     kA = _field_of_ring(ring)
-
-    def subspaces(m):
-        out = []
-        seen = set()
-        if r > m:
-            return out
-        vecs = [v for v in product(kA.elements(), repeat=m)]
-        for combo in product(vecs, repeat=r):
-            sp = Subspace(kA, m, [list(v) for v in combo])
-            if sp.dim != r:
-                continue
-            key = tuple(tuple(row) for row in sp.basis)
-            if key not in seen:
-                seen.add(key)
-                out.append(sp)
-        out.sort(key=lambda sp: tuple(tuple(r_) for r_ in sp.basis))
-        return out
-
     cache = {}
 
-    def idx(m):
+    def lines(m):
         if m not in cache:
-            sps = subspaces(m)
-            cache[m] = (sps, {tuple(tuple(row) for row in sp.basis): i
-                              for i, sp in enumerate(sps)})
+            vecs = [v for v in product(kA.elements(), repeat=m)
+                    if next((x for x in v if x), None) == kA.one]
+            cache[m] = (vecs, {v: i for i, v in enumerate(vecs)})
         return cache[m]
 
     def act(h, m, m2):
-        sps, _ = idx(m)
-        sps2, index2 = idx(m2)
+        vecs, _ = lines(m)
+        vecs2, index2 = lines(m2)
         if m == 0 or m2 == 0:
-            return Matrix.zero(field, len(sps2), len(sps))
+            return Matrix.zero(field, len(vecs2), len(vecs))
         hm = Matrix(kA, [[x[0] for x in row] for row in h])
         z, o = field.zero, field.one
-        mat = [[z] * len(sps) for _ in range(len(sps2))]
-        for j, sp in enumerate(sps):
-            img = [hm.apply_to_vector(list(row)) for row in sp.basis]
-            sp2 = Subspace(kA, m2, img)
-            if sp2.dim == r:
-                key = tuple(tuple(row) for row in sp2.basis)
-                mat[index2[key]][j] = o
+        mat = [[z] * len(vecs) for _ in range(len(vecs2))]
+        for j, v in enumerate(vecs):
+            w = hm.apply_to_vector(v)
+            lead = next((x for x in w if x), None)
+            if lead is not None:
+                w = kA.row_scale(kA.inv(lead), w)
+                mat[index2[tuple(w)]][j] = o
         return Matrix(field, mat)
-    return FunctorRep(ring, field, N, lambda m: len(idx(m)[0]), act,
-                      name=f"K[Gr_{r}]")
+    return FunctorRep(ring, field, N, lambda m: len(lines(m)[0]), act,
+                      name="K[Gr_1]")
 
 
 # -- cross effects and degrees -------------------------------------------
@@ -236,15 +212,6 @@ def cross_effect(F, d):
     return ker.nrows, ker
 
 
-def cross_effect_check(F, d):
-    """The binomial bookkeeping dim F(A^d) = sum_s C(d,s) dim cr_s."""
-    total = 0
-    for s in range(d + 1):
-        cs, _ = cross_effect(F, s)
-        total += comb(d, s) * cs
-    return total == F.dim(d)
-
-
 def polynomial_degree(F, cap):
     """Largest k with nonzero k-th cross effect, certified by a
     vanishing higher cross effect within the truncation; otherwise the
@@ -264,25 +231,15 @@ def polynomial_degree(F, cap):
 
 # -- dimension profiles --------------------------------------------------
 
-def dimension_profile(F, fit=True):
-    """Values d_F(0..N), with an optional polynomial fit in p^m."""
+def dimension_profile(F):
+    """Values d_F(0..N) and the polynomial in p^m through the first N of
+    them, for a base ring of order p^e; the fit is checked on all N + 1
+    values, and a base ring of other order gets no fit."""
     values = F.dims()
     report = {"values": values, "fit": None, "fit_ok": None}
-    if not fit:
-        return report
-    # fitting asks for a p-ring base
-    size = F.ring.size
-    p = None
-    for q in (2, 3, 5, 7):
-        e = 0
-        n = size
-        while n % q == 0:
-            n //= q
-            e += 1
-        if n == 1:
-            p = q
-            break
-    if p is None:
+    try:
+        p, _ = prime_power(F.ring.size)
+    except ValueError:
         report["fit_ok"] = False
         report["reason"] = "base ring is not a p-ring"
         return report
@@ -436,12 +393,6 @@ def intermediate_extension_value(mm, m):
     ambient = len(homs) * dm
     sp = span_from_spins(K, ambient, seeds, ops)
     return sp.dim, sp, homs, ambient
-
-
-def intermediate_extension_module(mm, m):
-    """T(M)(A^m) with its End(A^m)-action, as a MonoidModule."""
-    return functor_value_module(
-        intermediate_extension_functor(mm, m), m)
 
 
 def intermediate_extension_functor(mm, N):

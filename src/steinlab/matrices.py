@@ -433,20 +433,6 @@ class Subspace:
                 return True
         return False
 
-    def intersect(self, other):
-        """Intersection with another subspace of the same ambient space."""
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.ambient_dim)
-        A = Matrix(self.field, self.basis + other.basis).transpose()
-        K = A.kernel_basis()
-        vecs = []
-        B = Matrix(self.field, self.basis)
-        for krow in K.rows:
-            coeffs = krow[:len(self.basis)]
-            v = Matrix(self.field, [coeffs]) * B
-            vecs.append(v.rows[0])
-        return Subspace(self.field, self.ambient_dim, vecs)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field is other.field
                 and self.ambient_dim == other.ambient_dim

@@ -351,31 +351,3 @@ def det_twist_check(lam, n, K, seed=0):
     ok2 = are_isomorphic(L_lam, tensor_glrep(L_lam, delta_rep(n, K)),
                          seed=seed)
     return ok1 and ok2
-
-
-# -- independent oracles -------------------------------------------------
-
-def semistandard_count(lam, n):
-    """Number of semistandard tableaux of shape lam with entries in
-    1..n, by direct enumeration (the char-0 dimension of S_lam)."""
-    lam = normalize_partition(lam)
-    if not lam:
-        return 1
-    if len(lam) > n:
-        return 0
-    rows = len(lam)
-
-    def rec(cells):
-        # cells: filled rows so far as lists
-        i = len(cells)
-        if i == rows:
-            yield 1
-            return
-        for row in product(range(1, n + 1), repeat=lam[i]):
-            if any(a > b for a, b in zip(row, row[1:])):
-                continue
-            if i > 0 and any(cells[i - 1][j] >= row[j]
-                             for j in range(lam[i])):
-                continue
-            yield from rec(cells + [list(row)])
-    return sum(rec([]))

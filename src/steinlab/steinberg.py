@@ -1,14 +1,14 @@
 """Simple modules of GL_n(F_q) by digit decomposition: each q-restricted
 partition is split into p-adic digit partitions, the corresponding
 socle-simple modules are Frobenius-twisted and tensored, and the result
-is restricted to a generating set of GL_n(F_q).  Classification is
-cross-checked against a conjugacy-class count obtained by direct group
-enumeration, independent of all representation code.
+is restricted to a generating set of GL_n(F_q).  Classification checks
+its count of simples against q^n - q^(n-1), the number of p-regular
+(semisimple) conjugacy classes; nothing here enumerates the group.
 """
 
 from math import lcm
 
-from .fields import CapExceeded, Field, MAX_DEGREE
+from .fields import CapExceeded, Field, MAX_DEGREE, prime_power
 from .matrices import Matrix
 from .modtools import (AlgebraModule, are_isomorphic, composition_factors,
                        end_dim, frobenius_twist, is_simple, tensor)
@@ -17,20 +17,6 @@ from .symgrp import (digit_decomposition, is_q_restricted,
                      normalize_partition)
 
 CLASSIFY_CAPS = {(2, 2), (2, 4), (3, 2)}  # plus (1, q) for q <= 9
-
-
-def _factor_pe(q):
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"unsupported prime-power {q}")
 
 
 def _check_caps(n, q):
@@ -48,7 +34,7 @@ class SteinbergDatum:
     def __init__(self, n, q, lam, digits, module, field):
         self.n = n
         self.q = q
-        self.p, self.r = _factor_pe(q)
+        self.p, self.r = prime_power(q)
         self.lam = lam
         self.digits = digits
         self.module = module
@@ -76,7 +62,7 @@ def group_generator_matrices(n, q, K):
     ``schurfun.monoid_generator_elements`` without the idempotent "e", with
     "d" = diag(z, 1, ..., 1) turned into diag(z^j, 1, ..., 1), where z^j
     generates F_q^x."""
-    p, e = _factor_pe(q)
+    p, e = prime_power(q)
     if K.char != p or K.degree % e != 0:
         raise ValueError(f"{K.label()} does not contain F_{q}")
     out = monoid_generator_elements(n, K)
@@ -91,7 +77,7 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     socle-simple module of the i-th digit partition, restricted to the
     group generators.  ``classify`` and ``uniqueness_check`` share a
     dict ``_simples`` (digit -> simple) across their builds."""
-    p, e = _factor_pe(q)
+    p, e = prime_power(q)
     if K is None:
         K = splitting_field(n, q)
     if K.char != p or K.degree % e != 0:
@@ -136,54 +122,6 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     return SteinbergDatum(n, q, lam, digits, module, K)
 
 
-# -- the independent group-theoretic oracle ------------------------------
-
-def group_elements(n, q):
-    """All of GL_n(F_q), as matrices over F_q, by exhaustion."""
-    from itertools import product as iproduct
-    Fq = Field.of_order(q)
-    els = Fq.elements()
-    out = []
-    for combo in iproduct(els, repeat=n * n):
-        M = Matrix(Fq, [[combo[i * n + jj] for jj in range(n)]
-                        for i in range(n)])
-        if M.is_invertible():
-            out.append(M)
-    return out
-
-
-def element_order(g):
-    ident = Matrix.identity(g.field, g.nrows)
-    k = 1
-    h = g
-    while h != ident:
-        h = h * g
-        k += 1
-    return k
-
-
-def p_regular_class_count(n, q):
-    """Number of conjugacy classes of elements of order prime to p,
-    counted by direct orbit enumeration."""
-    p, _ = _factor_pe(q)
-    G = group_elements(n, q)
-    regular = [g for g in G if element_order(g) % p != 0]
-    inverses = {}
-    for g in G:
-        inverses[g] = g.inverse()
-    seen = set()
-    count = 0
-    for g in regular:
-        key = tuple(tuple(r) for r in g.rows)
-        if key in seen:
-            continue
-        count += 1
-        for h in G:
-            c = h * g * inverses[h]
-            seen.add(tuple(tuple(r) for r in c.rows))
-    return count
-
-
 def splitting_field(n, q):
     """F_{q^s} with s = lcm(1, ..., n), or F_q itself when e*s exceeds
     ``MAX_DEGREE`` for q = p^e (the representatives happen to be
@@ -194,7 +132,7 @@ def splitting_field(n, q):
     so the p'-exponent of the group is lcm(q^k - 1 : k <= n), and
     q^k - 1 divides q^s - 1 exactly when k divides s.  The least s whose
     F_{q^s} holds every such eigenvalue is therefore lcm(1, ..., n)."""
-    _, e = _factor_pe(q)
+    _, e = prime_power(q)
     s = lcm(*range(1, n + 1))
     return Field.of_order(q ** s if e * s <= MAX_DEGREE else q)
 
@@ -260,42 +198,6 @@ def classify_table(n, q, K=None, seed=0):
                               for dg in d.digits),
                      str(d.dimension), "yes", str(i)))
     return rows
-
-
-def group_algebra_simples(n, q, K, seed=0):
-    """Distinct simple modules of K[GL_n(F_q)] obtained by brute-force
-    decomposition of the regular representation; an oracle independent
-    of the digit machinery."""
-    G = group_elements(n, q)
-    index = {g: i for i, g in enumerate(G)}
-    Fq = G[0].field
-    emb = K.embedding_from(Fq) if K is not Fq else (lambda x: x)
-    names = group_generator_names(n)
-    gen_mats = group_generator_matrices(n, q, K)
-
-    def perm_matrix(gname):
-        gq = Matrix(Fq, [[_unembed(Fq, K, gen_mats[gname].rows[i][jj], emb)
-                          for jj in range(n)] for i in range(n)])
-        z, o = K.zero, K.one
-        rows = [[z] * len(G) for _ in range(len(G))]
-        for g in G:
-            rows[index[gq * g]][index[g]] = o
-        return Matrix(K, rows)
-
-    reg = AlgebraModule(K, {nm: perm_matrix(nm) for nm in names})
-    factors = composition_factors(reg, seed=seed)
-    distinct = []
-    for f in factors:
-        if not any(are_isomorphic(f, d, seed=seed) for d in distinct):
-            distinct.append(f)
-    return distinct
-
-
-def _unembed(Fq, K, value, emb):
-    for x in Fq.elements():
-        if emb(x) == value:
-            return x
-    raise ValueError("value is not in the subfield")
 
 
 # -- uniqueness ----------------------------------------------------------

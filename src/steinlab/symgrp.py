@@ -80,33 +80,6 @@ def digit_decomposition(lam, p, r):
     return digits
 
 
-def recompose_digits(digits, p):
-    """Inverse of digit_decomposition (digits may carry trailing zeros)."""
-    n = max((len(d) for d in digits), default=0)
-    lam = [0] * n
-    for i, d in enumerate(digits):
-        for j, x in enumerate(d):
-            lam[j] += p ** i * x
-    return normalize_partition(lam)
-
-
-def all_partitions(d, max_parts=None):
-    """All partitions of d, in reverse lexicographic order."""
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_parts is not None and len(prefix) == max_parts:
-            return
-        for x in range(min(maxpart, remaining), 0, -1):
-            rec(remaining - x, x, prefix + [x])
-
-    rec(d, d, [])
-    return out
-
-
 def standard_tableaux(lam):
     """Standard Young tableaux of shape lam, rows as tuples, in
     lexicographic order of the row reading word."""
@@ -131,20 +104,6 @@ def standard_tableaux(lam):
     rec([[] for _ in lam])
     out.sort(key=lambda t: [x for row in t for x in row])
     return out
-
-
-def hook_length_count(lam):
-    """Number of standard tableaux by the hook length formula."""
-    lam = normalize_partition(lam)
-    conj = conjugate(lam)
-    d = sum(lam)
-    from math import factorial
-    num = factorial(d)
-    den = 1
-    for i, li in enumerate(lam):
-        for j in range(li):
-            den *= (li - j) + (conj[j] - i) - 1
-    return num // den
 
 
 # -- tabloids and polytabloids -------------------------------------------
@@ -332,10 +291,3 @@ def simple_module(lam, k):
     D = quotient_module(AlgebraModule(k, S.generators()), rad.rows)
     return SymModule(S.degree, k, D.generators["s"], D.generators["c"],
                      name=f"D^{lam}")
-
-
-def sign_module(d, k):
-    neg = Matrix(k, [[k.neg(k.one)]])
-    one = Matrix.identity(k, 1)
-    c_sign = one if d % 2 == 1 else neg
-    return SymModule(d, k, neg if d >= 2 else one, c_sign, name="sign")

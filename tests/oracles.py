@@ -1,0 +1,177 @@
+"""Brute-force oracles for the tests, kept out of the package they check.
+
+Each answers a question that ``steinlab`` answers by construction, by
+exhaustion instead: enumerating GL_n(F_q), counting tableaux, decomposing
+the regular representation, or summing cross-effect dimensions.
+"""
+
+from itertools import product
+from math import comb, factorial
+
+from steinlab.fields import Field
+from steinlab.functorcat import cross_effect
+from steinlab.matrices import Matrix
+from steinlab.modtools import (AlgebraModule, are_isomorphic,
+                               composition_factors)
+from steinlab.steinberg import group_generator_matrices, group_generator_names
+from steinlab.symgrp import conjugate, normalize_partition
+
+
+# -- GL_n(F_q) by enumeration ---------------------------------------------
+
+def group_elements(n, q):
+    """All of GL_n(F_q), as matrices over F_q, by exhaustion."""
+    Fq = Field.of_order(q)
+    els = Fq.elements()
+    out = []
+    for combo in product(els, repeat=n * n):
+        M = Matrix(Fq, [[combo[i * n + jj] for jj in range(n)]
+                        for i in range(n)])
+        if M.is_invertible():
+            out.append(M)
+    return out
+
+
+def element_order(g):
+    ident = Matrix.identity(g.field, g.nrows)
+    k = 1
+    h = g
+    while h != ident:
+        h = h * g
+        k += 1
+    return k
+
+
+def p_regular_class_count(n, q):
+    """Number of conjugacy classes of elements of order prime to p,
+    counted by direct orbit enumeration."""
+    p = Field.of_order(q).char
+    G = group_elements(n, q)
+    regular = [g for g in G if element_order(g) % p != 0]
+    inverses = {}
+    for g in G:
+        inverses[g] = g.inverse()
+    seen = set()
+    count = 0
+    for g in regular:
+        key = tuple(tuple(r) for r in g.rows)
+        if key in seen:
+            continue
+        count += 1
+        for h in G:
+            c = h * g * inverses[h]
+            seen.add(tuple(tuple(r) for r in c.rows))
+    return count
+
+
+def group_algebra_simples(n, q, K, seed=0):
+    """Distinct simple modules of K[GL_n(F_q)] obtained by brute-force
+    decomposition of the regular representation; an oracle independent
+    of the digit machinery."""
+    G = group_elements(n, q)
+    index = {g: i for i, g in enumerate(G)}
+    Fq = G[0].field
+    emb = K.embedding_from(Fq) if K is not Fq else (lambda x: x)
+    names = group_generator_names(n)
+    gen_mats = group_generator_matrices(n, q, K)
+
+    def perm_matrix(gname):
+        gq = Matrix(Fq, [[_unembed(Fq, K, gen_mats[gname].rows[i][jj], emb)
+                          for jj in range(n)] for i in range(n)])
+        z, o = K.zero, K.one
+        rows = [[z] * len(G) for _ in range(len(G))]
+        for g in G:
+            rows[index[gq * g]][index[g]] = o
+        return Matrix(K, rows)
+
+    reg = AlgebraModule(K, {nm: perm_matrix(nm) for nm in names})
+    factors = composition_factors(reg, seed=seed)
+    distinct = []
+    for f in factors:
+        if not any(are_isomorphic(f, d, seed=seed) for d in distinct):
+            distinct.append(f)
+    return distinct
+
+
+def _unembed(Fq, K, value, emb):
+    for x in Fq.elements():
+        if emb(x) == value:
+            return x
+    raise ValueError("value is not in the subfield")
+
+
+# -- partitions and tableaux ----------------------------------------------
+
+def all_partitions(d):
+    """All partitions of d, in reverse lexicographic order."""
+    out = []
+
+    def rec(remaining, maxpart, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for x in range(min(maxpart, remaining), 0, -1):
+            rec(remaining - x, x, prefix + [x])
+
+    rec(d, d, [])
+    return out
+
+
+def recompose_digits(digits, p):
+    """Inverse of digit_decomposition (digits may carry trailing zeros)."""
+    n = max((len(d) for d in digits), default=0)
+    lam = [0] * n
+    for i, d in enumerate(digits):
+        for j, x in enumerate(d):
+            lam[j] += p ** i * x
+    return normalize_partition(lam)
+
+
+def hook_length_count(lam):
+    """Number of standard tableaux by the hook length formula."""
+    lam = normalize_partition(lam)
+    conj = conjugate(lam)
+    d = sum(lam)
+    num = factorial(d)
+    den = 1
+    for i, li in enumerate(lam):
+        for j in range(li):
+            den *= (li - j) + (conj[j] - i) - 1
+    return num // den
+
+
+def semistandard_count(lam, n):
+    """Number of semistandard tableaux of shape lam with entries in
+    1..n, by direct enumeration (the char-0 dimension of S_lam)."""
+    lam = normalize_partition(lam)
+    if not lam:
+        return 1
+    if len(lam) > n:
+        return 0
+    rows = len(lam)
+
+    def rec(cells):
+        # cells: filled rows so far as lists
+        i = len(cells)
+        if i == rows:
+            yield 1
+            return
+        for row in product(range(1, n + 1), repeat=lam[i]):
+            if any(a > b for a, b in zip(row, row[1:])):
+                continue
+            if i > 0 and any(cells[i - 1][j] >= row[j]
+                             for j in range(lam[i])):
+                continue
+            yield from rec(cells + [list(row)])
+    return sum(rec([]))
+
+
+# -- functors -------------------------------------------------------------
+
+def cross_effect_check(F, d):
+    """The binomial bookkeeping dim F(A^d) = sum_s C(d,s) dim cr_s."""
+    total = 0
+    for s in range(d + 1):
+        cs, _ = cross_effect(F, s)
+        total += comb(d, s) * cs
+    return total == F.dim(d)

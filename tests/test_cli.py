@@ -148,6 +148,44 @@ def test_batch_mixed_and_parallel(tmp_path):
     assert (code2, out2) == (code, out)
 
 
+def test_batch_job_missing_an_option_fails_alone(tmp_path):
+    jobs = [
+        {"args": ["partition", "conj", "--lam", "3,1"]},
+        {"args": ["steinberg", "build", "--n", "2", "--q", "2"]},
+        {"args": ["schur", "eval", "--lam", "1,1", "--n", "2",
+                  "--coeff", "Q"]},
+    ]
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps(jobs))
+    code, out = run(["batch", str(mf)])
+    assert code == 0
+    report = json.loads(out)
+    assert [r["code"] for r in report["results"]] == [0, 2, 0]
+    assert report["results"][1]["output"] == \
+        "error: steinberg build needs --lam"
+    assert json.loads(report["results"][2]["output"])["dimension"] == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "error: cannot read manifest: [Errno 2] No such file or "
+           "directory: '{path}'"),
+    ("[{", "error: cannot read manifest: Expecting property name "
+           "enclosed in double quotes: line 1 column 3 (char 2)"),
+    ('["partition conj --lam 1"]', "error: job 0 must be a JSON object"),
+    ('[{"args": ["partition", "conj", "--lam", "1"]}, '
+     '{"args": ["partition", "conj", "--lam", 1]}]',
+     "error: args of job 1 must be a list of strings"),
+    ('[{"args": "partition conj --lam 1"}]',
+     "error: args of job 0 must be a list of strings"),
+], ids=["missing", "malformed", "job-not-object", "int-arg",
+        "args-string"])
+def test_bad_manifest_is_code_2(tmp_path, content, message):
+    mf = tmp_path / "jobs.json"
+    if content is not None:
+        mf.write_text(content)
+    assert run(["batch", str(mf)]) == (2, message.format(path=mf))
+
+
 def test_unique_subcommand():
     code, out = run(["steinberg", "unique", "--n", "2", "--q", "2",
                      "--lam", "1,1", "--lam2", "0,0"])
@@ -223,4 +261,40 @@ def test_meataxe_simple_over_q_names_the_finite_field_need(tmp_path):
      "error: window must be >= 0, got -3"),
 ])
 def test_emlpoly_refuses_negative_options(argv, message):
+    assert run(argv) == (2, message)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["steinberg", "build", "--n", "2", "--q", "2"], "lam"),
+    (["steinberg", "unique", "--lam2", "0,0"], "lam"),
+    (["steinberg", "unique", "--lam", "1,1"], "lam2"),
+    (["steinberg", "product", "--names1", "a", "--names2", "b"], "module"),
+    (["steinberg", "product", "--module", "m.json", "--names2", "b"],
+     "names1"),
+    (["steinberg", "product", "--module", "m.json", "--names1", "a"],
+     "names2"),
+    (["emlpoly", "linearize"], "orders"),
+    (["emlpoly", "degree", "--ring", "F_4"], "map"),
+    (["emlpoly", "deviate", "--ring", "F_4"], "map"),
+    (["emlpoly", "factor", "--ring", "F_4"], "map"),
+    (["emlpoly", "factor", "--map", "pow2"], "ring"),
+    (["meataxe", "iso", "--module", "m.json"], "module2"),
+    (["meataxe", "tensor", "--module", "m.json"], "module2"),
+])
+def test_missing_action_option_is_code_2(argv, option):
+    # refused before the handler runs, so no file is opened
+    assert run(argv) == (2, f"error: {argv[0]} {argv[1]} needs --{option}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schur", "eval", "--lam", "1", "--n", "1", "--coeff", "F_6"],
+     "error: no supported field of order 6"),
+    (["schur", "eval", "--lam", "1", "--n", "1", "--coeff", "F_0"],
+     "error: no supported field of order 0"),
+    (["steinberg", "build", "--n", "2", "--q", "6", "--lam", "1"],
+     "error: 6 is not a prime power"),
+    (["steinberg", "build", "--n", "2", "--q", "11", "--lam", "1"],
+     "error: unsupported prime-power 11"),
+])
+def test_prime_power_refusals_are_code_2(argv, message):
     assert run(argv) == (2, message)

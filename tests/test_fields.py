@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinlab.fields import Field, FieldError, QQ
+from steinlab.fields import Field, FieldError, QQ, prime_power
 
 
 def test_prime_field_arithmetic():
@@ -21,6 +21,26 @@ def test_field_interning():
     assert Field.galois(2, 2) is Field.of_order(4)
     assert Field.of_order(3) is Field.prime(3)
     assert QQ is Field.rationals()
+
+
+@pytest.mark.parametrize("q, pe", [(2, (2, 1)), (8, (2, 3)), (9, (3, 2)),
+                                   (2401, (7, 4)), (1024, (2, 10))])
+def test_prime_power_reads_p_and_e(q, pe):
+    assert prime_power(q) == pe
+
+
+@pytest.mark.parametrize("q, message", [
+    (6, "6 is not a prime power"), (36, "36 is not a prime power"),
+    (11, "unsupported prime-power 11"), (1, "unsupported prime-power 1"),
+    (0, "unsupported prime-power 0"), (-4, "unsupported prime-power -4"),
+])
+def test_prime_power_refuses(q, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        prime_power(q)
+    # the field constructor keeps its own message, and ends on q = 0 too
+    with pytest.raises(FieldError,
+                       match=f"^no supported field of order {q}$"):
+        Field.of_order(q)
 
 
 def test_axioms_small_fields():

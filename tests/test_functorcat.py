@@ -12,12 +12,14 @@ from steinlab.matrices import Subspace
 from steinlab.rings import (FiniteRing, mat_mul, matrix_monoid_generators,
                             ring_homs)
 
+from oracles import cross_effect_check
+
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
 
 
 def lines_functor(N=4):
-    return fc.grassmannian_functor(F2RING, F3, N, r=1)
+    return fc.grassmannian_functor(F2RING, F3, N)
 
 
 def test_representable_dims_and_cr2():
@@ -54,12 +56,19 @@ def test_lines_dims_fit_and_nonpolynomiality():
     assert fc.polynomial_degree(G, 4) == NotPolynomialUpTo(4)
 
 
+def test_profile_of_a_ring_whose_order_is_no_prime_power_has_no_fit():
+    prof = fc.dimension_profile(fc.constant_functor(FiniteRing("Z/6"), F3,
+                                                    2))
+    assert prof == {"values": [1, 1, 1], "fit": None, "fit_ok": False,
+                    "reason": "base ring is not a p-ring"}
+
+
 def test_cross_effect_bookkeeping():
     for F in (fc.constant_functor(F2RING, F3, 3),
               fc.representable_functor(F2RING, F3, 3),
               lines_functor(3)):
         for d in range(F.N + 1):
-            assert fc.cross_effect_check(F, d)
+            assert cross_effect_check(F, d)
 
 
 def test_functoriality_on_random_pairs():
@@ -116,7 +125,8 @@ def test_intermediate_extension_recovers_value():
     delta = fc.MonoidModule.from_character(
         F2RING, F3,
         lambda a: F3.one if a != F2RING.zero else F3.zero)
-    mm = fc.intermediate_extension_module(delta, 1)
+    mm = fc.functor_value_module(
+        fc.intermediate_extension_functor(delta, 1), 1)
     assert mm.dimension == delta.dimension
 
 

@@ -4,6 +4,9 @@ import pytest
 
 from steinlab import symgrp as sg
 from steinlab.fields import Field, QQ
+from steinlab.matrices import Matrix
+
+from oracles import all_partitions, hook_length_count, recompose_digits
 
 
 def test_conjugate():
@@ -22,7 +25,7 @@ def test_restricted_and_regular():
 
 def test_digit_decomposition():
     assert sg.digit_decomposition((3, 2), 2, 2) == [(1, 0), (1, 1)]
-    assert sg.recompose_digits([(1, 0), (1, 1)], 2) == (3, 2)
+    assert recompose_digits([(1, 0), (1, 1)], 2) == (3, 2)
     with pytest.raises(ValueError):
         sg.digit_decomposition((5, 0), 2, 2)
 
@@ -37,30 +40,30 @@ def test_digit_roundtrip_exhaustive():
                 continue
             digs = sg.digit_decomposition(lam, p, r)
             assert all(sg.is_p_restricted(d, p) for d in digs)
-            assert sg.recompose_digits(digs, p) == \
+            assert recompose_digits(digs, p) == \
                 sg.normalize_partition(lam)
 
 
 def test_standard_tableaux_hook_counts():
     for d in range(1, 6):
-        for lam in sg.all_partitions(d):
+        for lam in all_partitions(d):
             tabs = sg.standard_tableaux(lam)
-            assert len(tabs) == sg.hook_length_count(lam)
+            assert len(tabs) == hook_length_count(lam)
 
 
 def test_dimension_sum_of_squares():
     for d in range(1, 7):
-        total = sum(sg.hook_length_count(lam) ** 2
-                    for lam in sg.all_partitions(d))
+        total = sum(hook_length_count(lam) ** 2
+                    for lam in all_partitions(d))
         assert total == factorial(d)
 
 
 def test_specht_dimensions_match_hooks():
     K = QQ
     for d in range(1, 6):
-        for lam in sg.all_partitions(d):
+        for lam in all_partitions(d):
             S = sg.specht_module(lam, K)
-            assert S.dimension == sg.hook_length_count(lam)
+            assert S.dimension == hook_length_count(lam)
 
 
 def test_perm_matrix_multiplicative():
@@ -75,17 +78,16 @@ def test_perm_matrix_multiplicative():
 def test_simple_modules_s3_char3():
     K = Field.prime(3)
     dims = {lam: sg.simple_module(lam, K).dimension
-            for lam in sg.all_partitions(3) if sg.is_p_regular(lam, 3)}
+            for lam in all_partitions(3) if sg.is_p_regular(lam, 3)}
     assert dims == {(3,): 1, (2, 1): 1}
 
 
 def test_simple_d21_char3_is_sign():
     K = Field.prime(3)
     D = sg.simple_module((2, 1), K)
-    sign = sg.sign_module(3, K)
     assert D.dimension == 1
-    assert D.gen_s == sign.gen_s
-    assert D.gen_c == sign.gen_c
+    assert D.gen_s == Matrix(K, [[K.neg(K.one)]])
+    assert D.gen_c == Matrix(K, [[K.one]])
 
 
 def test_simple_rejects_p_singular():
