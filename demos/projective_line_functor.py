@@ -24,7 +24,7 @@ def main():
     for m, d in enumerate(T.dims()):
         tag = ""
         if d:
-            mod = fc.functor_value_module(T, m).module
+            mod = fc.functor_value_module(T, m)
             tag = "simple" if is_simple(mod) else "reducible"
         print(f"  m={m}  dim={d}  {tag}")
 

@@ -102,6 +102,8 @@ def make_ring_map(ring, name):
     K = ring.components[0].field
     if name.startswith("pow"):
         k = int(name[3:])
+        if k < 0:
+            raise ValueError(f"map exponent must be >= 0, got {k}")
         return emlpoly.RingMap(ring, K, func=lambda a: K.pow(a[0], k))
     raise ValueError(f"unknown map {name!r}")
 
@@ -168,13 +170,12 @@ def cmd_emlpoly(args):
         return {"count": len(factors), "extension": ext.label(),
                 "homs": out}
     if args.action == "linearize":
-        orders = [int(x) for x in args.orders.split(",")]
-        a, b, c = orders
-        if b % a or b // a != c:
-            raise ValueError("orders must describe a cyclic extension")
+        a, b, c = [int(x) for x in args.orders.split(",")]
         A = emlpoly.AbGroup((a,))
         B = emlpoly.AbGroup((b,))
         C = emlpoly.AbGroup((c,))
+        if b % a or b // a != c:
+            raise ValueError("orders must describe a cyclic extension")
         incl = emlpoly.AbMap(A, B, func=lambda u: ((b // a) * u[0] % b,))
         proj = emlpoly.AbMap(B, C, func=lambda u: (u[0] % c,))
         K = parse_field(args.coeff)

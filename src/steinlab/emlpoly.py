@@ -60,7 +60,7 @@ class AbGroup:
         self.window = None
         for m in self.orders:
             if m < 2:
-                raise ValueError("cyclic orders must be >= 2")
+                raise ValueError(f"cyclic orders must be >= 2, got {m}")
 
     @property
     def is_integers(self):

@@ -17,7 +17,7 @@ End(A^m); Hom(A^n, A^m) is never enumerated.  F(h) is the same
 precomposition (``_Precompose``, an index map on coordinates) written in
 the target value's basis with ``Subspace.coords_matrix``.  The action of
 every element of M_n(A) that the seeds need comes from
-``rings.monoid_closure`` over the monoid generators.  The
+``modtools.monoid_actions`` over the monoid generators.  The
 intermediate-extension module at rank m is the functor's value module
 there (``functor_value_module``).
 
@@ -34,9 +34,10 @@ from itertools import product
 from .emlpoly import NotPolynomialUpTo
 from .fields import CapExceeded, QQ, prime_power
 from .matrices import Matrix, span_from_spins
-from .modtools import AlgebraModule, are_isomorphic, is_simple
+from .modtools import (AlgebraModule, are_isomorphic, is_simple,
+                       monoid_actions)
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
-                    matrix_monoid_generators, monoid_closure)
+                    matrix_monoid_generators, ring_identity)
 
 # the largest value |A|^m of a representable functor
 REPRESENTABLE_CAP = 100000
@@ -47,11 +48,6 @@ HOM_CAP = 200000
 
 class NotIntermediateExtension(RuntimeError):
     pass
-
-
-def ring_identity(ring, m):
-    return tuple(tuple(ring.one if i == j else ring.zero
-                       for j in range(m)) for i in range(m))
 
 
 def all_ring_homs_matrices(ring, m, m2):
@@ -69,6 +65,8 @@ class FunctorRep:
     """A truncated functor: dimension and action rules with caching."""
 
     def __init__(self, ring, field, N, dim_rule, action_rule, name=""):
+        if N < 0:
+            raise ValueError(f"truncation rank must be >= 0, got {N}")
         self.ring = ring
         self.field = field
         self.N = N
@@ -217,6 +215,8 @@ def polynomial_degree(F, cap):
     vanishing higher cross effect within the truncation; otherwise the
     NotPolynomialUpTo sentinel (vanishing of a cross effect forces all
     higher ones to vanish, so one zero certifies the degree)."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     cap = min(cap, F.N)
     dims = [cross_effect(F, 0)[0]]
     for k in range(1, cap + 1):
@@ -274,41 +274,28 @@ def _poly_val(coeffs, x):
 
 # -- intermediate extensions ---------------------------------------------
 
-class MonoidModule:
-    """A K[M_n(A)]-module: an AlgebraModule whose generators follow the
-    canonical generator list of the matrix monoid, together with a word
-    table assigning an action matrix to every monoid element."""
+class MonoidModule(AlgebraModule):
+    """A K[M_n(A)]-module: generator g<i> is labelled by the i-th matrix
+    of ``rings.matrix_monoid_generators`` and acts by its ``action_of``."""
 
     def __init__(self, ring, n, field, action_of, name=""):
         """action_of: element of M_n(A) (tuple form) -> Matrix."""
+        labels = {f"g{i}": e
+                  for i, e in enumerate(matrix_monoid_generators(ring, n))}
+        super().__init__(field, {nm: action_of(e)
+                                 for nm, e in labels.items()},
+                         labels=labels, name=name)
         self.ring = ring
         self.n = n
-        self.field = field
         self.action_of = action_of
-        gens = matrix_monoid_generators(ring, n)
-        self.gen_elements = {f"g{i}": e for i, e in enumerate(gens)}
-        self.module = AlgebraModule(
-            field, {nm: action_of(e) for nm, e in self.gen_elements.items()},
-            name=name)
-        self.name = name
-
-    @property
-    def dimension(self):
-        return self.module.dimension
 
     @cached_property
     def action_table(self):
         """The action matrix of every element of M_n(A), built once by
-        ``rings.monoid_closure`` from the generators."""
-        ring = self.ring
-        ident = ring_identity(ring, self.n)
-        gens = list(self.gen_elements.values())
-        acts = [self.module.generators[nm] for nm in self.gen_elements]
-        table = {ident: Matrix.identity(self.field, self.dimension)}
-        for e, i, prev in monoid_closure(
-                lambda g, x: mat_mul(ring, g, x, self.n), [ident], gens):
-            table[e] = acts[i] * table[prev]
-        return table
+        ``modtools.monoid_actions``."""
+        ring, n = self.ring, self.n
+        return dict(monoid_actions(self, lambda g, x: mat_mul(ring, g, x, n),
+                                   ring_identity(ring, n)))
 
     @staticmethod
     def from_character(ring, field, chi, name="chi"):
@@ -448,6 +435,8 @@ def unipotence_ideal(F, n):
     addition and multiplication is verified, and the result is returned
     as a materialized ideal."""
     ring = F.ring
+    if n < 0:
+        raise ValueError(f"rank n must be >= 0, got {n}")
     m = 2 + n
     if m > F.N:
         raise ValueError("truncation too small for the unipotence test")
@@ -494,7 +483,7 @@ def simplicity_test(F, n, seed=0):
     mm = functor_value_module(F, n)
     if mm.dimension == 0:
         raise ValueError("zero value at the support rank")
-    if not is_simple(mm.module, seed=seed):
+    if not is_simple(mm, seed=seed):
         return False
     T = intermediate_extension_functor(mm, F.N)
     for m in range(F.N + 1):
@@ -507,7 +496,7 @@ def simplicity_test(F, n, seed=0):
             continue
         FM = functor_value_module(F, m)
         TM = functor_value_module(T, m)
-        if not are_isomorphic(FM.module, TM.module, seed=seed):
+        if not are_isomorphic(FM, TM, seed=seed):
             raise NotIntermediateExtension(
                 f"value modules disagree at rank {m}")
     return True

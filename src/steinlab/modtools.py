@@ -7,8 +7,12 @@ factors f of the minimal polynomial.  When dim ker f(θ) = deg f, one
 spin of a kernel vector on the module and one on its transpose decide
 (the Holt–Rees form of the test); when no draw gives such an f, every
 vector of the thinnest kernel seen, and of its transpose, is spun.
-Frobenius twists find the powered generators in the generated monoid with
-``rings.monoid_closure``.
+Every module of the package is an ``AlgebraModule``: Specht and simple
+modules of S_d, Schur, elementary and socle values of M_n(K), the
+GL_n(F_q) simples and K[M_n(A)]-modules.  Its ``labels`` name the monoid
+element each generator stands for (a one-line permutation, a ``Matrix``
+or a ring matrix), and ``monoid_actions`` walks ``rings.monoid_closure``
+over them to give the action of every element the labels generate.
 """
 
 import operator
@@ -19,7 +23,9 @@ from .rings import monoid_closure
 
 
 class AlgebraModule:
-    """A module over the algebra spanned by named generator matrices."""
+    """A module over the algebra spanned by named generator matrices;
+    ``labels``, when given, maps each name to the monoid element that
+    generator stands for."""
 
     def __init__(self, field, generators, labels=None, name=""):
         self.field = field
@@ -42,6 +48,22 @@ class AlgebraModule:
         tag = f" {self.name}" if self.name else ""
         return (f"AlgebraModule({tag} dim {self.dimension} over "
                 f"{self.field.label()}, gens {self.gen_names()})")
+
+
+def monoid_actions(mod, mul, one):
+    """(element, action matrix) for ``one`` and then every element of the
+    monoid that the labels generate under ``mul``, breadth first by
+    ``rings.monoid_closure`` in ``gen_names`` order: each action is a
+    generator's matrix times the action of an element found before.  Stop
+    early by leaving the loop."""
+    names = mod.gen_names()
+    acts = [mod.generators[n] for n in names]
+    table = {one: Matrix.identity(mod.field, mod.dimension)}
+    yield one, table[one]
+    for y, i, x in monoid_closure(mul, [one],
+                                  [mod.labels[n] for n in names]):
+        table[y] = acts[i] * table[x]
+        yield y, table[y]
 
 
 def transpose_module(mod):
@@ -523,8 +545,8 @@ def frobenius_twist(mod, i):
 
     Requires ``labels``: a dict name -> Matrix over the (finite) entry
     field giving the monoid element each generator represents.  The
-    powered elements are located in the generated monoid by
-    ``rings.monoid_closure``, and the action matrices follow the words.
+    powered elements and their actions come from ``monoid_actions``; the
+    search stops at the last of them.
     """
     if mod.labels is None:
         raise ValueError("frobenius_twist needs labelled generators")
@@ -533,17 +555,17 @@ def frobenius_twist(mod, i):
     Fq = elems[0].field
     if Fq.kind == "rational":
         raise ValueError("generator entries must lie in a finite field")
-    ident = Matrix.identity(Fq, elems[0].nrows)
-    actions = {ident: Matrix.identity(mod.field, mod.dimension)}
     targets = [Matrix(Fq, [[Fq.frobenius(x, i) for x in row]
                            for row in E.rows]) for E in elems]
-    missing = set(targets) - {ident}
-    acts = [mod.generators[n] for n in names]
-    for E, k, prev in monoid_closure(operator.mul, [ident], elems):
-        if not missing:
-            break
-        actions[E] = acts[k] * actions[prev]
-        missing.discard(E)
+    missing = set(targets)
+    actions = {}
+    for E, act in monoid_actions(mod, operator.mul,
+                                 Matrix.identity(Fq, elems[0].nrows)):
+        if E in missing:
+            actions[E] = act
+            missing.discard(E)
+            if not missing:
+                break
     if missing:
         raise ValueError("powered generator not in generated monoid")
     # the labels stay the original elements: the twisted module is the

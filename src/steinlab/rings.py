@@ -6,10 +6,11 @@ for cyclic components, encoded field elements for Galois components.
 A ring also labels its elements 0..|A|-1 in ``elements()`` order, with
 add and mul tables on the labels, built once per ring instance.
 
-``monoid_closure`` is the one closure routine of the package: ideals here,
-the action of every element of M_n(A) in ``functorcat``, the powered
+``monoid_closure`` is the one closure routine of the package: ideals here
+and ``modtools.monoid_actions`` are its two callers.  The second gives the
+action of every element of M_n(A) in ``functorcat``, the powered
 generators of ``modtools.frobenius_twist`` and the permutation matrices
-of ``symgrp.SymModule`` are all breadth-first searches through it.
+of S_d-modules in ``schurfun.elementary_value``.
 """
 
 from collections import deque
@@ -382,6 +383,12 @@ def primary_idempotents(ring):
     return out
 
 
+def ring_identity(ring, n):
+    """The n x n identity matrix over the ring, as a tuple of row tuples."""
+    return tuple(tuple(ring.one if i == j else ring.zero
+                       for j in range(n)) for i in range(n))
+
+
 def matrix_monoid_generators(ring, n):
     """Generators of the multiplicative monoid M_n(A): transvections
     e_{ij}(r) over ring generators, the scalar embeddings diag(a,1,...,1),
@@ -391,8 +398,7 @@ def matrix_monoid_generators(ring, n):
     """
     if n < 1:
         raise RingError("rank must be >= 1")
-    ident = tuple(tuple(ring.one if i == j else ring.zero
-                        for j in range(n)) for i in range(n))
+    ident = ring_identity(ring, n)
     gens = []
 
     def mat(fn):

@@ -1,12 +1,15 @@
 """Schur and elementary functors evaluated on K^n.
 
-Representations of the multiplicative monoid M_n(K) are stored on a
-fixed generating set: the torus generator diag(z,1,...,1) for a
-multiplicative generator z, a transvection, permutations, and the
-corank-one idempotent diag(1,...,1,0).  Over Q the same matrices (with
+Representations of the multiplicative monoid M_n(K) are ``AlgebraModule``s
+on a fixed generating set, labelled by its matrices: the torus generator
+d = diag(z,1,...,1) for a multiplicative generator z, the corank-one
+idempotent e = diag(1,...,1,0), a transvection t, the swap s and the cycle
+c; the rank n is ``labels["d"].nrows``.  Over Q the same matrices (with
 z = 2) are kept even though they only generate a submonoid; every
 construction here acts through explicit matrices, so nothing requires
-full enumeration.
+full enumeration.  The Schur vectors are the column alternants of
+``symgrp.column_alternant``, and the elementary functor reads the
+permutation matrices of its S_d-module from ``modtools.monoid_actions``.
 """
 
 from itertools import combinations, combinations_with_replacement, \
@@ -14,9 +17,9 @@ from itertools import combinations, combinations_with_replacement, \
 
 from .fields import CapExceeded
 from .matrices import Matrix, Subspace
-from .modtools import (AlgebraModule, are_isomorphic, restrict_to_submodule,
-                       socle as _socle_rows)
-from .symgrp import (_perm_sign_on, conjugate, normalize_partition,
+from .modtools import (AlgebraModule, are_isomorphic, monoid_actions,
+                       restrict_to_submodule, socle as _socle_rows, tensor)
+from .symgrp import (column_alternant, conjugate, normalize_partition,
                      is_p_restricted)
 
 
@@ -27,23 +30,10 @@ class FieldTooSmall(ValueError):
 DIM_CAP = 4096
 
 
-class GLRep(AlgebraModule):
-    """An M_n(K)-representation on named monoid generators."""
-
-    def __init__(self, rank, field, generators, labels=None, name="",
-                 degree=None):
-        super().__init__(field, generators, labels=labels, name=name)
-        self.rank = rank
-        self.degree = degree
-
-    def __repr__(self):
-        tag = f" {self.name}" if self.name else ""
-        return (f"GLRep(rank {self.rank},{tag} dim {self.dimension} "
-                f"over {self.field.label()})")
-
-
 def monoid_generator_elements(n, K):
     """The fixed generating elements of M_n(K) as matrices, by name."""
+    if n < 0:
+        raise ValueError(f"rank n must be >= 0, got {n}")
     z = K.gen()
     gens = {}
     gens["d"] = Matrix(K, [[z if i == j == 0 else
@@ -73,12 +63,20 @@ def _tensor_power(g, d):
     return out
 
 
+def _zero_module(K, elements, name):
+    zero = Matrix.zero(K, 0, 0)
+    return AlgebraModule(K, {nm: zero for nm in elements}, labels=elements,
+                         name=name)
+
+
 def elementary_value(M, n, K):
     """Image of the norm (the sum of all of S_d) acting on
-    (K^n)^{tensor d} tensor M, with the monoid acting by g^{tensor d}."""
-    d = M.degree
+    (K^n)^{tensor d} tensor M, with the monoid acting by g^{tensor d};
+    M is an S_d-module labelled by one-line permutations."""
+    d = len(M.labels["c"])
     if M.field is not K:
         raise ValueError("module field mismatch")
+    elements = monoid_generator_elements(n, K)
     dim_big = n ** d * M.dimension
     if dim_big > DIM_CAP:
         raise CapExceeded(f"dimension {dim_big} exceeds cap {DIM_CAP}")
@@ -89,11 +87,15 @@ def elementary_value(M, n, K):
     norm_rows = [[K.zero] * dim_big for _ in range(dim_big)]
     tuples = list(product(range(n), repeat=d))
     tindex = {t: i for i, t in enumerate(tuples)}
+    # left action: (g o pi)(i) = g(pi(i))
+    perm_matrix = dict(monoid_actions(
+        M, lambda g, pi: tuple(g[x - 1] for x in pi),
+        tuple(range(1, d + 1))))
     for perm in permutations(range(1, d + 1)):
         inv = [0] * d
         for i in range(d):
             inv[perm[i] - 1] = i
-        Msig = M.perm_matrix(perm)
+        Msig = perm_matrix[perm]
         for ti, t in enumerate(tuples):
             u = tindex[tuple(t[inv[k]] for k in range(d))]
             for a in range(dm):
@@ -106,16 +108,13 @@ def elementary_value(M, n, K):
                         row[col] = add(row[col], c)
     norm = Matrix(K, norm_rows)
     basis = norm.column_space_basis()
-    elements = monoid_generator_elements(n, K)
     big = AlgebraModule(K, {nm: _tensor_power(g, d).kron(
         Matrix.identity(K, M.dimension)) for nm, g in elements.items()})
     if basis.nrows == 0:
-        zero = Matrix.zero(K, 0, 0)
-        return GLRep(n, K, {nm: zero for nm in elements},
-                     labels=elements, name=f"E_{M.name}", degree=d)
+        return _zero_module(K, elements, f"E_{M.name}")
     sub = restrict_to_submodule(big, [list(r) for r in basis.rows])
-    return GLRep(n, K, sub.generators, labels=elements,
-                 name=f"E_{M.name}(K^{n})", degree=d)
+    return AlgebraModule(K, sub.generators, labels=elements,
+                         name=f"E_{M.name}(K^{n})")
 
 
 # -- Schur functors ------------------------------------------------------
@@ -125,41 +124,6 @@ def _sym_basis(n, lam):
     per_row = [list(combinations_with_replacement(range(n), li))
                for li in lam]
     return [tuple(c) for c in product(*per_row)]
-
-
-def _schur_image_vectors(lam, n, K):
-    """Images in the symmetric-power product of the antisymmetrizer
-    basis of the exterior-power product, routed through the tableau:
-    column j of the diagram carries a strictly increasing choice of
-    rows of K^n, alternating over column permutations, and each row of
-    the diagram is then symmetrized by sorting."""
-    lam = normalize_partition(lam)
-    conj = conjugate(lam)
-    sym = _sym_basis(n, lam)
-    index = {b: i for i, b in enumerate(sym)}
-    vectors = []
-    col_choices = [list(combinations(range(n), c)) for c in conj]
-    for choice in product(*col_choices):
-        v = [K.zero] * len(sym)
-        per_col = []
-        for subset in choice:
-            per_col.append([(pi, _perm_sign_on(subset, pi))
-                            for pi in permutations(subset)])
-        for combo in product(*per_col):
-            # cell (i, j) gets combo[j][0][i]
-            sign = 1
-            for _, s in combo:
-                sign *= s
-            key = []
-            ok = True
-            for i, li in enumerate(lam):
-                row = tuple(sorted(combo[j][0][i] for j in range(li)))
-                key.append(row)
-            idx = index[tuple(key)]
-            c = K.one if sign > 0 else K.neg(K.one)
-            v[idx] = K.add(v[idx], c)
-        vectors.append(v)
-    return sym, vectors
 
 
 def _sym_action(n, lam, K, g, sym, index):
@@ -200,21 +164,22 @@ def schur_value(lam, n, K):
         raise CapExceeded("cap exceeded")
     elements = monoid_generator_elements(n, K)
     if lam and len(lam) > n:
-        zero = Matrix.zero(K, 0, 0)
-        return GLRep(n, K, {nm: zero for nm in elements},
-                     labels=elements, name=f"S_{lam}", degree=d)
-    sym, vectors = _schur_image_vectors(lam, n, K)
+        return _zero_module(K, elements, f"S_{lam}")
+    # the image of the exterior-power product in the symmetric-power
+    # product: column j of the diagram carries a strictly increasing
+    # choice of rows of K^n, alternated, and each row is symmetrized
+    sym = _sym_basis(n, lam)
     index = {b: i for i, b in enumerate(sym)}
-    sp = Subspace(K, len(sym), vectors)
+    sp = Subspace(K, len(sym), [
+        column_alternant(choice, lam, index, K) for choice in
+        product(*[combinations(range(n), c) for c in conjugate(lam)])])
     if sp.dim == 0:
-        zero = Matrix.zero(K, 0, 0)
-        return GLRep(n, K, {nm: zero for nm in elements},
-                     labels=elements, name=f"S_{lam}", degree=d)
+        return _zero_module(K, elements, f"S_{lam}")
     big = AlgebraModule(K, {nm: _sym_action(n, lam, K, g, sym, index)
                             for nm, g in elements.items()})
     sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
-    return GLRep(n, K, sub.generators, labels=elements,
-                 name=f"S_{lam}(K^{n})", degree=d)
+    return AlgebraModule(K, sub.generators, labels=elements,
+                         name=f"S_{lam}(K^{n})")
 
 
 def socle_simple(lam, n, K, seed=0):
@@ -229,10 +194,9 @@ def socle_simple(lam, n, K, seed=0):
     S = schur_value(lam, n, K)
     if S.dimension == 0:
         return S
-    rows = _socle_rows(S, seed=seed)
-    sub = restrict_to_submodule(S, rows)
-    return GLRep(n, K, sub.generators, labels=S.labels,
-                 name=f"L_{lam}(K^{n})", degree=S.degree)
+    L = restrict_to_submodule(S, _socle_rows(S, seed=seed))
+    L.name = f"L_{lam}(K^{n})"
+    return L
 
 
 # -- weights -------------------------------------------------------------
@@ -243,7 +207,9 @@ def _torus_matrices(rep):
     The cycle c sends e_i to e_(i+1), so D_(i+1) = c D_i c^(-1) and
     slot i+1 is rho(c) rho(D_i) rho(c)^(n-1); for n = 2 the swap s is that
     cycle."""
-    n = rep.rank
+    n = rep.labels["d"].nrows
+    if n < 1:
+        raise ValueError(f"weights need rank n >= 1, got {n}")
     gens = rep.generators
     out = [gens["d"]]
     if n == 1:
@@ -257,24 +223,22 @@ def _torus_matrices(rep):
     return out
 
 
-def highest_weight(rep, degree=None):
-    """Lexicographically maximal simultaneous torus weight.
+def highest_weight(rep, degree):
+    """Lexicographically maximal simultaneous torus weight of a module
+    that is polynomial of the given degree.
 
     For a finite field of size q, weights are read off as discrete
     logarithms of eigenvalues of the torus generators, so q - 1 must
     exceed the polynomial degree for the answer to be unambiguous.
     """
     K = rep.field
-    d = degree if degree is not None else rep.degree
-    if d is None:
-        raise ValueError("polynomial degree required for weight bounds")
-    if K.order is not None and K.order - 1 <= d:
+    if K.order is not None and K.order - 1 <= degree:
         raise FieldTooSmall(
-            f"need field size q with q-1 > {d}, got q={K.order}")
+            f"need field size q with q-1 > {degree}, got q={K.order}")
     z = K.gen()
     torus = _torus_matrices(rep)
     powers = [K.one]
-    for _ in range(d):
+    for _ in range(degree):
         powers.append(K.mul(powers[-1], z))
     spaces = [[list(r) for r in
                Matrix.identity(K, rep.dimension).rows]]
@@ -318,19 +282,7 @@ def delta_rep(n, K):
     one = Matrix.identity(K, 1)
     zero_m = Matrix(K, [[K.zero]])
     gens = {nm: zero_m if nm == "e" else one for nm in elements}
-    return GLRep(n, K, gens, labels=elements, name="delta", degree=0)
-
-
-def tensor_glrep(a, b):
-    if a.rank != b.rank or a.field is not b.field:
-        raise ValueError("rank/field mismatch")
-    gens = {nm: a.generators[nm].kron(b.generators[nm])
-            for nm in a.gen_names()}
-    deg = None
-    if a.degree is not None and b.degree is not None:
-        deg = a.degree + b.degree
-    return GLRep(a.rank, a.field, gens, labels=a.labels,
-                 name=f"{a.name}(x){b.name}", degree=deg)
+    return AlgebraModule(K, gens, labels=elements, name="delta")
 
 
 def det_twist_check(lam, n, K, seed=0):
@@ -346,8 +298,7 @@ def det_twist_check(lam, n, K, seed=0):
     if L_mu is None:
         rhs = det
     else:
-        rhs = tensor_glrep(L_mu, det)
+        rhs = tensor(L_mu, det)
     ok1 = are_isomorphic(L_lam, rhs, seed=seed)
-    ok2 = are_isomorphic(L_lam, tensor_glrep(L_lam, delta_rep(n, K)),
-                         seed=seed)
+    ok2 = are_isomorphic(L_lam, tensor(L_lam, delta_rep(n, K)), seed=seed)
     return ok1 and ok2

@@ -6,6 +6,7 @@ its count of simples against q^n - q^(n-1), the number of p-regular
 (semisimple) conjugacy classes; nothing here enumerates the group.
 """
 
+from itertools import product
 from math import lcm
 
 from .fields import CapExceeded, Field, MAX_DEGREE, prime_power
@@ -13,8 +14,7 @@ from .matrices import Matrix
 from .modtools import (AlgebraModule, are_isomorphic, composition_factors,
                        end_dim, frobenius_twist, is_simple, tensor)
 from .schurfun import monoid_generator_elements, socle_simple
-from .symgrp import (digit_decomposition, is_q_restricted,
-                     normalize_partition)
+from .symgrp import digit_decomposition, is_p_restricted, normalize_partition
 
 CLASSIFY_CAPS = {(2, 2), (2, 4), (3, 2)}  # plus (1, q) for q <= 9
 
@@ -77,6 +77,8 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     socle-simple module of the i-th digit partition, restricted to the
     group generators.  ``classify`` and ``uniqueness_check`` share a
     dict ``_simples`` (digit -> simple) across their builds."""
+    if n < 1:
+        raise ValueError(f"rank n must be >= 1, got {n}")
     p, e = prime_power(q)
     if K is None:
         K = splitting_field(n, q)
@@ -85,7 +87,7 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     lam = normalize_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} parts")
-    if not is_q_restricted(lam, q):
+    if not is_p_restricted(lam, q):
         raise ValueError(f"{lam} is not {q}-restricted")
     padded = tuple(lam) + (0,) * (n - len(lam))
     digits = [tuple(dg) + (0,) * (n - len(dg))
@@ -102,13 +104,8 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
             _simples[dg] = Li
         expected *= Li.dimension
         twisted = frobenius_twist(Li, i) if i else Li
-        gens = {}
-        for nm in names:
-            g = twisted.generators[nm] if nm in twisted.generators \
-                else twisted.generators["d"]
-            if nm == "d":
-                g = g ** j if j else Matrix.identity(K, twisted.dimension)
-            gens[nm] = g
+        gens = {nm: twisted.generators[nm] for nm in names}
+        gens["d"] = gens["d"] ** j
         restricted.append(AlgebraModule(K, gens))
     module = restricted[0]
     for piece in restricted[1:]:
@@ -144,10 +141,9 @@ def q_restricted_representatives(n, q):
     (q-1, ..., q-1): the q-restricted partitions with at most n parts
     whose last part stays below q - 1 (a last part of q - 1 is the
     shifted copy of a last part of zero)."""
-    from itertools import product as iproduct
     out = []
     for last in range(q - 1):
-        for diffs in iproduct(range(q), repeat=n - 1):
+        for diffs in product(range(q), repeat=n - 1):
             lam = [0] * n
             lam[n - 1] = last
             for i in range(n - 2, -1, -1):

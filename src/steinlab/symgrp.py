@@ -5,16 +5,22 @@ tabloid permutation module; the standard polytabloids are unitriangular
 against the tabloid dominance order, so they stay independent over every
 field and no straightening is needed.  Simple modules in characteristic
 p come from the radical of the canonical bilinear form, for which the
-tabloid basis is orthonormal.  The matrix of every permutation follows
-from those of s = (1 2) and c = (1 2 ... d) by ``rings.monoid_closure``.
+tabloid basis is orthonormal.  A K[S_d]-module is an ``AlgebraModule``
+on the generators s = (1 2) and c = (1 2 ... d), labelled by their
+one-line permutations (2, 1, 3, ..., d) and (2, ..., d, 1), so d is
+``len(labels["c"])``; ``modtools.monoid_actions`` gives every
+permutation's matrix.
+
+``column_alternant`` is the one column antisymmetrizer: it makes the
+polytabloids here and the Schur vectors of ``schurfun`` (Green,
+*Polynomial Representations of GL_n*, LNM 830).
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .fields import CapExceeded
 from .matrices import Matrix, coords_in_basis
 from .modtools import AlgebraModule, quotient_module
-from .rings import monoid_closure
 
 # the largest degree d of a Specht module S^lam, lam a partition of d
 DEGREE_CAP = 7
@@ -53,10 +59,6 @@ def is_p_regular(lam, p):
     """No part is repeated p or more times."""
     lam = normalize_partition(lam)
     return all(lam.count(x) < p for x in set(lam))
-
-
-def is_q_restricted(lam, q):
-    return is_p_restricted(lam, q)
 
 
 def digit_decomposition(lam, p, r):
@@ -108,55 +110,21 @@ def standard_tableaux(lam):
 
 # -- tabloids and polytabloids -------------------------------------------
 
-def _tabloid_of(tableau):
-    return tuple(tuple(sorted(row)) for row in tableau)
-
-
-def _apply_perm_tableau(perm, tableau):
-    """perm as a dict on entries 1..d."""
-    return tuple(tuple(perm[x] for x in row) for row in tableau)
-
-
-def _all_tabloids(lam):
-    d = sum(lam)
-    seen = set()
+def _tabloids(lam):
+    """Every tabloid of shape lam, as a tuple of sorted rows: the ordered
+    set partitions of 1..d with block sizes lam, listed in sorted order
+    (each row runs through ``combinations`` of what is left)."""
     out = []
-    for pi in permutations(range(1, d + 1)):
-        rows = []
-        k = 0
-        for li in lam:
-            rows.append(tuple(sorted(pi[k:k + li])))
-            k += li
-        t = tuple(rows)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    out.sort()
+
+    def rec(rest, rows):
+        if len(rows) == len(lam):
+            out.append(tuple(rows))
+            return
+        for row in combinations(rest, lam[len(rows)]):
+            rec([x for x in rest if x not in row], rows + [row])
+
+    rec(range(1, sum(lam) + 1), [])
     return out
-
-
-def _column_stabilizer(tableau, lam):
-    conj = conjugate(lam)
-    cols = []
-    for j in range(len(conj)):
-        cols.append([tableau[i][j] for i in range(conj[j])])
-    # all products of column permutations, with signs
-    perms = []
-    per_col = []
-    for col in cols:
-        colperms = []
-        for pi in permutations(col):
-            sgn = _perm_sign_on(col, pi)
-            colperms.append((dict(zip(col, pi)), sgn))
-        per_col.append(colperms)
-    for combo in product(*per_col):
-        mapping = {}
-        sgn = 1
-        for m, s in combo:
-            mapping.update(m)
-            sgn *= s
-        perms.append((mapping, sgn))
-    return perms
 
 
 def _perm_sign_on(src, dst):
@@ -178,104 +146,69 @@ def _perm_sign_on(src, dst):
     return sign
 
 
-def _polytabloid_vector(tableau, lam, tabloid_index, k):
-    v = [k.zero] * len(tabloid_index)
-    for mapping, sgn in _column_stabilizer(tableau, lam):
-        t2 = _tabloid_of(_apply_perm_tableau(mapping, tableau))
-        i = tabloid_index[t2]
-        c = k.one if sgn > 0 else k.neg(k.one)
-        v[i] = k.add(v[i], c)
-    return v
+def column_alternant(columns, lam, index, K):
+    """The sum over permutations pi_j of each column j of sign(pi) times
+    the basis vector ``index[key]``, where the filling puts pi_j(i) in
+    cell (i, j) and key is its tuple of sorted rows: a polytabloid when
+    the columns hold a tableau's entries and ``index`` numbers tabloids,
+    and a Schur vector when they hold row numbers of K^n and ``index``
+    numbers products of symmetric-power monomials.  The signs are summed
+    as integers and mapped into K once per coordinate."""
+    acc = [0] * len(index)
+    per_col = [[(pi, _perm_sign_on(col, pi)) for pi in permutations(col)]
+               for col in columns]
+    for combo in product(*per_col):
+        sign = 1
+        for _, s in combo:
+            sign *= s
+        acc[index[tuple(tuple(sorted(combo[j][0][i] for j in range(li)))
+                        for i, li in enumerate(lam))]] += sign
+    return [K.from_int(c) if c else K.zero for c in acc]
+
+
+def _columns(tableau):
+    """The columns of a tableau, top to bottom."""
+    return [[row[j] for row in tableau if len(row) > j]
+            for j in range(len(tableau[0]))]
 
 
 # -- symmetric group modules ---------------------------------------------
 
-class SymModule:
-    """A K[S_d]-module given by its degree, field, and the matrices of
-    the generators s = (1 2) and c = (1 2 ... d)."""
-
-    def __init__(self, degree, field, gen_s, gen_c, name=""):
-        self.degree = degree
-        self.field = field
-        self.gen_s = gen_s
-        self.gen_c = gen_c
-        self.dimension = gen_s.nrows
-        self.name = name
-        self._perm_cache = None
-
-    def generators(self):
-        return {"s": self.gen_s, "c": self.gen_c}
-
-    def perm_matrix(self, perm):
-        """Matrix of an arbitrary permutation, given in one-line notation
-        as a tuple (perm[i] = image of i+1); the matrices of all of S_d
-        are built once by ``rings.monoid_closure`` over {s, c}."""
-        if self._perm_cache is None:
-            d = self.degree
-            ident = tuple(range(1, d + 1))
-            s = (2, 1, *range(3, d + 1)) if d > 1 else ident
-            c = (*range(2, d + 1), 1)
-            mats = [self.gen_s, self.gen_c]
-            cache = {ident: Matrix.identity(self.field, self.dimension)}
-            # left action: (g o pi)(i) = g(pi(i))
-            for tau, k, pi in monoid_closure(
-                    lambda g, pi: tuple(g[x - 1] for x in pi), [ident],
-                    [s, c]):
-                cache[tau] = mats[k] * cache[pi]
-            self._perm_cache = cache
-        return self._perm_cache[tuple(perm)]
-
-    def __repr__(self):
-        tag = f" {self.name}" if self.name else ""
-        return (f"SymModule(S_{self.degree},{tag} dim {self.dimension} "
-                f"over {self.field.label()})")
+def _polytabloids(lam, k, perms):
+    """For each one-line permutation g of ``perms`` in turn, the
+    polytabloid of every standard tableau of shape lam with its entries
+    relabelled by g, in tabloid coordinates."""
+    index = {t: i for i, t in enumerate(_tabloids(lam))}
+    stds = standard_tableaux(lam)
+    return [column_alternant([[g[x - 1] for x in col] for col in _columns(t)],
+                             lam, index, k) for g in perms for t in stds]
 
 
 def specht_module(lam, k):
-    """The Specht module S^lam over k on the standard-polytabloid basis."""
+    """The Specht module S^lam over k on the standard-polytabloid basis,
+    with its generators s and c labelled by their one-line permutations."""
     lam = normalize_partition(lam)
     d = sum(lam)
     if d > DEGREE_CAP:
         raise CapExceeded(f"degree {d} exceeds cap {DEGREE_CAP}")
     if d == 0:
         raise ValueError("empty partition")
-    tabloids = _all_tabloids(lam)
-    index = {t: i for i, t in enumerate(tabloids)}
-    stds = standard_tableaux(lam)
-    basis = [_polytabloid_vector(t, lam, index, k) for t in stds]
-
-    def perm_images(perm_map):
-        imgs = []
-        for t in stds:
-            t2 = _apply_perm_tableau(perm_map, t)
-            imgs.append(_polytabloid_vector(t2, lam, index, k))
-        return imgs
-
-    ident = {i: i for i in range(1, d + 1)}
-    s_map = dict(ident)
-    if d >= 2:
-        s_map[1], s_map[2] = 2, 1
-    c_map = {i: (i % d) + 1 for i in range(1, d + 1)}
-    X = coords_in_basis(k, basis, perm_images(s_map) + perm_images(c_map))
-    gs = Matrix(k, [r[:len(stds)] for r in X.rows])
-    gc = Matrix(k, [r[len(stds):] for r in X.rows])
-    mod = SymModule(d, k, gs, gc, name=f"S^{lam}")
-    mod.polytabloid_basis = basis
-    mod.tabloids = tabloids
-    return mod
-
-
-def specht_gram_matrix(mod):
-    """Gram matrix of the canonical bilinear form in the polytabloid
-    basis (the tabloid basis is orthonormal)."""
-    k = mod.field
-    E = Matrix(k, mod.polytabloid_basis)
-    return E * E.transpose()
+    labels = {"s": (2, 1, *range(3, d + 1)) if d >= 2 else (1,),
+              "c": (*range(2, d + 1), 1)}
+    vecs = _polytabloids(lam, k, [tuple(range(1, d + 1)), labels["s"],
+                                  labels["c"]])
+    n = len(vecs) // 3
+    X = coords_in_basis(k, vecs[:n], vecs[n:])
+    return AlgebraModule(k, {"s": Matrix(k, [r[:n] for r in X.rows]),
+                             "c": Matrix(k, [r[n:] for r in X.rows])},
+                         labels=labels, name=f"S^{lam}")
 
 
 def simple_module(lam, k):
     """D^lam = S^lam / rad over a field of characteristic p, for
-    p-regular lam; nonzero by p-regularity."""
+    p-regular lam; nonzero by p-regularity.  rad is the kernel of the
+    Gram matrix of the canonical bilinear form in the polytabloid basis
+    (the tabloid basis is orthonormal)."""
     lam = normalize_partition(lam)
     p = k.char
     if p == 0:
@@ -283,11 +216,11 @@ def simple_module(lam, k):
     if not is_p_regular(lam, p):
         raise ValueError(f"{lam} is not {p}-regular")
     S = specht_module(lam, k)
-    G = specht_gram_matrix(S)
-    rad = G.kernel_basis()  # RREF rows
+    E = Matrix(k, _polytabloids(lam, k, [tuple(range(1, sum(lam) + 1))]))
+    rad = (E * E.transpose()).kernel_basis()  # RREF rows
     if rad.nrows == 0:
         S.name = f"D^{lam}"
         return S
-    D = quotient_module(AlgebraModule(k, S.generators()), rad.rows)
-    return SymModule(S.degree, k, D.generators["s"], D.generators["c"],
-                     name=f"D^{lam}")
+    D = quotient_module(S, rad.rows)
+    D.name = f"D^{lam}"
+    return D

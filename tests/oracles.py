@@ -1,11 +1,13 @@
 """Brute-force oracles for the tests, kept out of the package they check.
 
 Each answers a question that ``steinlab`` answers by construction, by
-exhaustion instead: enumerating GL_n(F_q), counting tableaux, decomposing
-the regular representation, or summing cross-effect dimensions.
+exhaustion instead: enumerating GL_n(F_q) or S_d, counting tableaux,
+decomposing the regular representation, or summing cross-effect
+dimensions.  The polytabloid and Schur-vector oracles are the two column
+antisymmetrizers that ``symgrp.column_alternant`` replaced.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from steinlab.fields import Field
@@ -13,8 +15,9 @@ from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
                                composition_factors)
+from steinlab.schurfun import _sym_basis
 from steinlab.steinberg import group_generator_matrices, group_generator_names
-from steinlab.symgrp import conjugate, normalize_partition
+from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
 
 
 # -- GL_n(F_q) by enumeration ---------------------------------------------
@@ -164,6 +167,95 @@ def semistandard_count(lam, n):
                 continue
             yield from rec(cells + [list(row)])
     return sum(rec([]))
+
+
+# -- tabloids, polytabloids and Schur vectors -----------------------------
+
+def all_tabloids(lam):
+    """Every tabloid of shape lam, sorted, read off all d! permutations."""
+    d = sum(lam)
+    seen = set()
+    out = []
+    for pi in permutations(range(1, d + 1)):
+        rows = []
+        k = 0
+        for li in lam:
+            rows.append(tuple(sorted(pi[k:k + li])))
+            k += li
+        t = tuple(rows)
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    out.sort()
+    return out
+
+
+def column_stabilizer(tableau, lam):
+    """Every permutation of the column stabilizer of a tableau, as a dict
+    on its entries, with its sign."""
+    conj = conjugate(lam)
+    cols = []
+    for j in range(len(conj)):
+        cols.append([tableau[i][j] for i in range(conj[j])])
+    perms = []
+    per_col = []
+    for col in cols:
+        colperms = []
+        for pi in permutations(col):
+            sgn = _perm_sign_on(col, pi)
+            colperms.append((dict(zip(col, pi)), sgn))
+        per_col.append(colperms)
+    for combo in product(*per_col):
+        mapping = {}
+        sgn = 1
+        for m, s in combo:
+            mapping.update(m)
+            sgn *= s
+        perms.append((mapping, sgn))
+    return perms
+
+
+def polytabloid_vector(tableau, lam, tabloid_index, k):
+    """The polytabloid of a tableau in tabloid coordinates, summed in k
+    term by term over its column stabilizer."""
+    v = [k.zero] * len(tabloid_index)
+    for mapping, sgn in column_stabilizer(tableau, lam):
+        t2 = tuple(tuple(sorted(mapping[x] for x in row)) for row in tableau)
+        i = tabloid_index[t2]
+        c = k.one if sgn > 0 else k.neg(k.one)
+        v[i] = k.add(v[i], c)
+    return v
+
+
+def schur_image_vectors(lam, n, K):
+    """The images of the exterior-power product basis in the product of
+    symmetric powers Sym^(lam_1) x ..., one per choice of strictly
+    increasing rows of K^n in each column, summed term by term."""
+    lam = normalize_partition(lam)
+    conj = conjugate(lam)
+    sym = _sym_basis(n, lam)
+    index = {b: i for i, b in enumerate(sym)}
+    vectors = []
+    col_choices = [list(combinations(range(n), c)) for c in conj]
+    for choice in product(*col_choices):
+        v = [K.zero] * len(sym)
+        per_col = []
+        for subset in choice:
+            per_col.append([(pi, _perm_sign_on(subset, pi))
+                            for pi in permutations(subset)])
+        for combo in product(*per_col):
+            # cell (i, j) gets combo[j][0][i]
+            sign = 1
+            for _, s in combo:
+                sign *= s
+            key = []
+            for i, li in enumerate(lam):
+                key.append(tuple(sorted(combo[j][0][i] for j in range(li))))
+            idx = index[tuple(key)]
+            c = K.one if sign > 0 else K.neg(K.one)
+            v[idx] = K.add(v[idx], c)
+        vectors.append(v)
+    return sym, vectors
 
 
 # -- functors -------------------------------------------------------------

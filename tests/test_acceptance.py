@@ -69,7 +69,7 @@ def test_criterion_03_highest_weights():
                     if not L.dimension:
                         continue
                     want = tuple(lam) + (0,) * (n - len(lam))
-                    assert sf.highest_weight(L) == want
+                    assert sf.highest_weight(L, d) == want
 
 
 def test_criterion_04_det_twist():
@@ -119,7 +119,7 @@ def test_criterion_07_grassmannian_intermediate_extension():
     T = fc.intermediate_extension_functor(delta, 4)
     assert T.dims() == [2 ** m - 1 for m in range(5)]
     for m in range(1, 5):
-        assert is_simple(fc.functor_value_module(T, m).module)
+        assert is_simple(fc.functor_value_module(T, m))
     prof = fc.dimension_profile(T)
     assert prof["fit_ok"]
     assert prof["fit"] == ["-1", "1"]

@@ -298,3 +298,53 @@ def test_missing_action_option_is_code_2(argv, option):
 ])
 def test_prime_power_refusals_are_code_2(argv, message):
     assert run(argv) == (2, message)
+
+
+GR1 = ["--ring", "F_2", "--coeff", "F_3", "--functor", "gr1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steinberg", "build", "--n", "0", "--q", "2", "--lam", "0"],
+     "rank n must be >= 1, got 0"),
+    (["steinberg", "unique", "--n", "0", "--q", "2", "--lam", "0",
+      "--lam2", "0"], "rank n must be >= 1, got 0"),
+    (["functor", "ideal", *GR1, "--n", "-2"], "rank n must be >= 0, got -2"),
+    (["emlpoly", "linearize", "--orders", "0,2,0"],
+     "cyclic orders must be >= 2, got 0"),
+    (["emlpoly", "degree", "--ring", "F_4", "--map", "pow-1"],
+     "map exponent must be >= 0, got -1"),
+    (["functor", "dimtable", *GR1, "--rank", "-1"],
+     "truncation rank must be >= 0, got -1"),
+    (["functor", "crosseffect", *GR1, "--rank", "-1"],
+     "truncation rank must be >= 0, got -1"),
+    (["schur", "eval", "--lam", "1", "--n", "-1", "--coeff", "Q"],
+     "rank n must be >= 0, got -1"),
+    (["elementary", "eval", "--lam", "1", "--n", "-1", "--coeff", "Q"],
+     "rank n must be >= 0, got -1"),
+    (["functor", "degree", *GR1, "--cap", "-1"], "cap must be >= 0, got -1"),
+    (["schur", "weight", "--lam", "1", "--n", "0", "--coeff", "F_5"],
+     "weights need rank n >= 1, got 0"),
+], ids=["build-n0", "unique-n0", "ideal-n-2", "linearize-order0",
+        "map-pow-1", "dimtable-rank-1", "crosseffect-rank-1", "schur-n-1",
+        "elementary-n-1", "degree-cap-1", "weight-n0"])
+def test_edge_values_are_code_2(argv, message):
+    assert run(argv) == (2, f"error: {message}")
+
+
+def test_batch_job_with_an_edge_value_fails_alone(tmp_path):
+    jobs = [
+        {"args": ["partition", "conj", "--lam", "3,1"]},
+        {"args": ["steinberg", "build", "--n", "0", "--q", "2",
+                  "--lam", "0"]},
+        {"args": ["schur", "eval", "--lam", "1,1", "--n", "2",
+                  "--coeff", "Q"]},
+    ]
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps(jobs))
+    code, out = run(["batch", str(mf)])
+    assert code == 0
+    report = json.loads(out)
+    assert [r["code"] for r in report["results"]] == [0, 2, 0]
+    assert report["results"][1]["output"] == \
+        "error: rank n must be >= 1, got 0"
+    assert json.loads(report["results"][2]["output"])["dimension"] == 1

@@ -13,11 +13,12 @@ from steinlab import functorcat as fc
 from steinlab.cli import make_functor
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, span_from_spins
-from steinlab.modtools import AlgebraModule, frobenius_twist
+from steinlab.modtools import AlgebraModule, frobenius_twist, monoid_actions
 from steinlab.rings import (FiniteRing, RingIdeal, mat_mul,
                             matrix_monoid_generators, monoid_closure)
+from steinlab import schurfun as sf
 from steinlab.schurfun import socle_simple
-from steinlab.symgrp import specht_module
+from steinlab.symgrp import simple_module, specht_module
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -83,12 +84,17 @@ def _matrices_case():
             [F.act_ranks(g, 2, 2) for g in gens])
 
 
+def _perm_mul(g, pi):
+    return tuple(g[x - 1] for x in pi)
+
+
 def _perms_case():
     S = specht_module((2, 1, 1), F3)
+    perm_matrix = dict(monoid_actions(S, _perm_mul, (1, 2, 3, 4)))
     gens = [(2, 1, 3, 4), (2, 3, 4, 1), (3, 2, 1, 4)]
-    return ((lambda g, pi: tuple(g[x - 1] for x in pi)), (1, 2, 3, 4),
+    return (_perm_mul, (1, 2, 3, 4),
             Matrix.identity(F3, S.dimension), gens,
-            [S.perm_matrix(g) for g in gens])
+            [perm_matrix[g] for g in gens])
 
 
 def _sums_case():
@@ -115,11 +121,48 @@ def test_closure_reaches_whole_monoids():
     mul, start, unit, gens, acts = _perms_case()
     table = closure_table(mul, start, unit, gens, acts)
     S = specht_module((2, 1, 1), F3)
+    perm_matrix = dict(monoid_actions(S, _perm_mul, (1, 2, 3, 4)))
     assert sorted(table) == sorted(permutations(range(1, 5)))
-    assert all(table[pi] == S.perm_matrix(pi) for pi in table)
+    assert all(table[pi] == perm_matrix[pi] for pi in table)
     Z12 = FiniteRing("Z/12")
     assert RingIdeal(Z12, [(8,), (6,)]).elements == frozenset(
         (a,) for a in (0, 2, 4, 6, 8, 10))
+
+
+def _labelled_modules():
+    """(name, module, product, identity) for every kind of construction."""
+    F4 = Field.galois(2, 2)
+    S = specht_module((2, 1, 1), F3)
+    D = simple_module((3, 1), F2)
+    matrix = [("schur_value", sf.schur_value((2, 1), 2, F3)),
+              ("socle_simple", sf.socle_simple((2, 1), 2, F4)),
+              ("elementary_value",
+               sf.elementary_value(simple_module((3, 1), F3), 2, F3)),
+              ("delta_rep", sf.delta_rep(2, F3))]
+    value = fc.functor_value_module(make_functor("gr1", F2RING, F3, 2), 2)
+    return ([(nm, M, _perm_mul, tuple(range(1, len(M.labels["c"]) + 1)))
+             for nm, M in (("specht_module", S), ("simple_module", D))]
+            + [(nm, M, lambda g, x: g * x,
+                Matrix.identity(M.labels["d"].field, 2))
+               for nm, M in matrix]
+            + [("functor_value_module", value,
+                lambda g, x: mat_mul(F2RING, g, x, 2),
+                matrix_monoid_generators(F2RING, 2)[0])])
+
+
+LABELLED = _labelled_modules()
+
+
+@pytest.mark.parametrize("name, M, mul, one", LABELLED,
+                         ids=[case[0] for case in LABELLED])
+def test_constructions_are_labelled_algebra_modules(name, M, mul, one):
+    # the labels generate a monoid on which the generators act: every
+    # element's matrix, times a generator's, is the matrix of the product
+    assert isinstance(M, AlgebraModule) and M.dimension > 0
+    table = dict(monoid_actions(M, mul, one))
+    for x, act in table.items():
+        for nm in M.gen_names():
+            assert table[mul(M.labels[nm], x)] == M.generators[nm] * act
 
 
 FIELDS = [F2, F3, Field.galois(2, 2), QQ]

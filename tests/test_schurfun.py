@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from steinlab import schurfun as sf
@@ -6,7 +8,7 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.modtools import end_dim, is_simple
 
-from oracles import all_partitions, semistandard_count
+from oracles import all_partitions, schur_image_vectors, semistandard_count
 
 
 def test_char0_sym_and_alt():
@@ -104,7 +106,7 @@ def torus_by_words(rep):
     """The torus generators diag(1,...,z,...,1) built the long way: each
     transposition (1 i) as the word s_(i-1)...s_2 s_1 s_2...s_(i-1) in the
     adjacent transpositions s_k = c^(k-1) s c^(-(k-1)), then (1 i) D_1 (1 i)."""
-    n = rep.rank
+    n = rep.labels["d"].nrows
     gens = rep.generators
     D1 = gens["d"]
     out = [D1]
@@ -149,3 +151,18 @@ def test_torus_conjugation_matches_word_oracle(K):
                             torus_by_words(rep)
                         checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("K", [Field.prime(2), Field.prime(3),
+                               Field.galois(2, 2), QQ],
+                         ids=lambda K: K.label())
+def test_schur_alternants_match_oracle(K):
+    for d in range(1, 7):
+        for lam in all_partitions(d):
+            for n in range(1, 4 if d > 4 else 5):
+                sym, want = schur_image_vectors(lam, n, K)
+                index = {b: i for i, b in enumerate(sym)}
+                got = [sg.column_alternant(choice, lam, index, K)
+                       for choice in product(*[combinations(range(n), c)
+                                               for c in sg.conjugate(lam)])]
+                assert got == want

@@ -5,8 +5,12 @@ import pytest
 from steinlab import symgrp as sg
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
+from steinlab.modtools import monoid_actions
 
-from oracles import all_partitions, hook_length_count, recompose_digits
+from oracles import (all_partitions, all_tabloids, hook_length_count,
+                     polytabloid_vector, recompose_digits)
+
+ALTERNANT_FIELDS = [Field.prime(2), Field.prime(3), Field.galois(2, 2), QQ]
 
 
 def test_conjugate():
@@ -20,7 +24,7 @@ def test_restricted_and_regular():
     assert not sg.is_p_restricted((2,), 2)
     assert sg.is_p_regular((2, 1), 2)
     assert not sg.is_p_regular((1, 1), 2)
-    assert sg.is_q_restricted((3, 2), 4)
+    assert sg.is_p_restricted((3, 2), 4)
 
 
 def test_digit_decomposition():
@@ -36,7 +40,7 @@ def test_digit_roundtrip_exhaustive():
     for a in range(q):
         for b in range(a + 1):
             lam = (a, b)
-            if not sg.is_q_restricted(lam, q):
+            if not sg.is_p_restricted(lam, q):
                 continue
             digs = sg.digit_decomposition(lam, p, r)
             assert all(sg.is_p_restricted(d, p) for d in digs)
@@ -72,7 +76,9 @@ def test_perm_matrix_multiplicative():
     a = (2, 1, 3)   # the transposition (1 2), one-line notation
     b = (2, 3, 1)   # the 3-cycle
     ab = tuple(a[b[i] - 1] for i in range(3))
-    assert S.perm_matrix(a) * S.perm_matrix(b) == S.perm_matrix(ab)
+    perm_matrix = dict(monoid_actions(
+        S, lambda g, pi: tuple(g[x - 1] for x in pi), (1, 2, 3)))
+    assert perm_matrix[a] * perm_matrix[b] == perm_matrix[ab]
 
 
 def test_simple_modules_s3_char3():
@@ -86,8 +92,8 @@ def test_simple_d21_char3_is_sign():
     K = Field.prime(3)
     D = sg.simple_module((2, 1), K)
     assert D.dimension == 1
-    assert D.gen_s == Matrix(K, [[K.neg(K.one)]])
-    assert D.gen_c == Matrix(K, [[K.one]])
+    assert D.generators["s"] == Matrix(K, [[K.neg(K.one)]])
+    assert D.generators["c"] == Matrix(K, [[K.one]])
 
 
 def test_simple_rejects_p_singular():
@@ -105,3 +111,15 @@ def test_gram_radical():
     D = sg.simple_module((3, 1), K)
     assert S.dimension == 3
     assert D.dimension < S.dimension
+
+
+@pytest.mark.parametrize("K", ALTERNANT_FIELDS, ids=lambda K: K.label())
+def test_polytabloids_and_tabloids_match_oracles(K):
+    for d in range(1, 7):
+        for lam in all_partitions(d):
+            tabloids = sg._tabloids(lam)
+            assert tabloids == all_tabloids(lam)
+            index = {t: i for i, t in enumerate(tabloids)}
+            for t in sg.standard_tableaux(lam):
+                assert sg.column_alternant(sg._columns(t), lam, index, K) \
+                    == polytabloid_vector(t, lam, index, K)
