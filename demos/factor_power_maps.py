@@ -13,14 +13,14 @@ from steinlab.rings import FiniteRing
 
 def show(qlabel, K, power):
     R = FiniteRing(qlabel)
-    phi = emlpoly.RingMap(R, K, func=lambda a: K.pow(a[0], power))
+    phi = emlpoly.RingMap(R, K, func=lambda a: K.pow(a, power))
     f = phi.as_abmap()
     d = emlpoly.eml_degree(f, 8)
     factors, L = emlpoly.factor_multiplicative(phi)
     print(f"x^{power} on {qlabel}: degree {d}, "
           f"{len(factors)} factor(s) over {L.label()}")
     for i, h in enumerate(factors):
-        row = ", ".join(f"{a[0]}->{h(a)}" for a in R.elements())
+        row = ", ".join(f"{a}->{h(a)}" for a in R.elements())
         print(f"  factor {i}: {row}")
 
 

@@ -70,8 +70,7 @@ def make_functor(name, ring, K, N):
         if not homs:
             raise ValueError(f"no ring homomorphism {ring.label()} -> "
                              f"{K.label()}")
-        return functorcat.additive_functor(ring, K, N,
-                                           lambda a: homs[0](a))
+        return functorcat.additive_functor(ring, K, N, homs[0])
     if name in ("p", "rep"):
         return functorcat.representable_functor(ring, K, N)
     if name == "gr1":
@@ -96,15 +95,12 @@ def make_functor_expr(expr, ring, K, N):
 
 def make_ring_map(ring, name):
     """A named self-map of a finite field, as a map into that field."""
-    if len(ring.components) != 1 or not hasattr(ring.components[0],
-                                                "field"):
-        raise ValueError("named ring maps need a finite-field ring")
-    K = ring.components[0].field
+    K = ring.as_field()
     if name.startswith("pow"):
         k = int(name[3:])
         if k < 0:
             raise ValueError(f"map exponent must be >= 0, got {k}")
-        return emlpoly.RingMap(ring, K, func=lambda a: K.pow(a[0], k))
+        return emlpoly.RingMap(ring, K, func=lambda a: K.pow(a, k))
     raise ValueError(f"unknown map {name!r}")
 
 
@@ -166,11 +162,16 @@ def cmd_emlpoly(args):
         factors, ext = emlpoly.factor_multiplicative(phi, cap=args.cap)
         out = []
         for h in factors:
-            out.append({str(a): str(h(a)) for a in ring.elements()})
+            out.append({str(ring.parts(a)): str(h(a))
+                        for a in ring.elements()})
         return {"count": len(factors), "extension": ext.label(),
                 "homs": out}
     if args.action == "linearize":
-        a, b, c = [int(x) for x in args.orders.split(",")]
+        orders = [int(x) for x in args.orders.split(",")]
+        if len(orders) != 3:
+            raise ValueError(f"--orders needs three orders a,b,c, got "
+                             f"{args.orders!r}")
+        a, b, c = orders
         A = emlpoly.AbGroup((a,))
         B = emlpoly.AbGroup((b,))
         C = emlpoly.AbGroup((c,))
@@ -264,7 +265,7 @@ def cmd_functor(args):
         return {"dims": T.dims()}
     if args.action == "ideal":
         I = functorcat.unipotence_ideal(F, args.n)
-        return {"ideal": sorted(str(a) for a in I.elements),
+        return {"ideal": sorted(str(ring.parts(a)) for a in I.elements),
                 "size": len(I.elements),
                 "cotrivial": functorcat.ideal_is_cotrivial(F, I)}
     if args.action == "tensor":

@@ -7,11 +7,14 @@ The d-th deviation of f: U -> V is
 
 and f is polynomial of degree <= d when dev_{d+1}(f) vanishes
 identically.  Sources are finite abelian groups or Z restricted to a
-bounded evaluation window W.  There dev_d is tested on arguments in
-[-b, b], b = W // d, whose partial sums fill [-d*b, d*b]; it vanishes
-exactly when the d-th finite differences of f on [-d*b, d*b] do (Passi,
-LNM 715: the (t^u_1 - 1)...(t^u_d - 1) with |u_i| <= b span the same
-Z-module as the t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
+bounded evaluation window W.  A ``FiniteRing`` is its own additive
+group: the deviation code reads only its ``zero``, ``add`` and
+``elements()``, so ``rings.RingMap.as_abmap`` gives the ring itself as
+the source.  On Z, dev_d is tested on arguments in [-b, b], b = W // d,
+whose partial sums fill [-d*b, d*b]; it vanishes exactly when the d-th
+finite differences of f on [-d*b, d*b] do (Passi, LNM 715: the
+(t^u_1 - 1)...(t^u_d - 1) with |u_i| <= b span the same Z-module as the
+t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from math import factorial
 
 from .fields import MAX_DEGREE, Field, QQ
 from .matrices import Matrix
-from .rings import ring_homs
+from .rings import NotMultiplicative, RingMap, ring_homs
 
 
 class WindowOverflow(ValueError):
@@ -38,6 +41,11 @@ class NotPolynomialUpTo:
 
     def __repr__(self):
         return f"NotPolynomialUpTo({self.cap})"
+
+
+def _is_window(U):
+    """Whether the source U is Z with an evaluation window."""
+    return isinstance(U, AbGroup) and U.is_integers
 
 
 class AbGroup:
@@ -138,7 +146,7 @@ class AbMap:
     def __init__(self, source, target, table=None, func=None):
         self.source = source
         self.target = target
-        if source.is_integers:
+        if _is_window(source):
             if func is None:
                 raise ValueError("Z-source maps need a callback")
             self.func = func
@@ -205,7 +213,7 @@ def deviation_vanishes(f, d):
     if d < 0:
         raise ValueError(f"deviation order d must be >= 0, got {d}")
     U = f.source
-    if U.is_integers and d:
+    if d and _is_window(U):
         b = U.window // d
         if b == 0:
             return True
@@ -268,16 +276,12 @@ def homogeneous_decomposition(f, cap=8):
         return fk
 
     src = f.source
-    if src.is_integers:
+    if _is_window(src):
         src = AbGroup(window=src.window // max(d, 1))
     return [AbMap(src, f.target, func=component(k)) for k in range(d + 1)]
 
 
 # -- multiplicative factorization ---------------------------------------
-
-class NotMultiplicative(ValueError):
-    pass
-
 
 class NotPolynomial(ValueError):
     pass
@@ -297,7 +301,7 @@ class _IntegerHom:
         return isinstance(other, _IntegerHom)
 
     def __repr__(self):
-        return "RingHom(Z -> Q)"
+        return "RingMap(Z -> Q)"
 
 
 def factor_multiplicative(phi, cap=8):
@@ -313,9 +317,9 @@ def factor_multiplicative(phi, cap=8):
     Also accepts the Z -> Q special case as an AbMap with integer
     source, where the only candidates are powers of the inclusion.
     """
-    if hasattr(phi, "ring"):
+    if isinstance(phi, RingMap):
         return factor_ring_map(phi, cap=cap)
-    if isinstance(phi.source, AbGroup) and phi.source.is_integers:
+    if _is_window(phi.source):
         d = eml_degree(phi, cap)
         if isinstance(d, NotPolynomialUpTo):
             raise NotPolynomial(f"not polynomial up to degree {cap}")
@@ -325,58 +329,6 @@ def factor_multiplicative(phi, cap=8):
                 raise NotMultiplicative("Z-source map is not x^d")
         return [_IntegerHom() for _ in range(d)], QQ
     raise TypeError("expected a RingMap or a Z-source AbMap")
-
-
-class RingMap:
-    """A set map from a FiniteRing to a Field, the multiplicative input
-    of the factorization routine."""
-
-    def __init__(self, ring, field, table=None, func=None):
-        self.ring = ring
-        self.field = field
-        if table is None:
-            table = {a: func(a) for a in ring.elements()}
-        self.table = dict(table)
-
-    def __call__(self, a):
-        return self.table[tuple(a)]
-
-    def check_multiplicative(self):
-        R, K = self.ring, self.field
-        if self(R.one) != K.one:
-            raise NotMultiplicative("does not send 1 to 1")
-        els = R.elements()
-        for a in els:
-            for b in els:
-                if self(R.mul(a, b)) != K.mul(self(a), self(b)):
-                    raise NotMultiplicative(f"fails at {a} * {b}")
-
-    def as_abmap(self):
-        """View through the additive structure, for degree computations."""
-        src = _additive_group_of_ring(self.ring)
-        table = {_ring_elem_to_tuple(self.ring, a): self(a)
-                 for a in self.ring.elements()}
-        return AbMap(src, self.field, table=table)
-
-
-def _additive_group_of_ring(ring):
-    orders = []
-    for c in ring.components:
-        if hasattr(c, "m"):
-            orders.append(c.m)
-        else:
-            orders.extend([c.field.char] * c.field.degree)
-    return AbGroup(orders)
-
-
-def _ring_elem_to_tuple(ring, a):
-    out = []
-    for c, v in zip(ring.components, a):
-        if hasattr(c, "m"):
-            out.append(v)
-        else:
-            out.extend(c.field.to_coeffs(v))
-    return tuple(out)
 
 
 def factor_ring_map(phi, cap=8):

@@ -3,7 +3,8 @@ truncated at a rank bound.
 
 A functor is stored rule-backed: a dimension rule per rank and an
 action rule producing the matrix of F(h) for an explicit A-linear map
-h: A^m -> A^m' (h given as an m' x m tuple-of-tuples over the ring).
+h: A^m -> A^m' (h given as an m' x m tuple-of-tuples of ring element
+labels).
 Full action tables over all of Hom(A^m, A^m') are never materialized;
 every computation below only evaluates the handful of maps it needs.
 
@@ -21,11 +22,12 @@ every element of M_n(A) that the seeds need comes from
 intermediate-extension module at rank m is the functor's value module
 there (``functor_value_module``).
 
-A map's index in ``all_ring_homs_matrices`` reads its entries' ring
-labels as mixed-radix digits.  ``_row_table`` lists the index of x.h for
-every row vector x, on the ring's label tables, and the index of g.h is
-a sum of row-table entries over the rows of g: precomposition and the
-representable action form no ring matrix product per Hom element.
+A map's index in ``all_ring_homs_matrices`` reads its entries (ring
+element labels) as mixed-radix digits.  ``_row_table`` lists the index
+of x.h for every row vector x, on the ring's Cayley tables, and the
+index of g.h is a sum of row-table entries over the rows of g:
+precomposition and the representable action form no ring matrix product
+per Hom element.
 """
 
 from functools import cached_property
@@ -141,18 +143,12 @@ def representable_functor(ring, field, N):
     return FunctorRep(ring, field, N, dim_rule, act, name="P")
 
 
-def _field_of_ring(ring):
-    if len(ring.components) != 1 or not hasattr(ring.components[0], "field"):
-        raise ValueError("need a ring that is a single finite field")
-    return ring.components[0].field
-
-
 def grassmannian_functor(ring, field, N):
     """K[Gr_1]: the free K-module on the lines of A^m, for A a finite
     field.  A line is listed by its vector whose first nonzero entry is
     1, in ``product`` order; h sends it to the line of h.v scaled to a
     leading 1, or to zero when h.v = 0."""
-    kA = _field_of_ring(ring)
+    kA = ring.as_field()
     cache = {}
 
     def lines(m):
@@ -167,7 +163,7 @@ def grassmannian_functor(ring, field, N):
         vecs2, index2 = lines(m2)
         if m == 0 or m2 == 0:
             return Matrix.zero(field, len(vecs2), len(vecs))
-        hm = Matrix(kA, [[x[0] for x in row] for row in h])
+        hm = Matrix(kA, [list(row) for row in h])
         z, o = field.zero, field.one
         mat = [[z] * len(vecs) for _ in range(len(vecs2))]
         for j, v in enumerate(vecs):
@@ -309,14 +305,14 @@ class MonoidModule(AlgebraModule):
 def _row_table(ring, h, k, cols):
     """The index of x.h in A^cols for every row vector x in A^k, in index
     order, for a k x cols ring matrix h: built one row of h at a time on
-    the ring's label tables, as x = (x', a) has x.h = x'.h + a.h[t]."""
+    the ring's Cayley tables, as x = (x', a) has x.h = x'.h + a.h[t]."""
     q = ring.size
     if not cols:
         return [0] * q ** k
-    add, mul = ring.label_tables
-    vecs = [(ring.index[ring.zero],) * cols]
+    add, mul = ring.cayley_tables
+    vecs = [(ring.zero,) * cols]
     for t in range(k):
-        row = [ring.index[x] for x in h[t]]
+        row = h[t]
         vecs = [tuple([add[u][mul[a][y]] for u, y in zip(v, row)])
                 for v in vecs for a in range(q)]
     weights = [q ** j for j in reversed(range(cols))]

@@ -497,11 +497,8 @@ def quotient_module(mod, basis_rows):
 
     gens = {}
     for name, g in mod.generators.items():
-        cols = []
-        for j in free:
-            e = [F.zero] * mod.dimension
-            e[j] = F.one
-            cols.append(reduce_vec(g.apply_to_vector(e)))
+        # the image of basis vector j is column j of g
+        cols = [reduce_vec([row[j] for row in g.rows]) for j in free]
         gens[name] = Matrix(F, [list(r) for r in zip(*cols)])
     return AlgebraModule(F, gens, labels=mod.labels,
                          name=f"{mod.name}/sub" if mod.name else "")

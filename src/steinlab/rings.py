@@ -1,10 +1,17 @@
 """Finite commutative rings given as products of Z/m and F_{p^e} components.
 
 Spec strings look like ``"Z/6"``, ``"F_4"`` or ``"Z/4xF_9"`` (components
-joined by 'x').  Elements are tuples of component values: plain residues
-for cyclic components, encoded field elements for Galois components.
-A ring also labels its elements 0..|A|-1 in ``elements()`` order, with
-add and mul tables on the labels, built once per ring instance.
+joined by 'x').  An element is its label, an int in ``range(|A|)``: the
+tuples of component values (a residue for Z/m, an element label for
+F_q), numbered with the last component fastest.  So ``elements()`` is
+``range(|A|)``, and for a single component the label is the component
+value itself.  Arithmetic works per component on the label, or is the
+component's own when there is only one; the component tuple of a label
+(``FiniteRing.parts``) is read only here and where text is printed.
+
+``RingMap`` is the one map from a ring to a field: a value table on the
+labels.  ``ring_homs`` returns the ring homomorphisms in that form, and
+``emlpoly`` factors multiplicative maps given in it.
 
 ``monoid_closure`` is the one closure routine of the package: ideals here
 and ``modtools.monoid_actions`` are its two callers.  The second gives the
@@ -25,6 +32,10 @@ class RingError(ValueError):
     pass
 
 
+class NotMultiplicative(RingError):
+    pass
+
+
 class _CyclicComponent:
     """The ring Z/m."""
 
@@ -32,7 +43,7 @@ class _CyclicComponent:
         if m < 2:
             raise RingError("cyclic component needs modulus >= 2")
         self.m = m
-        self.size = m
+        self.order = m
         self.zero = 0
         self.one = 1 % m
 
@@ -45,68 +56,35 @@ class _CyclicComponent:
     def mul(self, a, b):
         return (a * b) % self.m
 
-    def elements(self):
-        return range(self.m)
-
-    def from_int(self, n):
-        return n % self.m
-
     def label(self):
         return f"Z/{self.m}"
 
 
-class _FieldComponent:
-    """A Galois field component, arithmetic delegated to Field."""
-
-    def __init__(self, field):
-        self.field = field
-        self.size = field.order
-        self.zero = field.zero
-        self.one = field.one
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def elements(self):
-        return self.field.elements()
-
-    def from_int(self, n):
-        return self.field.from_int(n)
-
-    def label(self):
-        return self.field.label()
-
-
 def _parse_component(token):
+    """Z/m, or the Field F_q itself."""
     token = token.strip()
     if token.startswith("Z/"):
         return _CyclicComponent(int(token[2:]))
     if token.startswith("F_"):
-        return _FieldComponent(Field.of_order(int(token[2:])))
+        return Field.of_order(int(token[2:]))
     raise RingError(f"cannot parse ring component {token!r}")
 
 
 class FiniteRing:
-    """A finite product of cyclic rings and Galois fields."""
+    """A finite product of cyclic rings and Galois fields, its elements
+    labelled 0..|A|-1 (module docstring)."""
 
     def __init__(self, spec):
-        if isinstance(spec, str):
-            self.components = [_parse_component(t) for t in spec.split("x")]
-        else:
-            self.components = list(spec)
-        if not self.components:
-            raise RingError("empty ring")
+        self.components = [_parse_component(t) for t in spec.split("x")]
         self.size = 1
         for c in self.components:
-            self.size *= c.size
-        self.zero = tuple(c.zero for c in self.components)
-        self.one = tuple(c.one for c in self.components)
+            self.size *= c.order
+        if len(self.components) == 1:
+            # the label is the component value
+            c, = self.components
+            self.add, self.neg, self.mul = c.add, c.neg, c.mul
+        self.zero = self.label_of([c.zero for c in self.components])
+        self.one = self.label_of([c.one for c in self.components])
 
     def label(self):
         return "x".join(c.label() for c in self.components)
@@ -120,41 +98,58 @@ class FiniteRing:
     def __hash__(self):
         return hash(self.label())
 
-    # -- element arithmetic (elements are tuples) ------------------------
+    # -- labels and their arithmetic -------------------------------------
+
+    def parts(self, a):
+        """The component values of the element labelled a."""
+        out = []
+        for c in reversed(self.components):
+            a, v = divmod(a, c.order)
+            out.append(v)
+        return tuple(reversed(out))
+
+    def label_of(self, parts):
+        """The label of the element with these component values."""
+        a = 0
+        for c, v in zip(self.components, parts):
+            a = a * c.order + v
+        return a
+
+    def embed(self, i, v):
+        """The label of the element with value v in component i and 0 in
+        the others."""
+        return self.label_of([v if j == i else c.zero
+                              for j, c in enumerate(self.components)])
 
     def add(self, a, b):
-        return tuple(c.add(x, y)
-                     for c, x, y in zip(self.components, a, b))
+        return self.label_of([c.add(x, y) for c, x, y in zip(
+            self.components, self.parts(a), self.parts(b))])
 
     def neg(self, a):
-        return tuple(c.neg(x) for c, x in zip(self.components, a))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.label_of([c.neg(x) for c, x in
+                              zip(self.components, self.parts(a))])
 
     def mul(self, a, b):
-        return tuple(c.mul(x, y)
-                     for c, x, y in zip(self.components, a, b))
-
-    def from_int(self, n):
-        return tuple(c.from_int(n) for c in self.components)
+        return self.label_of([c.mul(x, y) for c, x, y in zip(
+            self.components, self.parts(a), self.parts(b))])
 
     def elements(self):
-        return [tuple(v) for v in
-                product(*[c.elements() for c in self.components])]
+        return range(self.size)
 
     @cached_property
-    def index(self):
-        """The label of each element: its position in ``elements()``."""
-        return {a: i for i, a in enumerate(self.elements())}
-
-    @cached_property
-    def label_tables(self):
-        """(add, mul): the label of a + b and of a * b at [i][j], for a
-        and b labelled i and j."""
-        els, index = self.elements(), self.index
-        return tuple([[index[op(a, b)] for b in els] for a in els]
+    def cayley_tables(self):
+        """(add, mul) as lists: a + b and a * b at [a][b].  Built on first
+        use, so only for rings small enough to list (``functorcat``)."""
+        els = self.elements()
+        return tuple([[op(a, b) for b in els] for a in els]
                      for op in (self.add, self.mul))
+
+    def as_field(self):
+        """The Field this ring is, when it is a single F_q component."""
+        if len(self.components) != 1 or \
+                not isinstance(self.components[0], Field):
+            raise RingError(f"need a finite field F_q, got {self.label()}")
+        return self.components[0]
 
     def is_unit(self, a):
         return any(self.mul(a, b) == self.one for b in self.elements())
@@ -175,28 +170,18 @@ class FiniteRing:
             if isinstance(c, _CyclicComponent):
                 basis = [c.one]
             else:
-                F = c.field
-                basis = [F.from_coeffs([1 if j == k else 0
-                                        for j in range(F.degree)])
-                         for k in range(F.degree)]
-            for b in basis:
-                gens.append(tuple(b if j == i else comp.zero
-                                  for j, comp in enumerate(self.components)))
+                basis = [c.from_coeffs([1 if j == k else 0
+                                        for j in range(c.degree)])
+                         for k in range(c.degree)]
+            gens.extend(self.embed(i, b) for b in basis)
         return gens
 
     def multiplicative_generators(self):
         """A small set of elements generating A as a ring: one generator
         per component (a field generator, or 1 for cyclic parts), embedded
         with 1s elsewhere replaced by the component idempotents."""
-        gens = []
-        for i, c in enumerate(self.components):
-            if isinstance(c, _FieldComponent):
-                g = c.field.gen()
-            else:
-                g = c.one
-            gens.append(tuple(g if j == i else comp.zero
-                              for j, comp in enumerate(self.components)))
-        return gens
+        return [self.embed(i, c.gen() if isinstance(c, Field) else c.one)
+                for i, c in enumerate(self.components)]
 
 
 class RingIdeal:
@@ -204,7 +189,7 @@ class RingIdeal:
 
     def __init__(self, ring, generators):
         self.ring = ring
-        self.generators = [tuple(g) for g in generators]
+        self.generators = list(generators)
         # the additive span of the multiples r*g
         base = list({ring.mul(r, g) for g in self.generators
                      for r in ring.elements()})
@@ -220,14 +205,14 @@ class RingIdeal:
         return self.ring.size // self.size
 
     def contains(self, a):
-        return tuple(a) in self.elements
+        return a in self.elements
 
     def __eq__(self, other):
         return (isinstance(other, RingIdeal) and self.ring == other.ring
                 and self.elements == other.elements)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.elements)))
+        return hash((self.ring, self.elements))
 
     def __le__(self, other):
         return self.elements <= other.elements
@@ -241,81 +226,73 @@ def all_ideals(ring):
     """Every ideal of the ring (product of componentwise ideals; each
     component is a chain ring, so componentwise ideals are principal)."""
     per_component = []
-    for i, c in enumerate(ring.components):
-        gens = []
-        if isinstance(c, _FieldComponent):
-            gens = [c.zero, c.one]
+    for c in ring.components:
+        if isinstance(c, Field):
+            per_component.append([c.zero, c.one])
         else:
-            m = c.m
-            gens = sorted({gcd(a, m) % m for a in range(m)} | {0})
-        per_component.append(gens)
+            per_component.append(sorted({gcd(a, c.m) % c.m
+                                         for a in range(c.m)} | {0}))
     out = []
-    for combo in product(*per_component):
-        gen = []
-        for i, g in enumerate(combo):
-            gen.append(tuple(g if j == i else comp.zero
-                             for j, comp in enumerate(ring.components)))
-        out.append(RingIdeal(ring, gen))
-    # dedupe (field components give the same ideal twice only if 0==1)
-    uniq = []
     seen = set()
-    for I in out:
-        key = I.elements
-        if key not in seen:
-            seen.add(key)
-            uniq.append(I)
-    return uniq
+    for combo in product(*per_component):
+        I = RingIdeal(ring, [ring.embed(i, g) for i, g in enumerate(combo)])
+        if I.elements not in seen:
+            seen.add(I.elements)
+            out.append(I)
+    return out
 
 
-class RingHom:
-    """A unital ring homomorphism from a FiniteRing into a Field,
-    stored as a full value table."""
+class RingMap:
+    """A set map from a FiniteRing to a Field, held as its value table on
+    the labels: the ring homomorphisms of ``ring_homs``, and the
+    multiplicative maps that ``emlpoly.factor_multiplicative`` factors."""
 
-    def __init__(self, ring, field, table):
+    def __init__(self, ring, field, table=None, func=None):
         self.ring = ring
         self.field = field
+        if table is None:
+            table = {a: func(a) for a in ring.elements()}
         self.table = dict(table)
 
     def __call__(self, a):
-        return self.table[tuple(a)]
+        return self.table[a]
 
-    def __eq__(self, other):
-        return (isinstance(other, RingHom) and self.ring == other.ring
-                and self.field is other.field and self.table == other.table)
+    def check_multiplicative(self):
+        R, K = self.ring, self.field
+        if self(R.one) != K.one:
+            raise NotMultiplicative("does not send 1 to 1")
+        els = R.elements()
+        for a in els:
+            for b in els:
+                if self(R.mul(a, b)) != K.mul(self(a), self(b)):
+                    raise NotMultiplicative(f"fails at {a} * {b}")
 
-    def __hash__(self):
-        return hash((self.ring, self.field,
-                     tuple(sorted(self.table.items()))))
+    def as_abmap(self):
+        """The same table as an ``emlpoly.AbMap`` on the additive group of
+        the ring, which is the ring itself, for degree computations."""
+        from .emlpoly import AbMap  # emlpoly imports this module
+        return AbMap(self.ring, self.field, table=self.table)
 
     def __repr__(self):
-        return f"RingHom({self.ring.label()} -> {self.field.label()})"
+        return f"RingMap({self.ring.label()} -> {self.field.label()})"
 
 
 def ring_homs(ring, field):
-    """All unital ring homomorphisms ring -> field.
+    """All unital ring homomorphisms ring -> field, as ``RingMap``s.
 
     Any such map kills every component but one (the component idempotents
     map to orthogonal idempotents of a field, so exactly one maps to 1),
     so we search componentwise: cyclic Z/m components give the reduction
     map when char(field) | m; field components F_q give one hom per root
-    of their defining polynomial in the target.
+    of their defining polynomial in the target.  No two tables agree:
+    they differ on the idempotents across components, and distinct
+    Frobenius powers differ on the field generator.
     """
     if field.kind == "rational":
         raise RingError("ring_homs expects a finite target field")
-    out = []
-    n = len(ring.components)
-    for i, c in enumerate(ring.components):
-        for phi in _component_homs(c, field):
-            table = {}
-            for a in ring.elements():
-                table[a] = phi(a[i])
-            out.append(RingHom(ring, field, table))
-    # dedupe identical tables (cannot actually collide across components)
-    uniq = []
-    for h in out:
-        if h not in uniq:
-            uniq.append(h)
-    return uniq
+    return [RingMap(ring, field, func=lambda a: phi(ring.parts(a)[i]))
+            for i, c in enumerate(ring.components)
+            for phi in _component_homs(c, field)]
 
 
 def _component_homs(comp, field):
@@ -323,16 +300,13 @@ def _component_homs(comp, field):
         if comp.m % field.char != 0:
             return []
         return [field.from_int]
-    Fq = comp.field
-    if Fq.char != field.char or field.degree % Fq.degree != 0:
+    if comp.char != field.char or field.degree % comp.degree != 0:
         return []
     # homs F_q -> K = embeddings = canonical embedding composed with the
     # Frobenius powers of the source
-    emb = field.embedding_from(Fq)
-    homs = []
-    for i in range(Fq.degree):
-        homs.append(lambda a, i=i, Fq=Fq, emb=emb: emb(Fq.frobenius(a, i)))
-    return homs
+    emb = field.embedding_from(comp)
+    return [lambda a, i=i: emb(comp.frobenius(a, i))
+            for i in range(comp.degree)]
 
 
 def cotrivial_ideals(ring, field):
@@ -354,10 +328,7 @@ def primary_idempotents(ring):
     # additive exponent of the ring
     exponent = 1
     for c in ring.components:
-        if isinstance(c, _CyclicComponent):
-            m = c.m
-        else:
-            m = c.field.char
+        m = c.char if isinstance(c, Field) else c.m
         exponent = exponent * m // gcd(exponent, m)
     primes = []
     n = exponent
@@ -397,7 +368,7 @@ def matrix_monoid_generators(ring, n):
     Matrices are tuples of row tuples of ring elements.
     """
     if n < 1:
-        raise RingError("rank must be >= 1")
+        raise RingError(f"rank n must be >= 1, got {n}")
     ident = ring_identity(ring, n)
     gens = []
 
@@ -415,7 +386,7 @@ def matrix_monoid_generators(ring, n):
     if n == 1:
         return [ident] + gens
     rgens = ring.multiplicative_generators() + ring.additive_generators()
-    for r in set(rgens):
+    for r in sorted(set(rgens)):
         for i in range(n):
             for j in range(n):
                 if i != j:

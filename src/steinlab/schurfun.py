@@ -12,8 +12,7 @@ full enumeration.  The Schur vectors are the column alternants of
 permutation matrices of its S_d-module from ``modtools.monoid_actions``.
 """
 
-from itertools import combinations, combinations_with_replacement, \
-    permutations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .fields import CapExceeded
 from .matrices import Matrix, Subspace
@@ -69,6 +68,35 @@ def _zero_module(K, elements, name):
                          name=name)
 
 
+def _norm_image(M, n, K):
+    """The image of the norm N, the sum of all of S_d, on
+    (K^n)^{tensor d} tensor M.  As N sigma = N, it is spanned by the
+    columns N(e_t (x) e_m) with t weakly increasing: for each sigma,
+    column m of sigma on M placed in block sigma(t)."""
+    d = len(M.labels["c"])
+    dm = M.dimension
+    tindex = {t: i for i, t in enumerate(product(range(n), repeat=d))}
+    # left action: (g o pi)(i) = g(pi(i))
+    perm_matrix = dict(monoid_actions(
+        M, lambda g, pi: tuple(g[x - 1] for x in pi),
+        tuple(range(1, d + 1))))
+    add, z = K.add, K.zero
+    vecs = []
+    for t in combinations_with_replacement(range(n), d):
+        cols = [[z] * (len(tindex) * dm) for _ in range(dm)]
+        for perm, Msig in perm_matrix.items():
+            inv = [0] * d
+            for i in range(d):
+                inv[perm[i] - 1] = i
+            u = tindex[tuple(t[inv[k]] for k in range(d))] * dm
+            for a, mrow in enumerate(Msig.rows):
+                for col, c in zip(cols, mrow):
+                    if c != z:
+                        col[u + a] = add(col[u + a], c)
+        vecs.extend(cols)
+    return Subspace(K, len(tindex) * dm, vecs)
+
+
 def elementary_value(M, n, K):
     """Image of the norm (the sum of all of S_d) acting on
     (K^n)^{tensor d} tensor M, with the monoid acting by g^{tensor d};
@@ -80,39 +108,12 @@ def elementary_value(M, n, K):
     dim_big = n ** d * M.dimension
     if dim_big > DIM_CAP:
         raise CapExceeded(f"dimension {dim_big} exceeds cap {DIM_CAP}")
-    # accumulate the norm columnwise: the (t, m) column picks up, for
-    # each sigma, the m-th column of sigma on M placed in block sigma(t)
-    dm = M.dimension
-    add = K.add
-    norm_rows = [[K.zero] * dim_big for _ in range(dim_big)]
-    tuples = list(product(range(n), repeat=d))
-    tindex = {t: i for i, t in enumerate(tuples)}
-    # left action: (g o pi)(i) = g(pi(i))
-    perm_matrix = dict(monoid_actions(
-        M, lambda g, pi: tuple(g[x - 1] for x in pi),
-        tuple(range(1, d + 1))))
-    for perm in permutations(range(1, d + 1)):
-        inv = [0] * d
-        for i in range(d):
-            inv[perm[i] - 1] = i
-        Msig = perm_matrix[perm]
-        for ti, t in enumerate(tuples):
-            u = tindex[tuple(t[inv[k]] for k in range(d))]
-            for a in range(dm):
-                row = norm_rows[u * dm + a]
-                mrow = Msig.rows[a]
-                for m in range(dm):
-                    c = mrow[m]
-                    if c != K.zero:
-                        col = ti * dm + m
-                        row[col] = add(row[col], c)
-    norm = Matrix(K, norm_rows)
-    basis = norm.column_space_basis()
+    sp = _norm_image(M, n, K)
+    if sp.dim == 0:
+        return _zero_module(K, elements, f"E_{M.name}")
     big = AlgebraModule(K, {nm: _tensor_power(g, d).kron(
         Matrix.identity(K, M.dimension)) for nm, g in elements.items()})
-    if basis.nrows == 0:
-        return _zero_module(K, elements, f"E_{M.name}")
-    sub = restrict_to_submodule(big, [list(r) for r in basis.rows])
+    sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
     return AlgebraModule(K, sub.generators, labels=elements,
                          name=f"E_{M.name}(K^{n})")
 

@@ -157,6 +157,8 @@ def classify(n, q, K=None, seed=0):
     objects in lexicographic partition order; simplicity, pairwise
     non-isomorphism, scalar endomorphisms, and agreement with the
     p-regular class count q^n - q^(n-1) are all asserted."""
+    if n < 1:
+        raise ValueError(f"rank n must be >= 1, got {n}")
     _check_caps(n, q)
     if K is None:
         K = splitting_field(n, q)

@@ -48,8 +48,14 @@ def conjugate(lam):
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
+def _check_p(p):
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+
+
 def is_p_restricted(lam, p):
     """All successive differences (with a trailing zero) are < p."""
+    _check_p(p)
     lam = normalize_partition(lam)
     ext = list(lam) + [0]
     return all(a - b < p for a, b in zip(ext, ext[1:]))
@@ -57,6 +63,7 @@ def is_p_restricted(lam, p):
 
 def is_p_regular(lam, p):
     """No part is repeated p or more times."""
+    _check_p(p)
     lam = normalize_partition(lam)
     return all(lam.count(x) < p for x in set(lam))
 
@@ -68,6 +75,9 @@ def digit_decomposition(lam, p, r):
     The decomposition reads off base-p digits of the successive
     differences, which makes it unique.
     """
+    _check_p(p)
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     lam = normalize_partition(lam)
     q = p ** r
     if not is_p_restricted(lam, q):
@@ -218,9 +228,6 @@ def simple_module(lam, k):
     S = specht_module(lam, k)
     E = Matrix(k, _polytabloids(lam, k, [tuple(range(1, sum(lam) + 1))]))
     rad = (E * E.transpose()).kernel_basis()  # RREF rows
-    if rad.nrows == 0:
-        S.name = f"D^{lam}"
-        return S
     D = quotient_module(S, rad.rows)
     D.name = f"D^{lam}"
     return D

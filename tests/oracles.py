@@ -4,17 +4,21 @@ Each answers a question that ``steinlab`` answers by construction, by
 exhaustion instead: enumerating GL_n(F_q) or S_d, counting tableaux,
 decomposing the regular representation, or summing cross-effect
 dimensions.  The polytabloid and Schur-vector oracles are the two column
-antisymmetrizers that ``symgrp.column_alternant`` replaced.
+antisymmetrizers that ``symgrp.column_alternant`` replaced; the dense
+norm is the matrix whose column space ``schurfun.elementary_value`` once
+took, and ``coefficient_abmap`` is the view of a ring as a product of
+cyclic groups that ``RingMap.as_abmap`` once built.
 """
 
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+from steinlab.emlpoly import AbGroup, AbMap
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
-                               composition_factors)
+                               composition_factors, monoid_actions)
 from steinlab.schurfun import _sym_basis
 from steinlab.steinberg import group_generator_matrices, group_generator_names
 from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
@@ -256,6 +260,63 @@ def schur_image_vectors(lam, n, K):
             v[idx] = K.add(v[idx], c)
         vectors.append(v)
     return sym, vectors
+
+
+def dense_norm_basis(M, n, K):
+    """The RREF basis of the image of the norm (the sum of all of S_d) on
+    (K^n)^{tensor d} tensor M: the column space of the whole
+    n^d dim M square norm matrix, accumulated columnwise.  The (t, m)
+    column picks up, for each sigma, the m-th column of sigma on M
+    placed in block sigma(t)."""
+    d = len(M.labels["c"])
+    dm = M.dimension
+    dim_big = n ** d * dm
+    norm_rows = [[K.zero] * dim_big for _ in range(dim_big)]
+    tuples = list(product(range(n), repeat=d))
+    tindex = {t: i for i, t in enumerate(tuples)}
+    perm_matrix = dict(monoid_actions(
+        M, lambda g, pi: tuple(g[x - 1] for x in pi),
+        tuple(range(1, d + 1))))
+    for perm in permutations(range(1, d + 1)):
+        inv = [0] * d
+        for i in range(d):
+            inv[perm[i] - 1] = i
+        Msig = perm_matrix[perm]
+        for ti, t in enumerate(tuples):
+            u = tindex[tuple(t[inv[k]] for k in range(d))]
+            for a in range(dm):
+                row = norm_rows[u * dm + a]
+                mrow = Msig.rows[a]
+                for m in range(dm):
+                    c = mrow[m]
+                    if c != K.zero:
+                        col = ti * dm + m
+                        row[col] = K.add(row[col], c)
+    return Matrix(K, norm_rows).column_space_basis().rows
+
+
+# -- rings ----------------------------------------------------------------
+
+def coefficient_abmap(phi):
+    """A map on a ring, read on its additive group presented as a product
+    of cyclic groups: Z/m for each cyclic component Z/m and Z/p for each
+    prime-field coefficient of each field component F_{p^e}, an element
+    written as its residues and coefficient vectors."""
+    ring = phi.ring
+    orders = []
+    for c in ring.components:
+        if isinstance(c, Field):
+            orders.extend([c.char] * c.degree)
+        else:
+            orders.append(c.m)
+
+    def coefficients(a):
+        out = []
+        for c, v in zip(ring.components, ring.parts(a)):
+            out.extend(c.to_coeffs(v) if isinstance(c, Field) else (v,))
+        return tuple(out)
+    return AbMap(AbGroup(orders), phi.field,
+                 table={coefficients(a): phi(a) for a in ring.elements()})
 
 
 # -- functors -------------------------------------------------------------

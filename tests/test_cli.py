@@ -324,9 +324,27 @@ GR1 = ["--ring", "F_2", "--coeff", "F_3", "--functor", "gr1"]
     (["functor", "degree", *GR1, "--cap", "-1"], "cap must be >= 0, got -1"),
     (["schur", "weight", "--lam", "1", "--n", "0", "--coeff", "F_5"],
      "weights need rank n >= 1, got 0"),
+    (["partition", "restricted", "--lam", "3", "--p", "0"],
+     "p must be >= 2, got 0"),
+    (["partition", "restricted", "--lam", "3", "--p", "1"],
+     "p must be >= 2, got 1"),
+    (["partition", "digits", "--lam", "3,2", "--p", "0", "--r", "1"],
+     "p must be >= 2, got 0"),
+    (["partition", "digits", "--lam", "3,2", "--p", "2", "--r", "0"],
+     "r must be >= 1, got 0"),
+    (["functor", "iext", *GR1, "--n", "0"], "rank n must be >= 1, got 0"),
+    (["functor", "simple", *GR1, "--n", "0"], "rank n must be >= 1, got 0"),
+    (["emlpoly", "linearize", "--orders", "2,4"],
+     "--orders needs three orders a,b,c, got '2,4'"),
+    (["steinberg", "classify", "--n", "0", "--q", "2"],
+     "rank n must be >= 1, got 0"),
+    (["steinberg", "classify", "--n", "-1", "--q", "2"],
+     "rank n must be >= 1, got -1"),
 ], ids=["build-n0", "unique-n0", "ideal-n-2", "linearize-order0",
         "map-pow-1", "dimtable-rank-1", "crosseffect-rank-1", "schur-n-1",
-        "elementary-n-1", "degree-cap-1", "weight-n0"])
+        "elementary-n-1", "degree-cap-1", "weight-n0", "restricted-p0",
+        "restricted-p1", "digits-p0", "digits-r0", "iext-n0", "simple-n0",
+        "linearize-two-orders", "classify-n0", "classify-n-1"])
 def test_edge_values_are_code_2(argv, message):
     assert run(argv) == (2, f"error: {message}")
 

@@ -99,7 +99,7 @@ def _perms_case():
 
 def _sums_case():
     Z12 = FiniteRing("Z/12")
-    gens = [(8,), (4,), (6,), (0,)]
+    gens = [8, 4, 6, 0]
     one = Matrix.identity(F2, 0)
     return Z12.add, Z12.zero, one, gens, [one] * len(gens)
 
@@ -125,8 +125,8 @@ def test_closure_reaches_whole_monoids():
     assert sorted(table) == sorted(permutations(range(1, 5)))
     assert all(table[pi] == perm_matrix[pi] for pi in table)
     Z12 = FiniteRing("Z/12")
-    assert RingIdeal(Z12, [(8,), (6,)]).elements == frozenset(
-        (a,) for a in (0, 2, 4, 6, 8, 10))
+    assert RingIdeal(Z12, [8, 6]).elements == frozenset(
+        (0, 2, 4, 6, 8, 10))
 
 
 def _labelled_modules():

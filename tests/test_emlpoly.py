@@ -9,6 +9,8 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
+from oracles import coefficient_abmap
+
 
 def window_map(window, func):
     Z = ep.AbGroup(window=window)
@@ -78,7 +80,7 @@ def test_homogeneous_decomposition_roundtrip():
 def test_factor_frobenius_power_on_f9():
     R = FiniteRing("F_9")
     K = Field.galois(3, 2)
-    phi = ep.RingMap(R, K, func=lambda a: K.pow(a[0], 4))
+    phi = ep.RingMap(R, K, func=lambda a: K.pow(a, 4))
     factors, L = ep.factor_multiplicative(phi)
     assert len(factors) == 2
     assert L is K
@@ -89,12 +91,27 @@ def test_factor_frobenius_power_on_f9():
         assert prod == phi(a)
 
 
+def test_power_map_degrees_match_the_coefficient_view():
+    # the degree of x^k on F_q is the sum of the base-p digits of k (0 for
+    # k = 0), whether the source is the ring or the product of cyclic
+    # groups on the coefficient vectors
+    for q in (4, 8, 9):
+        R = FiniteRing(f"F_{q}")
+        K = R.as_field()
+        for k in range(q):
+            phi = ep.RingMap(R, K, func=lambda a: K.pow(a, k))
+            d = ep.eml_degree(phi.as_abmap(), 5)
+            assert d == ep.eml_degree(coefficient_abmap(phi), 5)
+            assert d == sum((k // K.char ** i) % K.char
+                            for i in range(K.degree))
+
+
 def test_factor_square_on_z4():
     R = FiniteRing("Z/4")
     F2 = Field.prime(2)
     # x -> x^2 lands in {0, 1} and coincides with reduction mod 2, so a
     # single homomorphism factor suffices
-    phi = ep.RingMap(R, F2, func=lambda a: F2.from_int(a[0] ** 2))
+    phi = ep.RingMap(R, F2, func=lambda a: F2.from_int(a ** 2))
     factors, L = ep.factor_multiplicative(phi)
     assert len(factors) == 1
     assert L is F2
@@ -112,7 +129,7 @@ def test_factor_beyond_max_degree_raises_no_factorization():
     # embeddings of F_8, which meet F_4 only in degree 6 > MAX_DEGREE
     R = FiniteRing("F_8")
     K = Field.galois(2, 2)
-    phi = ep.RingMap(R, K, func=lambda a: K.one if a[0] else K.zero)
+    phi = ep.RingMap(R, K, func=lambda a: K.one if a else K.zero)
     with pytest.raises(ep.NoFactorization, match="MAX_DEGREE = 4"):
         ep.factor_multiplicative(phi)
 
@@ -120,7 +137,7 @@ def test_factor_beyond_max_degree_raises_no_factorization():
 def test_factor_rejects_non_multiplicative():
     R = FiniteRing("F_4")
     K = Field.galois(2, 2)
-    phi = ep.RingMap(R, K, func=lambda a: K.add(a[0], K.one))
+    phi = ep.RingMap(R, K, func=lambda a: K.add(a, K.one))
     with pytest.raises(ep.NotMultiplicative):
         ep.factor_multiplicative(phi)
 

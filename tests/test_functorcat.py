@@ -231,7 +231,7 @@ def test_unipotence_ideal_order2_character():
     F7 = Field.prime(7)
     chi = fc.MonoidModule.from_character(
         Z3, F7,
-        lambda a: {0: F7.zero, 1: F7.one, 2: F7.from_int(-1)}[a[0]])
+        lambda a: {0: F7.zero, 1: F7.one, 2: F7.from_int(-1)}[a])
     T = fc.intermediate_extension_functor(chi, 3)
     I = fc.unipotence_ideal(T, 1)
     assert len(I.elements) == 1   # the zero ideal

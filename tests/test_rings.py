@@ -1,3 +1,5 @@
+from itertools import product
+
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
 from steinlab.rings import (FiniteRing, all_ideals, cotrivial_ideals,
@@ -19,17 +21,51 @@ def test_ring_axioms_z6():
         assert R.add(a, R.neg(a)) == R.zero
 
 
+# the rings whose labels are checked against their component tuples
+LABELLED = ("Z/6", "Z/12", "F_4", "F_9", "Z/2xF_2", "Z/4xF_9")
+
+
+def _component_tuples(R):
+    """Every element as its tuple of component values, in label order."""
+    return list(product(*[range(c.order) for c in R.components]))
+
+
+def _componentwise(R, op, *tuples):
+    return tuple(getattr(c, op)(*xs)
+                 for c, *xs in zip(R.components, *tuples))
+
+
 def test_label_tables_follow_element_arithmetic():
     for spec in ("Z/6", "F_4", "F_9", "Z/2xF_2"):
         R = FiniteRing(spec)
-        els = R.elements()
-        assert [R.index[a] for a in els] == list(range(R.size))
-        assert R.index[R.zero] == 0
-        add, mul = R.label_tables
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                assert els[add[i][j]] == R.add(a, b)
-                assert els[mul[i][j]] == R.mul(a, b)
+        tuples = _component_tuples(R)
+        add, mul = R.cayley_tables
+        for a, x in enumerate(tuples):
+            for b, y in enumerate(tuples):
+                assert tuples[add[a][b]] == _componentwise(R, "add", x, y)
+                assert tuples[mul[a][b]] == _componentwise(R, "mul", x, y)
+
+
+def test_labels_round_trip_through_component_tuples():
+    for spec in LABELLED:
+        R = FiniteRing(spec)
+        tuples = _component_tuples(R)
+        assert list(R.elements()) == list(range(R.size)) == \
+            [R.label_of(x) for x in tuples]
+        assert [R.parts(a) for a in R.elements()] == tuples
+        assert R.parts(R.zero) == tuple(c.zero for c in R.components)
+        assert R.parts(R.one) == tuple(c.one for c in R.components)
+
+
+def test_label_arithmetic_is_componentwise():
+    for spec in LABELLED:
+        R = FiniteRing(spec)
+        tuples = _component_tuples(R)
+        for a, x in enumerate(tuples):
+            assert tuples[R.neg(a)] == _componentwise(R, "neg", x)
+            for b, y in enumerate(tuples):
+                assert tuples[R.add(a, b)] == _componentwise(R, "add", x, y)
+                assert tuples[R.mul(a, b)] == _componentwise(R, "mul", x, y)
 
 
 def test_units():
@@ -63,6 +99,28 @@ def test_homs_against_brute_force():
     assert len(homs) == len(brute)
     assert {tuple(sorted(h.table.items())) for h in homs} == \
         {tuple(sorted(t.items())) for t in brute}
+
+
+def test_ring_hom_tables_are_distinct():
+    targets = [Field.prime(2), Field.prime(3), Field.galois(2, 2),
+               Field.galois(2, 4), Field.galois(3, 2), Field.galois(3, 4)]
+    counts = {}
+    for spec in LABELLED:
+        R = FiniteRing(spec)
+        els = R.elements()
+        for K in targets:
+            homs = ring_homs(R, K)
+            counts[spec, K.label()] = len(homs)
+            assert len({tuple(h(a) for a in els) for h in homs}) == len(homs)
+            for h in homs:
+                assert h(R.one) == K.one
+                assert all(h(R.add(a, b)) == K.add(h(a), h(b))
+                           and h(R.mul(a, b)) == K.mul(h(a), h(b))
+                           for a in els for b in els)
+    assert counts["Z/2xF_2", "F_2"] == counts["Z/4xF_9", "F_81"] == 2
+    assert counts["Z/12", "F_2"] == counts["Z/4xF_9", "F_2"] == 1
+    assert counts["F_4", "F_16"] == counts["F_9", "F_9"] == 2
+    assert counts["Z/6", "F_4"] == 1 and counts["F_9", "F_3"] == 0
 
 
 def test_all_ideals_z6():

@@ -8,7 +8,8 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.modtools import end_dim, is_simple
 
-from oracles import all_partitions, schur_image_vectors, semistandard_count
+from oracles import (all_partitions, dense_norm_basis, schur_image_vectors,
+                     semistandard_count)
 
 
 def test_char0_sym_and_alt():
@@ -166,3 +167,14 @@ def test_schur_alternants_match_oracle(K):
                        for choice in product(*[combinations(range(n), c)
                                                for c in sg.conjugate(lam)])]
                 assert got == want
+
+
+def test_norm_image_matches_dense_norm():
+    for K in (QQ, Field.prime(2), Field.prime(3)):
+        for d in range(1, 5):
+            for lam in all_partitions(d):
+                M = sg.specht_module(lam, K)
+                for n in range(1, 4):
+                    got = sf._norm_image(M, n, K)
+                    assert [list(r) for r in got.basis] == \
+                        [list(r) for r in dense_norm_basis(M, n, K)]
