@@ -11,7 +11,6 @@ precondition.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import emlpoly, functorcat, modtools, schurfun, steinberg, symgrp
@@ -480,6 +479,8 @@ def run_batch(args):
         return run(argv)
 
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here, as only this branch needs it and it is slow to load
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(one, jobs))
     else:

@@ -15,6 +15,13 @@ whose partial sums fill [-d*b, d*b]; it vanishes exactly when the d-th
 finite differences of f on [-d*b, d*b] do (Passi, LNM 715: the
 (t^u_1 - 1)...(t^u_d - 1) with |u_i| <= b span the same Z-module as the
 t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
+
+On a finite source A and d >= 1, dev_d(f)(x_1, ..., x_d) is
+(D_x_1 ... D_x_d f)(0), for D_x = t_x - 1 and t_x the translation by x.
+These span I^d, I the augmentation ideal of Z[A]; I^d is an ideal, and
+t_(a+b) - 1 = D_a D_b + D_a + D_b, so I^d is generated by the products
+D_g_1 ... D_g_d of additive generators.  dev_d vanishes exactly when
+all of those kill f.
 """
 
 from fractions import Fraction
@@ -103,6 +110,11 @@ class AbGroup:
         if self.is_integers:
             return list(range(-self.window, self.window + 1))
         return [tuple(v) for v in product(*[range(m) for m in self.orders])]
+
+    def additive_generators(self):
+        """The unit vectors of a finite group."""
+        n = len(self.orders)
+        return [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
     def size(self):
         if self.is_integers:
@@ -208,12 +220,15 @@ def deviation_vanishes(f, d):
     A Z source with window W and d >= 1 reads f once at each of the
     2*d*b + 1 points of [-d*b, d*b], b = W // d, and tests the d-th
     differences there (module docstring; b = 0 leaves dev_d(0,...,0) = 0).
-    Otherwise the arguments run over multisets, as dev_d is symmetric.
+    A finite source reads f once at each element and takes differences
+    along its additive generators (module docstring).  dev_0 is f(0).
     """
     if d < 0:
         raise ValueError(f"deviation order d must be >= 0, got {d}")
+    if d == 0:
+        return _is_zero_value(deviation(f, 0)(), f.value_ops()[2])
     U = f.source
-    if d and _is_window(U):
+    if _is_window(U):
         b = U.window // d
         if b == 0:
             return True
@@ -222,10 +237,25 @@ def deviation_vanishes(f, d):
         for _ in range(d):
             table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
         return all(_is_zero_value(v, zero) for v in table)
-    dev = deviation(f, d)
-    zero = f.value_ops()[2]
-    return all(_is_zero_value(dev(*us), zero)
-               for us in combinations_with_replacement(U.elements(), d))
+    els = list(U.elements())
+    index = {u: i for i, u in enumerate(els)}
+    # shifts[i][k] is the index of els[k] + g_i
+    shifts = [[index[U.add(u, g)] for u in els]
+              for g in U.additive_generators()]
+    table = [f(u) for u in els]
+    add, neg, zero = _target_ops(f.target, table[0])
+    # (D_w f, least next letter, letters left) for nondecreasing words w,
+    # depth first; a zero table is not differenced further
+    stack = [(table, 0, d)]
+    while stack:
+        t, j, k = stack.pop()
+        if all(_is_zero_value(v, zero) for v in t):
+            continue
+        if k == 0:
+            return False
+        stack.extend(([add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
+                      i, k - 1) for i in range(j, len(shifts)))
+    return True
 
 
 def eml_degree(f, cap):

@@ -5,9 +5,12 @@ digits are the coefficients of the residue polynomial in the canonical
 generator (little-endian).  Rational scalars are ``fractions.Fraction``.
 Supported extensions: p in {2, 3, 5, 7}, degree <= 4.
 
-Elimination goes through two row operations, ``row_sub`` (v - f*row) and
-``row_scale`` (c*v), with one branch per field kind: ints mod p, Fraction
-arithmetic, or table lookups on F_{p^e}.
+List rows go through ``row_sub`` (v - f*row) and ``row_scale`` (c*v),
+one branch per field kind: ints mod p, Fractions, or tables on F_{p^e}.
+In characteristic 2 adding labels is XOR, so ``Subspace`` packs its rows
+(Parker's Meat-Axe, bit-sliced as in arXiv:0901.1413) into e ints: bit j
+of plane i is bit i of entry j.  f*row maps the planes by the GF(2)
+matrix of f, whose column i is the label of f*x^i.
 """
 
 import threading
@@ -61,6 +64,7 @@ class Field:
             raise FieldError("use Field.prime / Field.galois / Field.rationals")
         self.char = char
         self.degree = degree
+        self.packed = char == 2  # Subspace keeps packed rows
         if char == 0:
             self.kind = "rational"
             self.order = None
@@ -69,14 +73,23 @@ class Field:
             return
         p, e = char, degree
         self.order = p ** e
-        if e == 1:
-            self.kind = "prime"
-            self.zero = 0
-            self.one = 1
-            return
-        self.kind = "galois"
-        self.zero = 0
-        self.one = 1
+        self.kind = "prime" if e == 1 else "galois"
+        self.zero, self.one = 0, 1
+        if e > 1:
+            self._galois_tables()
+        if p == 2:
+            # per plane i: labels <-> bit i as b"0"/b"1"; per c: (k, i) pairs
+            self._pack_tables = [bytes(48 + (b >> i & 1) for b in range(256))
+                                 for i in range(e)]
+            self._unpack_tables = [bytes.maketrans(b"01", bytes([0, 1 << i]))
+                                   for i in range(e)]
+            self._plane_maps = [[(k, i) for i in range(e) for k in range(e)
+                                 if self.mul(c, 1 << i) >> k & 1]
+                                for c in range(self.order)]
+
+    def _galois_tables(self):
+        """Digits, exp/log, negation and (when small) addition tables."""
+        p, e = self.char, self.degree
         self.modulus = _MODULUS_TABLE[(p, e)]
         q = self.order
         # digit decomposition tables
@@ -251,6 +264,37 @@ class Field:
             mul = self.mul
             t = self._mul_rows[c] = [mul(c, b) for b in range(self.order)]
         return t
+
+    # -- packed rows (characteristic 2, module docstring) -----------------
+
+    def pack(self, v):
+        """The row ``Subspace`` keeps for the list v: packed, or a copy."""
+        if not self.packed:
+            return list(v)
+        b = bytearray(v)[::-1]
+        return [int(b.translate(t) or b"0", 2) for t in self._pack_tables]
+
+    def unpack(self, planes, n):
+        """The list of the n entries of a row that ``pack`` gave."""
+        if not self.packed:
+            return planes
+        acc = 0
+        for p, t in zip(planes, self._unpack_tables):
+            acc |= int.from_bytes(f"{p:0{n}b}".encode().translate(t), "big")
+        return list(acc.to_bytes(n, "little"))
+
+    def packed_entry(self, planes, j):
+        f = 0
+        for p in reversed(planes):
+            f = f << 1 | p >> j & 1
+        return f
+
+    def packed_sub(self, v, f, row):
+        """The packed row v - f*row, which is v + f*row."""
+        v = v[:]
+        for k, i in self._plane_maps[f]:
+            v[k] ^= row[i]
+        return v
 
     def pow(self, a, n):
         if n < 0:

@@ -26,8 +26,10 @@ the value's ``Subspace``.
 """
 
 import re
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
+from operator import getitem
 
 from .fields import Field, QQ
 
@@ -355,50 +357,69 @@ class Subspace:
     """A subspace of F^n held as an RREF row basis: built by inserting
     each vector with ``add_vector`` over a finite field, and by
     fraction-free elimination of the integral rows over Q.  Entries are
-    field elements: over a finite field, ints in ``range(field.order)``."""
+    field elements: over a finite field, ints in ``range(field.order)``.
+    In characteristic 2 a vector is packed (``fields``) as it comes in and
+    the basis is kept packed; rows are unpacked only where they leave it."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = []
         self.pivots = []
+        self._rows = {}  # pivot -> basis row, packed in characteristic 2
+        self._mask = 0   # the pivots, as the bits of an int
         if field.kind == "rational":
-            self.basis, self.pivots = _rref_int(
+            rows, self.pivots = _rref_int(
                 [_integral(v) for v in vectors], ambient_dim)
+            self._rows = dict(zip(self.pivots, rows))
         else:
             for v in vectors:
                 self.add_vector(v)
 
     @property
+    def basis(self):
+        unpack, n = self.field.unpack, self.ambient_dim
+        return [unpack(self._rows[c], n) for c in self.pivots]
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
+
+    def _reduce(self, v, coords=None):
+        """``reduce`` on v as ``Field.pack`` gives it, returned so."""
+        F, rows = self.field, self._rows
+        if not F.packed:
+            for c in self.pivots:
+                f = v[c]
+                if coords is not None:
+                    coords.append(f)
+                if f:
+                    v = F.row_sub(v, f, rows[c])
+            return v
+        if coords is not None:
+            coords.extend(F.packed_entry(v, c) for c in self.pivots)
+        # a basis row is zero at every other pivot, so the entries of v at
+        # the pivots stay as they came in: visit the nonzero ones
+        hits = _support(v) & self._mask
+        while hits:
+            c = (hits & -hits).bit_length() - 1
+            v = F.packed_sub(v, F.packed_entry(v, c), rows[c])
+            hits &= hits - 1
+        return v
 
     def reduce(self, v, coords=None):
         """v minus f*row for each basis row, f the entry of v at that row's
         pivot; with ``coords`` a list, each f is appended to it.  What is
         left is zero exactly when v lies in the span."""
-        z = self.field.zero
-        row_sub = self.field.row_sub
-        v = list(v)
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            if coords is not None:
-                coords.append(f)
-            if f != z:
-                v = row_sub(v, f, row)
-        return v
+        F = self.field
+        return F.unpack(self._reduce(F.pack(v), coords), self.ambient_dim)
 
     def contains(self, v):
-        z = self.field.zero
-        return all(x == z for x in self.reduce(v))
+        return not any(self._reduce(self.field.pack(v)))
 
     def coords(self, v):
         """Coordinates of v in the stored basis, or None."""
-        z = self.field.zero
         out = []
-        if any(x != z for x in self.reduce(v, out)):
-            return None
-        return out
+        return None if any(self._reduce(self.field.pack(v), out)) else out
 
     def coords_matrix(self, images):
         """The matrix whose column j holds the coordinates of ``images[j]``
@@ -414,33 +435,45 @@ class Subspace:
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
-        F = self.field
-        z = F.zero
-        v = self.reduce(v)
-        for c, x in enumerate(v):
-            if x != z:
-                v = F.row_scale(F.inv(x), v)
-                # keep basis reduced
-                for i, row in enumerate(self.basis):
-                    f = row[c]
-                    if f != z:
-                        self.basis[i] = F.row_sub(row, f, v)
-                k = 0
-                while k < len(self.pivots) and self.pivots[k] < c:
-                    k += 1
-                self.basis.insert(k, v)
-                self.pivots.insert(k, c)
-                return True
-        return False
+        F, rows = self.field, self._rows
+        v = self._reduce(F.pack(v))
+        if F.packed:
+            lead = _support(v)
+            c = (lead & -lead).bit_length() - 1
+            entry, sub = F.packed_entry, F.packed_sub
+        else:
+            c = next((c for c, x in enumerate(v) if x), -1)
+            entry, sub = getitem, F.row_sub
+        if c < 0:
+            return False
+        a = F.inv(entry(v, c))
+        v = sub([0] * F.degree, a, v) if F.packed else F.row_scale(a, v)
+        # keep basis reduced
+        for k, row in rows.items():
+            f = entry(row, c)
+            if f:
+                rows[k] = sub(row, f, v)
+        rows[c] = v
+        insort(self.pivots, c)
+        self._mask |= 1 << c
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field is other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._rows == other._rows)
 
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "
                 f"{self.field.label()}^{self.ambient_dim})")
+
+
+def _support(planes):
+    """The nonzero columns of a packed row, as the set bits of an int."""
+    out = 0
+    for p in planes:
+        out |= p
+    return out
 
 
 def coords_in_basis(field, rows, images):

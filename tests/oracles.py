@@ -7,13 +7,18 @@ dimensions.  The polytabloid and Schur-vector oracles are the two column
 antisymmetrizers that ``symgrp.column_alternant`` replaced; the dense
 norm is the matrix whose column space ``schurfun.elementary_value`` once
 took, and ``coefficient_abmap`` is the view of a ring as a product of
-cyclic groups that ``RingMap.as_abmap`` once built.
+cyclic groups that ``RingMap.as_abmap`` once built.  ``ListSubspace`` is
+the list-row elimination that ``Subspace`` ran in characteristic 2 before
+it packed its rows, and ``multiset_deviation_vanishes`` the walk over
+multisets that ``deviation_vanishes`` made on finite sources before it
+took differences along generators.
 """
 
-from itertools import combinations, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import comb, factorial
 
-from steinlab.emlpoly import AbGroup, AbMap
+from steinlab.emlpoly import AbGroup, AbMap, deviation
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix
@@ -328,3 +333,80 @@ def cross_effect_check(F, d):
         cs, _ = cross_effect(F, s)
         total += comb(d, s) * cs
     return total == F.dim(d)
+
+
+# -- elimination on list rows ----------------------------------------------
+
+class ListSubspace:
+    """An RREF row basis over a finite field, each row a list of labels,
+    reduced with ``Field.row_sub`` and ``Field.row_scale``."""
+
+    def __init__(self, field, ambient_dim, vectors=()):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.basis = []
+        self.pivots = []
+        for v in vectors:
+            self.add_vector(v)
+
+    def reduce(self, v, coords=None):
+        z = self.field.zero
+        v = list(v)
+        for row, c in zip(self.basis, self.pivots):
+            f = v[c]
+            if coords is not None:
+                coords.append(f)
+            if f != z:
+                v = self.field.row_sub(v, f, row)
+        return v
+
+    def contains(self, v):
+        return all(x == self.field.zero for x in self.reduce(v))
+
+    def coords(self, v):
+        out = []
+        if any(x != self.field.zero for x in self.reduce(v, out)):
+            return None
+        return out
+
+    def coords_matrix(self, images):
+        cols = []
+        for v in images:
+            x = self.coords(v)
+            if x is None:
+                raise ValueError("image outside the span of the basis")
+            cols.append(x)
+        return Matrix(self.field, [[x[i] for x in cols]
+                                   for i in range(len(self.basis))],
+                      len(cols))
+
+    def add_vector(self, v):
+        F = self.field
+        v = self.reduce(v)
+        for c, x in enumerate(v):
+            if x != F.zero:
+                v = F.row_scale(F.inv(x), v)
+                for i, row in enumerate(self.basis):
+                    if row[c] != F.zero:
+                        self.basis[i] = F.row_sub(row, row[c], v)
+                k = 0
+                while k < len(self.pivots) and self.pivots[k] < c:
+                    k += 1
+                self.basis.insert(k, v)
+                self.pivots.insert(k, c)
+                return True
+        return False
+
+
+# -- deviations on finite sources by multisets ----------------------------
+
+def multiset_deviation_vanishes(f, d):
+    """Whether dev_d(f) is zero on every multiset of d source elements
+    (dev_d is symmetric, so multisets cover every argument tuple)."""
+    dev = deviation(f, d)
+    zero = f.value_ops()[2]
+
+    def is_zero(v):
+        return v.is_zero() if isinstance(v, Matrix) else v == zero
+    return all(is_zero(dev(*us))
+               for us in combinations_with_replacement(f.source.elements(), d))

@@ -9,7 +9,7 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
-from oracles import coefficient_abmap
+from oracles import coefficient_abmap, multiset_deviation_vanishes
 
 
 def window_map(window, func):
@@ -262,3 +262,61 @@ def test_deviation_count_guard():
             f = window_map(window, Recorder(lambda u: Fraction(u) ** 3))
             ep.deviation_vanishes(f, d)
             assert len(f.func.reads) <= 2 * d * (window // d) + 1
+
+
+# -- finite sources: differences along generators against multisets ------
+
+FINITE_SOURCES = [FiniteRing(spec) for spec in (
+    "F_2", "F_3", "F_4", "Z/4", "Z/6", "F_8", "Z/8", "F_9", "Z/9",
+    "Z/2xF_2", "Z/2xZ/4", "Z/3xZ/3", "F_16", "Z/4xZ/4", "Z/2xF_8",
+    "Z/2xZ/2xZ/2xZ/2")] + [ep.AbGroup(orders) for orders in (
+        (2,), (2, 3), (2, 2, 2), (4, 4), (3, 3), (2, 8))]
+
+
+@st.composite
+def finite_maps(draw):
+    """(f, d): f from a source of at most 16 elements into F_2, F_3, F_4
+    or Q, as a random, sparse or constant table, or as one prime-field
+    coordinate of a power map, whose degree is small."""
+    U = draw(st.sampled_from(FINITE_SOURCES))
+    K = draw(st.sampled_from([Field.prime(2), Field.prime(3),
+                              Field.galois(2, 2), QQ]))
+    els = list(U.elements())
+    scalar = st.integers(-2, 2).map(Fraction) if K is QQ else \
+        st.integers(0, K.order - 1)
+    kind = draw(st.sampled_from(["table", "sparse", "constant", "power"]))
+    L = U.components[0] if isinstance(U, FiniteRing) else None
+    if kind == "power" and isinstance(L, Field) and K is not QQ and \
+            len(U.components) == 1 and L.char == K.char:
+        k = draw(st.integers(0, L.order - 1))
+        i = draw(st.integers(0, L.degree - 1))
+        values = [K.from_int(L.to_coeffs(L.pow(u, k))[i]) for u in els]
+    elif kind == "constant":
+        values = [draw(scalar)] * len(els)
+    elif kind == "sparse":
+        values = [K.zero] * len(els)
+        for at in draw(st.lists(st.integers(0, len(els) - 1), max_size=2)):
+            values[at] = draw(scalar)
+    else:
+        values = draw(st.lists(scalar, min_size=len(els),
+                               max_size=len(els)))
+    return ep.AbMap(U, K, table=dict(zip(els, values))), \
+        draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(finite_maps())
+def test_finite_differences_match_multiset_oracle(case):
+    f, d = case
+    assert ep.deviation_vanishes(f, d) == multiset_deviation_vanishes(f, d)
+
+
+@pytest.mark.parametrize("q, k, degree", [
+    (16, 0, 0), (16, 1, 1), (16, 3, 2), (16, 7, 3), (16, 15, 4),
+    (9, 4, 2), (9, 8, 4), (2401, 1, 1), (2401, 8, 2)])
+def test_power_map_degree_is_the_digit_sum(q, k, degree):
+    # x^k on F_q has degree the sum of the base-p digits of k, k < q
+    R = FiniteRing(f"F_{q}")
+    K = R.as_field()
+    f = ep.RingMap(R, K, func=lambda a: K.pow(a, k)).as_abmap()
+    assert ep.eml_degree(f, 4) == degree

@@ -1,6 +1,7 @@
 """Property tests for the per-kind row operations, the Subspace
-reduction built on them, ``coords_in_basis``, and elimination against an
-independent scalar Gauss-Jordan.  Hypothesis runs derandomized, so the
+reduction built on them, the packed rows of characteristic 2 against the
+list rows, ``coords_in_basis``, and elimination against an independent
+scalar Gauss-Jordan.  Hypothesis runs derandomized, so the
 examples are the same on every run."""
 
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace, coords_in_basis
+
+from oracles import ListSubspace
 
 # F_2, F_5, F_4, F_9, F_{7^4} (too large for an add table) and Q
 FIELDS = [Field.prime(2), Field.prime(5), Field.galois(2, 2),
@@ -235,3 +238,79 @@ def test_q_rref_pins(rows):
     assert R.rows[len(piv):] == [[0] * n] * (len(rows) - len(piv))
     assert all(type(x) is Fraction for r in R.rows for x in r)
 
+
+
+# -- packed rows (characteristic 2) against list rows ----------------------
+
+PACKED = [Field.prime(2), Field.galois(2, 2), Field.galois(2, 3),
+          Field.galois(2, 4)]
+
+
+@st.composite
+def packed_case(draw):
+    """A characteristic-2 field, a width (0 and 64-bit word edges among
+    them), vectors to insert in order (random, random after a run of
+    zeros, sparse, zero, or a combination of earlier ones) and probe
+    vectors."""
+    F = draw(st.sampled_from(PACKED))
+    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65]),
+                       st.integers(0, 140)))
+    label = st.integers(0, F.order - 1)
+    vec = st.lists(label, min_size=n, max_size=n)
+
+    def combination(vs):
+        w = [F.zero] * n
+        for v in vs:
+            c = draw(label)
+            w = [F.add(a, F.mul(c, b)) for a, b in zip(w, v)]
+        return w
+    vs = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["random", "tail", "sparse", "zero", "combination"]),
+            max_size=8)):
+        if kind == "random":
+            vs.append(draw(vec))
+        elif kind == "tail":
+            k = draw(st.integers(0, n))
+            vs.append([F.zero] * k + draw(vec)[k:])
+        elif kind == "sparse":
+            v = [F.zero] * n
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=3)
+                          if n else st.just([])):
+                v[j] = draw(label)
+            vs.append(v)
+        elif kind == "zero":
+            vs.append([F.zero] * n)
+        else:
+            vs.append(combination(vs))
+    probes = draw(st.lists(vec, max_size=2)) + [combination(vs)]
+    return F, n, vs, probes
+
+
+@settings(SETTINGS, max_examples=150)
+@given(packed_case())
+def test_packed_rows_match_list_rows(case):
+    F, n, vs, probes = case
+    sp, ref = Subspace(F, n), ListSubspace(F, n)
+    for v in vs:
+        assert sp.add_vector(v) == ref.add_vector(v)
+        assert (sp.basis, sp.pivots) == (ref.basis, ref.pivots)
+    for w in vs + probes:
+        got, want = [], []
+        assert sp.reduce(w, got) == ref.reduce(w, want)
+        assert got == want
+        assert sp.contains(w) == ref.contains(w)
+        assert sp.coords(w) == ref.coords(w)
+    inside = [w for w in vs + probes if ref.contains(w)]
+    assert sp.coords_matrix(inside) == ref.coords_matrix(inside)
+    assert Subspace(F, n, vs) == sp
+
+
+@pytest.mark.parametrize("F", PACKED, ids=lambda F: F.label())
+def test_pack_round_trip(F):
+    for n in (0, 1, 7, 64, 65, 200):
+        v = [(3 * j + 1) % F.order for j in range(n)]
+        planes = F.pack(v)
+        assert len(planes) == F.degree
+        assert F.unpack(planes, n) == v
+        assert [F.packed_entry(planes, j) for j in range(n)] == v
