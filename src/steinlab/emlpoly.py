@@ -8,11 +8,12 @@ The d-th deviation of f: U -> V is
 and f is polynomial of degree <= d when dev_{d+1}(f) vanishes
 identically.  Sources are finite abelian groups or Z restricted to a
 bounded evaluation window W.  A ``FiniteRing`` is its own additive
-group: the deviation code reads only its ``zero``, ``add`` and
-``elements()``, so ``rings.RingMap.as_abmap`` gives the ring itself as
-the source.  On Z, dev_d is tested on arguments in [-b, b], b = W // d,
-whose partial sums fill [-d*b, d*b]; it vanishes exactly when the d-th
-finite differences of f on [-d*b, d*b] do (Passi, LNM 715: the
+group: the deviation code reads only its ``zero``, ``add``,
+``elements()`` and ``additive_generators()``, so
+``rings.RingMap.as_abmap`` gives the ring itself as the source.  On Z,
+dev_d is tested on arguments in [-b, b], b = W // d, whose partial sums
+fill [-d*b, d*b]; it vanishes exactly when the d-th finite differences
+of f on [-d*b, d*b] do (Passi, LNM 715: the
 (t^u_1 - 1)...(t^u_d - 1) with |u_i| <= b span the same Z-module as the
 t^x (t - 1)^d with [x, x + d] inside [-d*b, d*b]).
 

@@ -7,14 +7,18 @@ entries and starts each sum at ``F.zero``, so Q products hold
 ``Fraction``s.  ``+``, ``-``, unary ``-`` and ``scale`` are the field's
 row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
 ``kron`` keeps its own loop, which skips zero factors.  Only
-``apply_to_vector``, the Q elimination and JSON branch on the field kind.
+``apply_to_vector``, ``Subspace`` and JSON branch on the field kind.
 
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
 its basis.  Over a finite field each vector is inserted by
 ``Subspace.add_vector``: reduction against the basis, then back-reduction
-of the basis, on the same row operations.  Over Q the rows are scaled to
-integers (same span) and eliminated fraction-free, so every entry of a Q
-basis is a ``Fraction``.
+of the basis.  In characteristic 2 the rows are packed bit planes
+(``fields``): a vector is packed once as it comes in, subtracting f*row
+is a few XORs, and only the pivots where the vector is nonzero are
+visited.  Rows are unpacked where they leave, in ``basis`` and in what
+``reduce`` returns.  Other finite fields keep list rows and the list row
+operations.  Over Q the rows are scaled to integers (same span) and
+eliminated fraction-free, so every entry of a Q basis is a ``Fraction``.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
