@@ -78,7 +78,8 @@ class Field:
         if e > 1:
             self._galois_tables()
         if p == 2:
-            # per plane i: labels <-> bit i as b"0"/b"1"; per c: (k, i) pairs
+            # packed rows: per plane i, translations between labels and the
+            # b"0"/b"1" of their bit i; per c, the (k, i) with bit k of c*x^i
             self._pack_tables = [bytes(48 + (b >> i & 1) for b in range(256))
                                  for i in range(e)]
             self._unpack_tables = [bytes.maketrans(b"01", bytes([0, 1 << i]))
