@@ -7,10 +7,10 @@ Supported extensions: p in {2, 3, 5, 7}, degree <= 4.
 
 List rows go through ``row_sub`` (v - f*row) and ``row_scale`` (c*v),
 one branch per field kind: ints mod p, Fractions, or tables on F_{p^e}.
-In characteristic 2 adding labels is XOR, so ``Subspace`` packs its rows
-(Parker's Meat-Axe, bit-sliced as in arXiv:0901.1413) into e ints: bit j
-of plane i is bit i of entry j.  f*row maps the planes by the GF(2)
-matrix of f, whose column i is the label of f*x^i.
+In characteristic 2 adding labels is XOR, so ``Subspace`` packs rows of
+8e or more entries (Parker's Meat-Axe, bit-sliced as in arXiv:0901.1413)
+into e ints: bit j of plane i is bit i of entry j.  f*row maps the
+planes by the GF(2) matrix of f, whose column i is the label of f*x^i.
 """
 
 import threading
@@ -64,7 +64,7 @@ class Field:
             raise FieldError("use Field.prime / Field.galois / Field.rationals")
         self.char = char
         self.degree = degree
-        self.packed = char == 2  # Subspace keeps packed rows
+        self.packed = char == 2  # Subspace may keep packed rows
         if char == 0:
             self.kind = "rational"
             self.order = None
@@ -269,16 +269,11 @@ class Field:
     # -- packed rows (characteristic 2, module docstring) -----------------
 
     def pack(self, v):
-        """The row ``Subspace`` keeps for the list v: packed, or a copy."""
-        if not self.packed:
-            return list(v)
         b = bytearray(v)[::-1]
         return [int(b.translate(t) or b"0", 2) for t in self._pack_tables]
 
     def unpack(self, planes, n):
-        """The list of the n entries of a row that ``pack`` gave."""
-        if not self.packed:
-            return planes
+        """The n entries of a packed row, as a list."""
         acc = 0
         for p, t in zip(planes, self._unpack_tables):
             acc |= int.from_bytes(f"{p:0{n}b}".encode().translate(t), "big")

@@ -362,8 +362,9 @@ class Subspace:
     each vector with ``add_vector`` over a finite field, and by
     fraction-free elimination of the integral rows over Q.  Entries are
     field elements: over a finite field, ints in ``range(field.order)``.
-    In characteristic 2 a vector is packed (``fields``) as it comes in and
-    the basis is kept packed; rows are unpacked only where they leave it."""
+    In characteristic 2, when n is at least 8e, a vector is packed
+    (``fields``) as it comes in and the basis is kept packed; rows are
+    unpacked only where they leave it."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
@@ -371,6 +372,9 @@ class Subspace:
         self.pivots = []
         self._rows = {}  # pivot -> basis row, packed in characteristic 2
         self._mask = 0   # the pivots, as the bits of an int
+        # on narrower rows, packing and unpacking cost more than the XORs
+        # save (timeit on random k x n matrices over F_2, F_4 and F_8)
+        self._packed = field.packed and ambient_dim >= 8 * field.degree
         if field.kind == "rational":
             rows, self.pivots = _rref_int(
                 [_integral(v) for v in vectors], ambient_dim)
@@ -381,17 +385,22 @@ class Subspace:
 
     @property
     def basis(self):
-        unpack, n = self.field.unpack, self.ambient_dim
-        return [unpack(self._rows[c], n) for c in self.pivots]
+        rows = [self._rows[c] for c in self.pivots]
+        if self._packed:
+            return [self.field.unpack(r, self.ambient_dim) for r in rows]
+        return rows
 
     @property
     def dim(self):
         return len(self.pivots)
 
+    def _in(self, v):
+        return self.field.pack(v) if self._packed else list(v)
+
     def _reduce(self, v, coords=None):
-        """``reduce`` on v as ``Field.pack`` gives it, returned so."""
+        """``reduce`` on v as ``_in`` gives it, returned in that form."""
         F, rows = self.field, self._rows
-        if not F.packed:
+        if not self._packed:
             for c in self.pivots:
                 f = v[c]
                 if coords is not None:
@@ -414,16 +423,16 @@ class Subspace:
         """v minus f*row for each basis row, f the entry of v at that row's
         pivot; with ``coords`` a list, each f is appended to it.  What is
         left is zero exactly when v lies in the span."""
-        F = self.field
-        return F.unpack(self._reduce(F.pack(v), coords), self.ambient_dim)
+        v = self._reduce(self._in(v), coords)
+        return self.field.unpack(v, self.ambient_dim) if self._packed else v
 
     def contains(self, v):
-        return not any(self._reduce(self.field.pack(v)))
+        return not any(self._reduce(self._in(v)))
 
     def coords(self, v):
         """Coordinates of v in the stored basis, or None."""
         out = []
-        return None if any(self._reduce(self.field.pack(v), out)) else out
+        return None if any(self._reduce(self._in(v), out)) else out
 
     def coords_matrix(self, images):
         """The matrix whose column j holds the coordinates of ``images[j]``
@@ -440,8 +449,8 @@ class Subspace:
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
         F, rows = self.field, self._rows
-        v = self._reduce(F.pack(v))
-        if F.packed:
+        v = self._reduce(self._in(v))
+        if self._packed:
             lead = _support(v)
             c = (lead & -lead).bit_length() - 1
             entry, sub = F.packed_entry, F.packed_sub
@@ -451,7 +460,7 @@ class Subspace:
         if c < 0:
             return False
         a = F.inv(entry(v, c))
-        v = sub([0] * F.degree, a, v) if F.packed else F.row_scale(a, v)
+        v = sub([0] * F.degree, a, v) if self._packed else F.row_scale(a, v)
         # keep basis reduced
         for k, row in rows.items():
             f = entry(row, c)
