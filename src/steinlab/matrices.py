@@ -12,12 +12,12 @@ row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
 its basis.  Over a finite field each vector is inserted by
 ``Subspace.add_vector``: reduction against the basis, then back-reduction
-of the basis.  In characteristic 2 the rows are packed bit planes
-(``fields``): a vector is packed once as it comes in, subtracting f*row
-is a few XORs, and only the pivots where the vector is nonzero are
-visited.  Rows are unpacked where they leave, in ``basis`` and in what
-``reduce`` returns.  Other finite fields keep list rows and the list row
-operations.  Over Q the rows are scaled to integers (same span) and
+of the basis.  In characteristic 2, rows of 8e or more entries are
+packed bit planes (``fields``): a vector is packed once as it comes in,
+subtracting f*row is a few XORs, and only the pivots where the vector is
+nonzero are visited.  Rows are unpacked where they leave, in ``basis``
+and in what ``reduce`` returns.  Narrower rows and other finite fields
+keep list rows and the list row operations.  Over Q the rows are scaled to integers (same span) and
 eliminated fraction-free, so every entry of a Q basis is a ``Fraction``.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
@@ -370,7 +370,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.pivots = []
-        self._rows = {}  # pivot -> basis row, packed in characteristic 2
+        self._rows = {}  # pivot -> basis row, packed if self._packed
         self._mask = 0   # the pivots, as the bits of an int
         # on narrower rows, packing and unpacking cost more than the XORs
         # save (timeit on random k x n matrices over F_2, F_4 and F_8)

@@ -248,12 +248,12 @@ PACKED = [Field.prime(2), Field.galois(2, 2), Field.galois(2, 3),
 
 @st.composite
 def packed_case(draw):
-    """A characteristic-2 field, a width (0 and 64-bit word edges among
-    them), vectors to insert in order (random, random after a run of
-    zeros, sparse, zero, or a combination of earlier ones) and probe
-    vectors."""
+    """A characteristic-2 field, a width (0, 64-bit word edges and widths
+    on both sides of 8e, where Subspace starts packing), vectors to insert
+    in order (random, random after a run of zeros, sparse, zero, or a
+    combination of earlier ones) and probe vectors."""
     F = draw(st.sampled_from(PACKED))
-    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65]),
+    n = draw(st.one_of(st.sampled_from([0, 1, 8 * F.degree, 63, 64, 65]),
                        st.integers(0, 140)))
     label = st.integers(0, F.order - 1)
     vec = st.lists(label, min_size=n, max_size=n)
