@@ -269,6 +269,7 @@ class Field:
     # -- packed rows (characteristic 2, module docstring) -----------------
 
     def pack(self, v):
+        """The packed row of the list v of labels."""
         b = bytearray(v)[::-1]
         return [int(b.translate(t) or b"0", 2) for t in self._pack_tables]
 
@@ -280,6 +281,7 @@ class Field:
         return list(acc.to_bytes(n, "little"))
 
     def packed_entry(self, planes, j):
+        """Entry j of a packed row."""
         f = 0
         for p in reversed(planes):
             f = f << 1 | p >> j & 1
