@@ -1,7 +1,9 @@
 """Command-line front end: one executable covering partitions,
 Eilenberg-Mac Lane degrees, module tools, Schur and elementary
 functors, functor categories, and the GL_n(F_q) classification, plus a
-batch runner over JSON manifests.
+batch runner over JSON manifests.  Module arguments live in one table,
+``OPTIONS``; each run adds to its parser only those of the module its
+argv names.
 
 Exit codes come from exception types: 0 success, 1 usage/parse error,
 3 ``CapExceeded`` (the job would exceed a size cap), 2 any other failed
@@ -130,22 +132,17 @@ def cmd_partition(args):
 
 
 def cmd_emlpoly(args):
-    if args.action == "degree":
+    if args.action in ("degree", "deviate"):
         if args.ring:
-            ring = FiniteRing(args.ring)
-            f = make_ring_map(ring, args.map).as_abmap()
+            f = make_ring_map(FiniteRing(args.ring), args.map).as_abmap()
         else:
             f = make_window_map(args.window, _coeff_list(args.poly))
+    if args.action == "degree":
         d = emlpoly.eml_degree(f, args.cap)
         if isinstance(d, emlpoly.NotPolynomialUpTo):
             return {"degree": None, "not_polynomial_up_to": d.cap}
         return {"degree": d}
     if args.action == "deviate":
-        if args.ring:
-            ring = FiniteRing(args.ring)
-            f = make_ring_map(ring, args.map).as_abmap()
-        else:
-            f = make_window_map(args.window, _coeff_list(args.poly))
         return {"order": args.d,
                 "vanishes": emlpoly.deviation_vanishes(f, args.d)}
     if args.action == "homog":
@@ -310,76 +307,78 @@ def cmd_steinberg(args):
 
 # -- parsing and dispatch ------------------------------------------------
 
+# each module's arguments, as (flag, add_argument keywords)
+OPTIONS = {
+    "partition": [
+        ("action", dict(choices=("conj", "restricted", "digits"))),
+        ("--lam", dict(required=True)), ("--p", dict(type=int, default=2)),
+        ("--r", dict(type=int, default=1))],
+    "emlpoly": [
+        ("action", dict(choices=("degree", "deviate", "homog", "factor",
+                                 "linearize"))),
+        ("--ring", {}), ("--map", {}),
+        ("--window", dict(type=int, default=60)), ("--poly", {}),
+        ("--d", dict(type=int, default=2)),
+        ("--cap", dict(type=int, default=6)), ("--orders", {}),
+        ("--coeff", dict(default="F_3"))],
+    "meataxe": [
+        ("action", dict(choices=("simple", "end", "iso", "tensor",
+                                 "twist"))),
+        ("--module", dict(dest="modfile", required=True)),
+        ("--module2", dict(dest="modfile2")),
+        ("--i", dict(type=int, default=1))],
+    "schur": [
+        ("action", dict(choices=("eval", "socle", "weight", "dettwist"))),
+        ("--lam", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--coeff", dict(required=True))],
+    "elementary": [
+        ("action", dict(choices=("eval",))), ("--lam", dict(required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--coeff", dict(required=True))],
+    "functor": [
+        ("action", dict(choices=("crosseffect", "degree", "dimtable",
+                                 "iext", "ideal", "tensor", "simple"))),
+        ("--ring", dict(required=True)), ("--coeff", dict(required=True)),
+        ("--functor", dict(required=True)),
+        ("--rank", dict(type=int, default=3)),
+        ("--n", dict(type=int, default=1)),
+        ("--cap", dict(type=int, default=4))],
+    "steinberg": [
+        ("action", dict(choices=("classify", "build", "unique",
+                                 "product"))),
+        ("--n", dict(type=int, default=2)), ("--q", dict(type=int, default=2)),
+        ("--lam", {}), ("--lam2", {}), ("--field", {}),
+        ("--module", dict(dest="modfile")), ("--names1", {}),
+        ("--names2", {})],
+    "batch": [("manifest", {})],
+}
+
+
+class _ModuleParsers(argparse._SubParsersAction):
+    """Subparsers that add a module's ``OPTIONS`` only when argparse
+    dispatches to it.  Each module name maps to None until then and is
+    filled in place, so usage and errors list the modules in order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if self.choices[name] is None:
+            # what add_parser builds; it refuses a name already present
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            for flag, kwargs in OPTIONS[name]:
+                sub.add_argument(flag, **kwargs)
+            self.choices[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="steinlab", allow_abbrev=False)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--format", choices=("json", "tsv"), default=None)
-    sub = top.add_subparsers(dest="module", required=True)
-
-    pt = sub.add_parser("partition")
-    pt.add_argument("action", choices=("conj", "restricted", "digits"))
-    pt.add_argument("--lam", required=True)
-    pt.add_argument("--p", type=int, default=2)
-    pt.add_argument("--r", type=int, default=1)
-
-    em = sub.add_parser("emlpoly")
-    em.add_argument("action", choices=("degree", "deviate", "homog",
-                                       "factor", "linearize"))
-    em.add_argument("--ring")
-    em.add_argument("--map")
-    em.add_argument("--window", type=int, default=60)
-    em.add_argument("--poly")
-    em.add_argument("--d", type=int, default=2)
-    em.add_argument("--cap", type=int, default=6)
-    em.add_argument("--orders")
-    em.add_argument("--coeff", default="F_3")
-
-    mx = sub.add_parser("meataxe")
-    mx.add_argument("action", choices=("simple", "end", "iso", "tensor",
-                                       "twist"))
-    mx.add_argument("--module", dest="modfile", required=True)
-    mx.add_argument("--module2", dest="modfile2")
-    mx.add_argument("--i", type=int, default=1)
-
-    sc = sub.add_parser("schur")
-    sc.add_argument("action", choices=("eval", "socle", "weight",
-                                       "dettwist"))
-    sc.add_argument("--lam", required=True)
-    sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--coeff", required=True)
-
-    el = sub.add_parser("elementary")
-    el.add_argument("action", choices=("eval",))
-    el.add_argument("--lam", required=True)
-    el.add_argument("--n", type=int, required=True)
-    el.add_argument("--coeff", required=True)
-
-    fu = sub.add_parser("functor")
-    fu.add_argument("action", choices=("crosseffect", "degree",
-                                       "dimtable", "iext", "ideal",
-                                       "tensor", "simple"))
-    fu.add_argument("--ring", required=True)
-    fu.add_argument("--coeff", required=True)
-    fu.add_argument("--functor", required=True)
-    fu.add_argument("--rank", type=int, default=3)
-    fu.add_argument("--n", type=int, default=1)
-    fu.add_argument("--cap", type=int, default=4)
-
-    sb = sub.add_parser("steinberg")
-    sb.add_argument("action", choices=("classify", "build", "unique",
-                                       "product"))
-    sb.add_argument("--n", type=int, default=2)
-    sb.add_argument("--q", type=int, default=2)
-    sb.add_argument("--lam")
-    sb.add_argument("--lam2")
-    sb.add_argument("--field")
-    sb.add_argument("--module", dest="modfile")
-    sb.add_argument("--names1")
-    sb.add_argument("--names2")
-
-    bt = sub.add_parser("batch")
-    bt.add_argument("manifest")
+    sub = top.add_subparsers(dest="module", required=True,
+                             action=_ModuleParsers)
+    sub.choices.update(dict.fromkeys(OPTIONS))
     return top
 
 
@@ -397,29 +396,24 @@ NEEDS = {
     ("steinberg", "product"): {"module": None, "names1": None,
                                "names2": None},
 }
-# option -> its attribute, where the two differ
-_DEST = {"module": "modfile", "module2": "modfile2"}
 
 
 def _missing_option(args):
     """The first option in ``NEEDS`` that this job lacks, or None."""
+    dest = {flag.lstrip("-"): kw.get("dest", flag.lstrip("-"))
+            for flag, kw in OPTIONS[args.module]}
     given = vars(args)
     for opt, when in NEEDS.get((args.module, args.action), {}).items():
-        if given[_DEST.get(opt, opt)] is None and \
-                (when is None or given[when] is not None):
+        if given[dest[opt]] is None and \
+                (when is None or given[dest[when]] is not None):
             return opt
     return None
 
 
-HANDLERS = {
-    "partition": cmd_partition,
-    "emlpoly": cmd_emlpoly,
-    "meataxe": cmd_meataxe,
-    "schur": cmd_schur,
-    "elementary": cmd_elementary,
-    "functor": cmd_functor,
-    "steinberg": cmd_steinberg,
-}
+HANDLERS = {"partition": cmd_partition, "emlpoly": cmd_emlpoly,
+            "meataxe": cmd_meataxe, "schur": cmd_schur,
+            "elementary": cmd_elementary, "functor": cmd_functor,
+            "steinberg": cmd_steinberg}
 
 
 def render(result, fmt):

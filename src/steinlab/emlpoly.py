@@ -26,8 +26,9 @@ all of those kill f.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 
 from .fields import MAX_DEGREE, Field, QQ
 from .matrices import Matrix
@@ -118,12 +119,7 @@ class AbGroup:
         return [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
     def size(self):
-        if self.is_integers:
-            return None
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return None if self.is_integers else prod(self.orders)
 
     def label(self):
         if self.is_integers:
@@ -238,6 +234,24 @@ def deviation_vanishes(f, d):
         for _ in range(d):
             table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
         return all(_is_zero_value(v, zero) for v in table)
+    table, n, diff, nonzero = _differences(f)
+    # (D_w f, least next letter, letters left) for nondecreasing words w,
+    # depth first; a zero table is not differenced further
+    stack = [(table, 0, d)]
+    while stack:
+        t, j, k = stack.pop()
+        if not nonzero(t):
+            continue
+        if k == 0:
+            return False
+        stack.extend((diff(t, i), i, k - 1) for i in range(j, n))
+    return True
+
+
+def _differences(f):
+    """f's table on its finite source, the number n of additive
+    generators g_i, (t, i) -> D_g_i t and a test that t is not zero."""
+    U = f.source
     els = list(U.elements())
     index = {u: i for i, u in enumerate(els)}
     # shifts[i][k] is the index of els[k] + g_i
@@ -245,27 +259,28 @@ def deviation_vanishes(f, d):
               for g in U.additive_generators()]
     table = [f(u) for u in els]
     add, neg, zero = _target_ops(f.target, table[0])
-    # (D_w f, least next letter, letters left) for nondecreasing words w,
-    # depth first; a zero table is not differenced further
-    stack = [(table, 0, d)]
-    while stack:
-        t, j, k = stack.pop()
-        if all(_is_zero_value(v, zero) for v in t):
-            continue
-        if k == 0:
-            return False
-        stack.extend(([add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
-                      i, k - 1) for i in range(j, len(shifts)))
-    return True
+    return (table, len(shifts),
+            lambda t, i: [add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
+            lambda t: not all(_is_zero_value(v, zero) for v in t))
 
 
 def eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) identically zero, else the
-    NotPolynomialUpTo(cap) sentinel."""
+    NotPolynomialUpTo(cap) sentinel.  On a finite source the nonzero
+    tables of the words of length d seed those of length d + 1; a Z
+    window tests each d afresh, as b = W // d changes."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
+    if _is_window(f.source):
+        return next((d for d in range(cap + 1)
+                     if deviation_vanishes(f, d + 1)), NotPolynomialUpTo(cap))
+    table, n, diff, nonzero = _differences(f)
+    # (D_w f, last letter of w) for the nonzero tables of words of length d
+    level = [(table, 0)] if nonzero(table) else []
     for d in range(cap + 1):
-        if deviation_vanishes(f, d + 1):
+        level = [(u, i) for t, j in level for i in range(j, n)
+                 if nonzero(u := diff(t, i))]
+        if not level:
             return d
     return NotPolynomialUpTo(cap)
 
@@ -383,15 +398,8 @@ def factor_ring_map(phi, cap=8):
         target = {a: emb(phi(a)) for a in phi.ring.elements()}
         found = []
         for combo in combinations_with_replacement(range(len(homs)), d):
-            ok = True
-            for a in phi.ring.elements():
-                v = L.one
-                for i in combo:
-                    v = L.mul(v, homs[i](a))
-                if v != target[a]:
-                    ok = False
-                    break
-            if ok:
+            if all(reduce(L.mul, (homs[i](a) for i in combo), L.one)
+                   == target[a] for a in phi.ring.elements()):
                 found.append([homs[i] for i in combo])
         if found:
             if len(found) > 1:
@@ -419,9 +427,7 @@ def _linear_map_matrix(k, src_elements, dst_index, images):
 
 def check_short_exact(A, B, C, incl, proj):
     """Verify 0 -> A -> B -> C -> 0 with the given value maps."""
-    imgs = set()
-    for a in A.elements():
-        imgs.add(incl(a))
+    imgs = {incl(a) for a in A.elements()}
     if len(imgs) != len(A.elements()):
         return False
     for a1 in A.elements():

@@ -11,14 +11,20 @@ cyclic groups that ``RingMap.as_abmap`` once built.  ``ListSubspace`` is
 the list-row elimination that ``Subspace`` ran in characteristic 2 before
 it packed its rows, and ``multiset_deviation_vanishes`` the walk over
 multisets that ``deviation_vanishes`` made on finite sources before it
-took differences along generators.
+took differences along generators; ``per_d_eml_degree`` is the degree
+search that ran it afresh for each d.  ``build_parser`` is the command
+line parser that ``cli.build_parser`` built in full, every module's
+arguments included, before it added only those of the module a job
+names.
 """
 
+import argparse
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import comb, factorial
 
-from steinlab.emlpoly import AbGroup, AbMap, deviation
+from steinlab.emlpoly import (AbGroup, AbMap, NotPolynomialUpTo, deviation,
+                              deviation_vanishes)
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix
@@ -410,3 +416,84 @@ def multiset_deviation_vanishes(f, d):
         return v.is_zero() if isinstance(v, Matrix) else v == zero
     return all(is_zero(dev(*us))
                for us in combinations_with_replacement(f.source.elements(), d))
+
+
+def per_d_eml_degree(f, cap):
+    """Least d <= cap with dev_{d+1}(f) zero, testing each d afresh."""
+    return next((d for d in range(cap + 1) if deviation_vanishes(f, d + 1)),
+                NotPolynomialUpTo(cap))
+
+
+# -- the command line parser, built in full -------------------------------
+
+def build_parser():
+    top = argparse.ArgumentParser(prog="steinlab", allow_abbrev=False)
+    top.add_argument("--seed", type=int, default=0)
+    top.add_argument("--jobs", type=int, default=1)
+    top.add_argument("--format", choices=("json", "tsv"), default=None)
+    sub = top.add_subparsers(dest="module", required=True)
+
+    pt = sub.add_parser("partition")
+    pt.add_argument("action", choices=("conj", "restricted", "digits"))
+    pt.add_argument("--lam", required=True)
+    pt.add_argument("--p", type=int, default=2)
+    pt.add_argument("--r", type=int, default=1)
+
+    em = sub.add_parser("emlpoly")
+    em.add_argument("action", choices=("degree", "deviate", "homog",
+                                       "factor", "linearize"))
+    em.add_argument("--ring")
+    em.add_argument("--map")
+    em.add_argument("--window", type=int, default=60)
+    em.add_argument("--poly")
+    em.add_argument("--d", type=int, default=2)
+    em.add_argument("--cap", type=int, default=6)
+    em.add_argument("--orders")
+    em.add_argument("--coeff", default="F_3")
+
+    mx = sub.add_parser("meataxe")
+    mx.add_argument("action", choices=("simple", "end", "iso", "tensor",
+                                       "twist"))
+    mx.add_argument("--module", dest="modfile", required=True)
+    mx.add_argument("--module2", dest="modfile2")
+    mx.add_argument("--i", type=int, default=1)
+
+    sc = sub.add_parser("schur")
+    sc.add_argument("action", choices=("eval", "socle", "weight",
+                                       "dettwist"))
+    sc.add_argument("--lam", required=True)
+    sc.add_argument("--n", type=int, required=True)
+    sc.add_argument("--coeff", required=True)
+
+    el = sub.add_parser("elementary")
+    el.add_argument("action", choices=("eval",))
+    el.add_argument("--lam", required=True)
+    el.add_argument("--n", type=int, required=True)
+    el.add_argument("--coeff", required=True)
+
+    fu = sub.add_parser("functor")
+    fu.add_argument("action", choices=("crosseffect", "degree",
+                                       "dimtable", "iext", "ideal",
+                                       "tensor", "simple"))
+    fu.add_argument("--ring", required=True)
+    fu.add_argument("--coeff", required=True)
+    fu.add_argument("--functor", required=True)
+    fu.add_argument("--rank", type=int, default=3)
+    fu.add_argument("--n", type=int, default=1)
+    fu.add_argument("--cap", type=int, default=4)
+
+    sb = sub.add_parser("steinberg")
+    sb.add_argument("action", choices=("classify", "build", "unique",
+                                       "product"))
+    sb.add_argument("--n", type=int, default=2)
+    sb.add_argument("--q", type=int, default=2)
+    sb.add_argument("--lam")
+    sb.add_argument("--lam2")
+    sb.add_argument("--field")
+    sb.add_argument("--module", dest="modfile")
+    sb.add_argument("--names1")
+    sb.add_argument("--names2")
+
+    bt = sub.add_parser("batch")
+    bt.add_argument("manifest")
+    return top

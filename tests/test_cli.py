@@ -1,9 +1,13 @@
+import argparse
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from steinlab import schurfun
+import oracles
+from steinlab import cli, schurfun
 from steinlab.cli import run
 
 
@@ -366,3 +370,61 @@ def test_batch_job_with_an_edge_value_fails_alone(tmp_path):
     assert report["results"][1]["output"] == \
         "error: rank n must be >= 1, got 0"
     assert json.loads(report["results"][2]["output"])["dimension"] == 1
+
+
+# -- the parser adds only the named module's arguments --------------------
+
+SCHUR = ["schur", "eval", "--lam", "2,1", "--n", "3", "--coeff", "Q"]
+JOBS = [
+    ["partition", "digits", "--lam", "3,2", "--p", "2", "--r", "2"],
+    ["emlpoly", "degree", "--window", "20", "--poly", "3,1"],
+    ["meataxe", "iso", "--module", "a.json", "--module2", "b.json"],
+    SCHUR,
+    ["elementary", "eval", "--lam", "2,1", "--n", "2", "--coeff", "F_3"],
+    ["functor", "dimtable", "--ring", "F_2", "--coeff", "F_3",
+     "--functor", "gr1", "--rank", "4"],
+    ["steinberg", "product", "--module", "m.json", "--names1", "a",
+     "--names2", "b"],
+    ["batch", "jobs.json"],
+    ["--seed=3", "--format", "tsv", "--jobs", "2", "batch", "jobs.json"],
+    ["functor", "tensor", "--ring", "F_2", "--coeff", "F_3", "--fun", "gr1"],
+]
+MISUSE = [
+    [], ["--help"], ["-h"], ["bogus"], ["schur", "bogus"],
+    ["schur", "eval", "--lam", "2,1"], SCHUR[:5] + ["x"] + SCHUR[6:],
+    ["partition", "conj", "--lam", "3,1", "--bogus"],
+    ["batch", "jobs.json", "--jobs", "4"], ["--format", "xml", *SCHUR],
+    ["--se", "3", *SCHUR], ["steinberg"],
+] + [[module, "-h"] for module in cli.OPTIONS]
+
+
+def parse(build_parser, argv):
+    """(exit code, stdout, stderr, Namespace or None) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = build_parser().parse_args(argv), 0
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", JOBS + MISUSE,
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_parser_matches_the_full_parser(argv):
+    # argparse's wording differs between Python versions, so the oracle
+    # is the parser built in full on the running interpreter
+    got = parse(cli.build_parser, argv)
+    assert got == parse(oracles.build_parser, argv)
+    # jobs parse silently; help and errors print and exit
+    assert (got[3] is not None) == (argv in JOBS) != bool(got[1] + got[2])
+
+
+def test_a_schur_job_builds_only_the_schur_arguments():
+    parser = cli.build_parser()
+    parser.parse_args(SCHUR)
+    modules, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(modules.choices) == list(cli.OPTIONS)
+    assert [name for name, sub in modules.choices.items()
+            if sub is not None] == ["schur"]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,7 +10,8 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
-from oracles import coefficient_abmap, multiset_deviation_vanishes
+from oracles import (coefficient_abmap, multiset_deviation_vanishes,
+                     per_d_eml_degree)
 
 
 def window_map(window, func):
@@ -320,3 +322,23 @@ def test_power_map_degree_is_the_digit_sum(q, k, degree):
     K = R.as_field()
     f = ep.RingMap(R, K, func=lambda a: K.pow(a, k)).as_abmap()
     assert ep.eml_degree(f, 4) == degree
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(finite_maps(), st.integers(0, 6))
+def test_eml_degree_levels_match_the_per_d_search(case, cap):
+    f, _ = case
+    assert ep.eml_degree(f, cap) == per_d_eml_degree(f, cap)
+
+
+def test_eml_degree_cost_is_linear_in_the_cap():
+    # the indicator of 0 on Z/6 into F_2 is not polynomial: 3 is a unit
+    # mod 2, so no power of the augmentation ideal kills it, and every
+    # level up to the cap stays nonzero (about 7 s when each d started
+    # afresh)
+    F2 = Field.prime(2)
+    f = ep.AbMap(ep.AbGroup((6,)), F2,
+                 func=lambda u: F2.one if u == (0,) else F2.zero)
+    start = time.perf_counter()
+    assert ep.eml_degree(f, 1500) == ep.NotPolynomialUpTo(1500)
+    assert time.perf_counter() - start < 1

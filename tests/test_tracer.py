@@ -32,6 +32,9 @@ def test_span_tracer_enters_and_restores():
     assert matrices.Matrix.rref is rref
     assert traced[0] == 0 and run(JOB) == traced
     calls, _ = spans.summary()
+    # one parser per job, built with no arguments, parsed in parse_args
+    assert calls["cli.build_parser"] == 1
+    assert calls["cli.parse_args"] == 1
     assert calls["functorcat.iext_value"] > 0
     assert calls["rings.monoid_closure"] > 0
     assert calls["matrices.span_from_spins"] > 0
