@@ -356,9 +356,8 @@ OPTIONS = {
 
 
 class _ModuleParsers(argparse._SubParsersAction):
-    """Subparsers that add a module's ``OPTIONS`` only when argparse
-    dispatches to it.  Each module name maps to None until then and is
-    filled in place, so usage and errors list the modules in order."""
+    """Subparsers that add a module's ``OPTIONS`` once argparse dispatches
+    to it, filling in place the name that maps to None until then."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]
@@ -376,7 +375,8 @@ def build_parser():
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--format", choices=("json", "tsv"), default=None)
-    sub = top.add_subparsers(dest="module", required=True,
+    # with prog given, argparse does not format a usage line to find it
+    sub = top.add_subparsers(dest="module", required=True, prog="steinlab",
                              action=_ModuleParsers)
     sub.choices.update(dict.fromkeys(OPTIONS))
     return top

@@ -417,7 +417,8 @@ def test_parser_matches_the_full_parser(argv):
     got = parse(cli.build_parser, argv)
     assert got == parse(oracles.build_parser, argv)
     # jobs parse silently; help and errors print and exit
-    assert (got[3] is not None) == (argv in JOBS) != bool(got[1] + got[2])
+    assert (got[3] is not None) == (argv in JOBS)
+    assert bool(got[1] or got[2]) == (argv not in JOBS)
 
 
 def test_a_schur_job_builds_only_the_schur_arguments():
