@@ -334,8 +334,7 @@ def test_eml_degree_levels_match_the_per_d_search(case, cap):
 def test_eml_degree_cost_is_linear_in_the_cap():
     # the indicator of 0 on Z/6 into F_2 is not polynomial: 3 is a unit
     # mod 2, so no power of the augmentation ideal kills it, and every
-    # level up to the cap stays nonzero (about 7 s when each d started
-    # afresh)
+    # level up to the cap stays nonzero
     F2 = Field.prime(2)
     f = ep.AbMap(ep.AbGroup((6,)), F2,
                  func=lambda u: F2.one if u == (0,) else F2.zero)
