@@ -167,14 +167,15 @@ def cmd_emlpoly(args):
         if len(orders) != 3:
             raise ValueError(f"--orders needs three orders a,b,c, got "
                              f"{args.orders!r}")
+        for m in orders:
+            if m < 2:
+                raise ValueError(f"cyclic orders must be >= 2, got {m}")
         a, b, c = orders
-        A = emlpoly.AbGroup((a,))
-        B = emlpoly.AbGroup((b,))
-        C = emlpoly.AbGroup((c,))
         if b % a or b // a != c:
             raise ValueError("orders must describe a cyclic extension")
-        incl = emlpoly.AbMap(A, B, func=lambda u: ((b // a) * u[0] % b,))
-        proj = emlpoly.AbMap(B, C, func=lambda u: (u[0] % c,))
+        A, B, C = (FiniteRing(f"Z/{m}") for m in orders)
+        incl = emlpoly.AbMap(A, B, func=lambda u: c * u % b)
+        proj = emlpoly.AbMap(B, C, func=lambda u: u % c)
         K = parse_field(args.coeff)
         rep = emlpoly.linearization_exactness(A, B, C, incl, proj, K)
         return {k: v for k, v in sorted(rep.items())}
@@ -355,6 +356,21 @@ OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that, once ``shown`` is a list, appends its help
+    text there instead of printing it.  ``run`` returns that text as the
+    job's output, so help inside a batch leaves the report JSON, and no
+    thread swaps the process-wide ``sys.stdout``."""
+
+    shown = None
+
+    def print_help(self, file=None):
+        if self.shown is None:
+            super().print_help(file)
+        else:
+            self.shown.append(self.format_help())
+
+
 class _ModuleParsers(argparse._SubParsersAction):
     """Subparsers that add a module's ``OPTIONS`` once argparse dispatches
     to it, filling in place the name that maps to None until then."""
@@ -364,6 +380,7 @@ class _ModuleParsers(argparse._SubParsersAction):
         if self.choices[name] is None:
             # what add_parser builds; it refuses a name already present
             sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            sub.shown = parser.shown
             for flag, kwargs in OPTIONS[name]:
                 sub.add_argument(flag, **kwargs)
             self.choices[name] = sub
@@ -371,7 +388,7 @@ class _ModuleParsers(argparse._SubParsersAction):
 
 
 def build_parser():
-    top = argparse.ArgumentParser(prog="steinlab", allow_abbrev=False)
+    top = _Parser(prog="steinlab", allow_abbrev=False)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--format", choices=("json", "tsv"), default=None)
@@ -431,10 +448,12 @@ def render(result, fmt):
 def run(argv):
     """Run one job; returns (exit code, output text)."""
     parser = build_parser()
+    parser.shown = shown = []
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (1 if exc.code else 0), ""
+        # help exits 0 and is the output; errors went to stderr
+        return (1 if exc.code else 0), "".join(shown).rstrip("\n")
     if args.module == "batch":
         return run_batch(args)
     missing = _missing_option(args)

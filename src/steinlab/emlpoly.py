@@ -6,11 +6,14 @@ The d-th deviation of f: U -> V is
                             (-1)^(d-|I|) f(sum of u_i for i in I)
 
 and f is polynomial of degree <= d when dev_{d+1}(f) vanishes
-identically.  Sources are finite abelian groups or Z restricted to a
-bounded evaluation window W.  A ``FiniteRing`` is its own additive
-group: the deviation code reads only its ``zero``, ``add``,
-``elements()`` and ``additive_generators()``, so
-``rings.RingMap.as_abmap`` gives the ring itself as the source.  On Z,
+identically.  A source is a finite abelian group, given as a
+``rings.FiniteRing`` read as its additive group (``"Z/2xZ/4"`` is
+Z/2 + Z/4), or Z restricted to a bounded evaluation window W, an
+``AbGroup``.  The deviation code reads only a finite source's ``zero``,
+``add``, ``elements()`` and ``additive_generators()``; its elements are
+labels, so each is its own index in a value table, and
+``rings.RingMap.as_abmap`` gives the ring itself as the source.  A
+finite target is a ``Field`` or a ``FiniteRing``.  On Z,
 dev_d is tested on arguments in [-b, b], b = W // d, whose partial sums
 fill [-d*b, d*b]; it vanishes exactly when the d-th finite differences
 of f on [-d*b, d*b] do (Passi, LNM 715: the
@@ -27,8 +30,8 @@ all of those kill f.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from itertools import combinations_with_replacement
+from math import factorial
 
 from .fields import MAX_DEGREE, Field, QQ
 from .matrices import Matrix
@@ -52,110 +55,44 @@ class NotPolynomialUpTo:
         return f"NotPolynomialUpTo({self.cap})"
 
 
-def _is_window(U):
-    """Whether the source U is Z with an evaluation window."""
-    return isinstance(U, AbGroup) and U.is_integers
-
-
 class AbGroup:
-    """A finite product of cyclic groups, or Z with an evaluation window.
+    """Z with an evaluation window W: its elements are the ints of
+    absolute value at most W."""
 
-    Finite elements are tuples of residues; Z elements are ints with
-    absolute value at most the window.
-    """
+    zero = 0
 
-    def __init__(self, orders=None, window=None):
-        if window is not None:
-            if orders is not None:
-                raise ValueError("give cyclic orders or a window, not both")
-            if window < 0:
-                raise ValueError(f"window must be >= 0, got {window}")
-            self.orders = None
-            self.window = window
-            return
-        self.orders = tuple(orders)
-        self.window = None
-        for m in self.orders:
-            if m < 2:
-                raise ValueError(f"cyclic orders must be >= 2, got {m}")
+    def __init__(self, window):
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
+        self.window = window
 
-    @property
-    def is_integers(self):
-        return self.orders is None
-
-    @property
-    def zero(self):
-        return 0 if self.is_integers else tuple(0 for _ in self.orders)
+    def checked(self, n):
+        """n, if it lies in the window."""
+        if abs(n) > self.window:
+            raise WindowOverflow(f"|{n}| exceeds window {self.window}")
+        return n
 
     def add(self, a, b):
-        if self.is_integers:
-            s = a + b
-            if abs(s) > self.window:
-                raise WindowOverflow(f"|{s}| exceeds window {self.window}")
-            return s
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a):
-        if self.is_integers:
-            return -a
-        return tuple((-x) % m for x, m in zip(a, self.orders))
+        return self.checked(a + b)
 
     def scalar(self, n, a):
-        if self.is_integers:
-            s = n * a
-            if abs(s) > self.window:
-                raise WindowOverflow(f"|{s}| exceeds window {self.window}")
-            return s
-        return tuple((n * x) % m for x, m in zip(a, self.orders))
-
-    def elements(self):
-        if self.is_integers:
-            return list(range(-self.window, self.window + 1))
-        return [tuple(v) for v in product(*[range(m) for m in self.orders])]
-
-    def additive_generators(self):
-        """The unit vectors of a finite group."""
-        n = len(self.orders)
-        return [tuple(int(i == k) for i in range(n)) for k in range(n)]
-
-    def size(self):
-        return None if self.is_integers else prod(self.orders)
-
-    def label(self):
-        if self.is_integers:
-            return f"Z[window {self.window}]"
-        return "+".join(f"Z/{m}" for m in self.orders)
+        return self.checked(n * a)
 
     def __repr__(self):
-        return f"AbGroup({self.label()})"
-
-    def __eq__(self, other):
-        return (isinstance(other, AbGroup) and self.orders == other.orders
-                and self.window == other.window)
-
-
-def _target_ops(target, sample_value):
-    """(add, neg, zero) for the values of a map."""
-    if isinstance(target, AbGroup):
-        return target.add, target.neg, target.zero
-    if isinstance(target, Field):
-        return target.add, target.neg, target.zero
-    # value objects supporting the arithmetic operators (Matrix, Fraction)
-    zero = sample_value - sample_value
-    return (lambda a, b: a + b), (lambda a: -a), zero
+        return f"AbGroup(Z[window {self.window}])"
 
 
 class AbMap:
     """A function between abelian groups, total on its declared source.
 
-    Finite sources carry a full value table; Z sources carry a callback
-    evaluated on the window.
+    A finite source carries a full value table; a Z window carries a
+    callback.
     """
 
     def __init__(self, source, target, table=None, func=None):
         self.source = source
         self.target = target
-        if _is_window(source):
+        if isinstance(source, AbGroup):
             if func is None:
                 raise ValueError("Z-source maps need a callback")
             self.func = func
@@ -171,13 +108,11 @@ class AbMap:
     def __call__(self, u):
         if self.table is not None:
             return self.table[u]
-        if abs(u) > self.source.window:
-            raise WindowOverflow(f"|{u}| exceeds window {self.source.window}")
-        return self.func(u)
+        return self.func(self.source.checked(u))
 
     def value_ops(self):
-        sample = self(self.source.zero)
-        return _target_ops(self.target, sample)
+        """(add, neg, zero) of the target."""
+        return self.target.add, self.target.neg, self.target.zero
 
 
 def deviation(f, d):
@@ -225,12 +160,12 @@ def deviation_vanishes(f, d):
     if d == 0:
         return _is_zero_value(deviation(f, 0)(), f.value_ops()[2])
     U = f.source
-    if _is_window(U):
+    if isinstance(U, AbGroup):
         b = U.window // d
         if b == 0:
             return True
         table = [f(x) for x in range(-d * b, d * b + 1)]
-        add, neg, zero = _target_ops(f.target, table[0])
+        add, neg, zero = f.value_ops()
         for _ in range(d):
             table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
         return all(_is_zero_value(v, zero) for v in table)
@@ -252,13 +187,11 @@ def _differences(f):
     """f's table on its finite source, the number n of additive
     generators g_i, (t, i) -> D_g_i t and a test that t is not zero."""
     U = f.source
-    els = list(U.elements())
-    index = {u: i for i, u in enumerate(els)}
-    # shifts[i][k] is the index of els[k] + g_i
-    shifts = [[index[U.add(u, g)] for u in els]
+    # shifts[i][u] is the label of u + g_i
+    shifts = [[U.add(u, g) for u in U.elements()]
               for g in U.additive_generators()]
-    table = [f(u) for u in els]
-    add, neg, zero = _target_ops(f.target, table[0])
+    table = [f(u) for u in U.elements()]
+    add, neg, zero = f.value_ops()
     return (table, len(shifts),
             lambda t, i: [add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
             lambda t: not all(_is_zero_value(v, zero) for v in t))
@@ -271,7 +204,7 @@ def eml_degree(f, cap):
     window tests each d afresh, as b = W // d changes."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    if _is_window(f.source):
+    if isinstance(f.source, AbGroup):
         return next((d for d in range(cap + 1)
                      if deviation_vanishes(f, d + 1)), NotPolynomialUpTo(cap))
     table, n, diff, nonzero = _differences(f)
@@ -289,15 +222,14 @@ def homogeneous_decomposition(f, cap=8):
     """Split a polynomial map into homogeneous components f_0 + ... + f_d,
     d = ``eml_degree(f, cap)``.
 
-    The target must be a Q-space (values are Fractions or matrices over
-    Q): f_k is recovered from f(lambda * u) for lambda = 0..d by
-    Vandermonde interpolation, and satisfies f_k(n u) = n^k f_k(u).
+    The target must be Q (values are rationals or matrices over Q): f_k
+    is recovered from f(lambda * u) for lambda = 0..d by Vandermonde
+    interpolation, and satisfies f_k(n u) = n^k f_k(u).
     """
+    if f.target is not QQ:
+        raise ValueError(f"target must be Q, not {f.target.label()}")
     sample = f(f.source.zero)
-    if not (isinstance(sample, Fraction)
-            or (isinstance(sample, Matrix) and sample.field is QQ)
-            or isinstance(sample, int)):
-        raise ValueError("target must be uniquely divisible (a Q-space)")
+    zero = sample - sample
     d = eml_degree(f, cap)
     if isinstance(d, NotPolynomialUpTo):
         raise ValueError(f"map is not polynomial up to degree {cap}")
@@ -308,22 +240,18 @@ def homogeneous_decomposition(f, cap=8):
 
     def component(k):
         def fk(u):
-            total = None
+            total = zero
             for lam in range(d + 1):
                 c = W.rows[k][lam]
-                if c == 0:
-                    continue
-                v = f(f.source.scalar(lam, u))
-                term = v.scale(c) if isinstance(v, Matrix) else c * v
-                total = term if total is None else total + term
-            if total is None:
-                total = sample - sample
+                if c:
+                    v = f(f.source.scalar(lam, u))
+                    total += v.scale(c) if isinstance(v, Matrix) else c * v
             return total
         return fk
 
     src = f.source
-    if _is_window(src):
-        src = AbGroup(window=src.window // max(d, 1))
+    if isinstance(src, AbGroup):
+        src = AbGroup(src.window // max(d, 1))
     return [AbMap(src, f.target, func=component(k)) for k in range(d + 1)]
 
 
@@ -365,7 +293,7 @@ def factor_multiplicative(phi, cap=8):
     """
     if isinstance(phi, RingMap):
         return factor_ring_map(phi, cap=cap)
-    if _is_window(phi.source):
+    if isinstance(phi.source, AbGroup):
         d = eml_degree(phi, cap)
         if isinstance(d, NotPolynomialUpTo):
             raise NotPolynomial(f"not polynomial up to degree {cap}")
@@ -411,15 +339,13 @@ def factor_ring_map(phi, cap=8):
 
 # -- linearization -------------------------------------------------------
 
-def _linear_map_matrix(k, src_elements, dst_index, images):
-    """Matrix of a k-linear map k[S] -> k[T] given images as formal sums
-    [(coeff sign, element), ...] per basis vector of the source."""
-    n = len(dst_index)
+def _linear_map_matrix(k, n, images):
+    """Matrix of a k-linear map into k^n, given the image of each source
+    basis vector as a formal sum [(sign, target index), ...]."""
     cols = []
-    for g in src_elements:
+    for terms in images:
         col = [k.zero] * n
-        for sign, h in images(g):
-            i = dst_index[h]
+        for sign, i in terms:
             col[i] = k.add(col[i], k.one if sign > 0 else k.neg(k.one))
         cols.append(col)
     return Matrix(k, [list(r) for r in zip(*cols)])
@@ -428,7 +354,7 @@ def _linear_map_matrix(k, src_elements, dst_index, images):
 def check_short_exact(A, B, C, incl, proj):
     """Verify 0 -> A -> B -> C -> 0 with the given value maps."""
     imgs = {incl(a) for a in A.elements()}
-    if len(imgs) != len(A.elements()):
+    if len(imgs) != A.size:
         return False
     for a1 in A.elements():
         for a2 in A.elements():
@@ -457,40 +383,34 @@ def linearization_exactness(A, B, C, incl, proj, k):
     """
     if not check_short_exact(A, B, C, incl, proj):
         raise ValueError("input maps do not form a short exact sequence")
-    elsA, elsB, elsC = A.elements(), B.elements(), C.elements()
-    idxB = {g: i for i, g in enumerate(elsB)}
-    idxC = {g: i for i, g in enumerate(elsC)}
-    elsBA = [(b, a) for b in elsB for a in elsA]
-    elsBC = [(b, c) for b in elsB for c in elsC]
-    idxBC = {g: i for i, g in enumerate(elsBC)}
-
+    nA, nB, nC = A.size, B.size, C.size
+    # labels index k[A], k[B] and k[C]; (b, c) is b * nC + c in k[B + C]
     alpha = _linear_map_matrix(
-        k, elsBA, idxB,
-        lambda ba: [(+1, B.add(ba[0], incl(ba[1]))), (-1, ba[0])])
-    kproj = _linear_map_matrix(k, elsB, idxC, lambda b: [(+1, proj(b))])
-    kincl = _linear_map_matrix(k, elsA, idxB, lambda a: [(+1, incl(a))])
+        k, nB, ([(+1, B.add(b, incl(a))), (-1, b)]
+                for b in B.elements() for a in A.elements()))
+    kproj = _linear_map_matrix(k, nC, ([(+1, proj(b))] for b in B.elements()))
+    kincl = _linear_map_matrix(k, nB, ([(+1, incl(a))] for a in A.elements()))
     beta = _linear_map_matrix(
-        k, elsB, idxBC,
-        lambda b: [(+1, (b, proj(b))), (-1, (b, C.zero))])
+        k, nB * nC, ([(+1, b * nC + proj(b)), (-1, b * nC + C.zero)]
+                     for b in B.elements()))
 
     r_alpha = alpha.rank()
     r_proj = kproj.rank()
     r_incl = kincl.rank()
     r_beta = beta.rank()
-    nB = len(elsB)
-    surjective = (r_proj == len(elsC))
+    surjective = (r_proj == nC)
     # im alpha = ker k[proj]: containment checked by composite, sizes by rank
     comp1 = kproj * alpha
     first_exact = surjective and comp1.is_zero() \
         and r_alpha == nB - r_proj
-    injective = (r_incl == len(elsA))
+    injective = (r_incl == nA)
     comp2 = beta * kincl
     second_exact = injective and comp2.is_zero() \
         and r_beta == nB - r_incl
     return {
         "field": k.label(),
-        "dims": {"k[A]": len(elsA), "k[B]": nB, "k[C]": len(elsC),
-                 "k[B+A]": len(elsBA), "k[B+C]": len(elsBC)},
+        "dims": {"k[A]": nA, "k[B]": nB, "k[C]": nC,
+                 "k[B+A]": nB * nA, "k[B+C]": nB * nC},
         "ranks": {"alpha": r_alpha, "k[proj]": r_proj,
                   "k[incl]": r_incl, "beta": r_beta},
         "first_sequence_exact": first_exact,

@@ -204,14 +204,6 @@ class Matrix:
             basis.append(v)
         return Matrix(F, basis, n).rref()[0]
 
-    def row_space_basis(self):
-        R, piv = self.rref()
-        return Matrix(self.field, R.rows[:len(piv)], self.ncols)
-
-    def column_space_basis(self):
-        """Basis of the column space, returned as rows of length nrows."""
-        return self.transpose().row_space_basis()
-
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 

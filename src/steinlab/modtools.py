@@ -6,7 +6,7 @@ algebra elements θ, applying Norton's test to ker f(θ) for irreducible
 factors f of the minimal polynomial.  When dim ker f(θ) = deg f, one
 spin of a kernel vector on the module and one on its transpose decide
 (the Holt–Rees form of the test); when no draw gives such an f, every
-vector of the thinnest kernel seen, and of its transpose, is spun.
+vector of the thinnest kernel seen is spun, and one of its transpose.
 Every module of the package is an ``AlgebraModule``: Specht and simple
 modules of S_d, Schur, elementary and socle values of M_n(K), the
 GL_n(F_q) simples and K[M_n(A)]-modules.  Its ``labels`` name the monoid
@@ -292,17 +292,16 @@ def _norton(mod, N, ker, sweep):
     """Norton's test on ker f(θ), with N = f(θ) and ``ker`` its kernel:
     a proper submodule spun from a nonzero vector of ker f(θ), else the
     annihilator of a proper transpose submodule spun from ker f(θ)^t,
-    else None.  ``sweep`` spins every vector of both kernels, which
-    decides; without it one vector of each is spun, which decides when
-    ker f(θ) is a line."""
+    else None.  ``sweep`` spins every vector of ker f(θ), which decides;
+    without it one vector is spun, which decides when ker f(θ) is a
+    line.  Either way, no proper spin from ker f(θ) means every proper
+    submodule U meets it trivially, so U lies in im f(θ) and ker f(θ)^t
+    in the annihilator of U: one vector of ker f(θ)^t decides."""
     F, n = mod.field, mod.dimension
-
-    def vectors(rows):
-        return _subspace_vectors(F, rows) if sweep else rows[:1]
-
-    sub = _proper_spin(F, n, vectors(ker.rows), mod.gen_list())
+    vectors = _subspace_vectors(F, ker.rows) if sweep else ker.rows[:1]
+    sub = _proper_spin(F, n, vectors, mod.gen_list())
     if sub is None:
-        subt = _proper_spin(F, n, vectors(N.transpose().kernel_basis().rows),
+        subt = _proper_spin(F, n, N.transpose().kernel_basis().rows[:1],
                             transpose_module(mod).gen_list())
         if subt is not None:
             sub = [list(r) for r in Matrix(F, subt).kernel_basis().rows]
@@ -321,8 +320,8 @@ def find_proper_submodule(mod, seed=0):
     F[θ]/(f)-line, so one vector of each kernel decides (Holt–Rees).
     The first kernel of every draw is spun too: in S ⊕ S no θ has a
     line, but that spin is often proper.  After ``_ATTEMPTS`` draws
-    without a line, every vector of the thinnest kernel seen, and of
-    its transpose, is spun (Norton)."""
+    without a line, every vector of the thinnest kernel seen is spun,
+    and then one vector of its transpose (Norton)."""
     F = mod.field
     n = mod.dimension
     if n == 0:

@@ -154,7 +154,7 @@ class FiniteRing:
     def is_unit(self, a):
         return any(self.mul(a, b) == self.one for b in self.elements())
 
-    def scalar_mul(self, n, a):
+    def scalar(self, n, a):
         """Additive n-fold multiple of a."""
         out = self.zero
         x = a if n >= 0 else self.neg(a)
@@ -349,7 +349,7 @@ def primary_idempotents(ring):
         m_cop = exponent // pk
         # e_p = m_cop * (inverse of m_cop mod pk) as an additive multiple of 1
         inv = pow(m_cop, -1, pk)
-        e = ring.scalar_mul(m_cop * inv, ring.one)
+        e = ring.scalar(m_cop * inv, ring.one)
         out.append((p, e))
     return out
 

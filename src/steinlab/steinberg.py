@@ -49,14 +49,6 @@ class SteinbergDatum:
                 f"q={self.q}, dim={self.dimension})")
 
 
-def group_generator_names(n):
-    if n == 1:
-        return ["d"]
-    if n == 2:
-        return ["d", "t", "s"]
-    return ["d", "t", "s", "c"]
-
-
 def group_generator_matrices(n, q, K):
     """Generators of GL_n(F_q) inside GL_n(K): the monoid generators of
     ``schurfun.monoid_generator_elements`` without the idempotent "e", with
@@ -92,7 +84,8 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     padded = tuple(lam) + (0,) * (n - len(lam))
     digits = [tuple(dg) + (0,) * (n - len(dg))
               for dg in digit_decomposition(padded, p, e)]
-    names = group_generator_names(n)
+    labels = group_generator_matrices(n, q, K)
+    names = list(labels)
     j = (K.order - 1) // (q - 1)
     restricted = []
     expected = 1
@@ -110,7 +103,6 @@ def build(lam, n, q, K=None, seed=0, *, _simples=None):
     module = restricted[0]
     for piece in restricted[1:]:
         module = tensor(module, piece)
-    labels = group_generator_matrices(n, q, K)
     module = AlgebraModule(K, module.generators,
                            labels={nm: labels[nm] for nm in names},
                            name=f"L_{lam}(F_{q}^{n})")

@@ -23,15 +23,16 @@ from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import comb, factorial
 
-from steinlab.emlpoly import (AbGroup, AbMap, NotPolynomialUpTo, deviation,
+from steinlab.emlpoly import (AbMap, NotPolynomialUpTo, deviation,
                               deviation_vanishes)
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
-from steinlab.matrices import Matrix
+from steinlab.matrices import Matrix, Subspace
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
                                composition_factors, monoid_actions)
+from steinlab.rings import FiniteRing
 from steinlab.schurfun import _sym_basis
-from steinlab.steinberg import group_generator_matrices, group_generator_names
+from steinlab.steinberg import group_generator_matrices
 from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
 
 
@@ -90,8 +91,8 @@ def group_algebra_simples(n, q, K, seed=0):
     index = {g: i for i, g in enumerate(G)}
     Fq = G[0].field
     emb = K.embedding_from(Fq) if K is not Fq else (lambda x: x)
-    names = group_generator_names(n)
     gen_mats = group_generator_matrices(n, q, K)
+    names = list(gen_mats)
 
     def perm_matrix(gname):
         gq = Matrix(Fq, [[_unembed(Fq, K, gen_mats[gname].rows[i][jj], emb)
@@ -303,7 +304,7 @@ def dense_norm_basis(M, n, K):
                     if c != K.zero:
                         col = ti * dm + m
                         row[col] = K.add(row[col], c)
-    return Matrix(K, norm_rows).column_space_basis().rows
+    return Subspace(K, dim_big, [list(c) for c in zip(*norm_rows)]).basis
 
 
 # -- rings ----------------------------------------------------------------
@@ -312,7 +313,7 @@ def coefficient_abmap(phi):
     """A map on a ring, read on its additive group presented as a product
     of cyclic groups: Z/m for each cyclic component Z/m and Z/p for each
     prime-field coefficient of each field component F_{p^e}, an element
-    written as its residues and coefficient vectors."""
+    labelled by its residues and coefficient vectors."""
     ring = phi.ring
     orders = []
     for c in ring.components:
@@ -326,8 +327,9 @@ def coefficient_abmap(phi):
         for c, v in zip(ring.components, ring.parts(a)):
             out.extend(c.to_coeffs(v) if isinstance(c, Field) else (v,))
         return tuple(out)
-    return AbMap(AbGroup(orders), phi.field,
-                 table={coefficients(a): phi(a) for a in ring.elements()})
+    G = FiniteRing("x".join(f"Z/{m}" for m in orders))
+    return AbMap(G, phi.field, table={G.label_of(coefficients(a)): phi(a)
+                                      for a in ring.elements()})
 
 
 # -- functors -------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_batch_mixed_and_parallel(tmp_path):
     assert (code2, out2) == (code, out)
 
 
+def test_batch_help_is_the_job_output(tmp_path, capsys):
+    # a help job answers in its own output, so stdout stays one JSON
+    # report, with worker threads as without
+    jobs = [{"args": ["schur", "-h"]},
+            {"args": ["partition", "conj", "--lam", "3,1"]}]
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps(jobs))
+    help_text = parse(oracles.build_parser, ["schur", "-h"])[1]
+    for workers in ("1", "2"):
+        assert cli.main(["--jobs", workers, "batch", str(mf)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == 0
+        assert report["results"][0] == {"index": 0, "code": 0,
+                                        "output": help_text.rstrip("\n")}
+
+
+def test_console_help_prints_the_parser_help(capsys):
+    for argv in (["-h"], ["schur", "-h"], ["batch", "--help"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == parse(cli.build_parser, argv)[1]
+
+
 def test_batch_job_missing_an_option_fails_alone(tmp_path):
     jobs = [
         {"args": ["partition", "conj", "--lam", "3,1"]},

@@ -60,9 +60,9 @@ def test_not_polynomial_sentinel():
 
 
 def test_finite_group_indicator_is_polynomial():
-    A = ep.AbGroup((4,))
+    A = FiniteRing("Z/4")
     F2 = Field.prime(2)
-    f = ep.AbMap(A, F2, func=lambda u: F2.one if u == (1,) else F2.zero)
+    f = ep.AbMap(A, F2, func=lambda u: F2.one if u == 1 else F2.zero)
     d = ep.eml_degree(f, 6)
     assert isinstance(d, int)
 
@@ -77,6 +77,22 @@ def test_homogeneous_decomposition_roundtrip():
     # homogeneity: f_k(n u) = n^k f_k(u)
     assert parts[2](6) == 9 * parts[2](2)
     assert parts[1](4) == 2 * parts[1](2)
+
+
+def test_homogeneous_decomposition_is_decided_by_the_target():
+    # int labels of F_3 or F_4 are not integers: those values are refused;
+    # a Q-valued polynomial map on a finite group is its constant part
+    A = FiniteRing("Z/3")
+    F3 = Field.prime(3)
+    F4 = FiniteRing("F_4")
+    for f in (ep.AbMap(A, F3, func=lambda u: u),
+              ep.RingMap(F4, F4.as_field(), func=lambda a: a).as_abmap()):
+        with pytest.raises(ValueError, match="target must be Q"):
+            ep.homogeneous_decomposition(f)
+    parts = ep.homogeneous_decomposition(
+        ep.AbMap(A, QQ, func=lambda u: Fraction(5)))
+    assert len(parts) == 1
+    assert [parts[0](u) for u in A.elements()] == [5, 5, 5]
 
 
 def test_factor_frobenius_power_on_f9():
@@ -145,9 +161,9 @@ def test_factor_rejects_non_multiplicative():
 
 
 def test_linearization_z2_in_z4():
-    A, B, C = ep.AbGroup((2,)), ep.AbGroup((4,)), ep.AbGroup((2,))
-    incl = ep.AbMap(A, B, func=lambda u: (2 * u[0] % 4,))
-    proj = ep.AbMap(B, C, func=lambda u: (u[0] % 2,))
+    A, B, C = FiniteRing("Z/2"), FiniteRing("Z/4"), FiniteRing("Z/2")
+    incl = ep.AbMap(A, B, func=lambda u: 2 * u % 4)
+    proj = ep.AbMap(B, C, func=lambda u: u % 2)
     for K in (Field.prime(3), Field.prime(5)):
         rep = ep.linearization_exactness(A, B, C, incl, proj, K)
         assert rep["first_sequence_exact"]
@@ -155,9 +171,9 @@ def test_linearization_z2_in_z4():
 
 
 def test_check_short_exact_rejects_bad_pair():
-    A, B, C = ep.AbGroup((2,)), ep.AbGroup((4,)), ep.AbGroup((2,))
-    incl = ep.AbMap(A, B, func=lambda u: (0,))
-    proj = ep.AbMap(B, C, func=lambda u: (u[0] % 2,))
+    A, B, C = FiniteRing("Z/2"), FiniteRing("Z/4"), FiniteRing("Z/2")
+    incl = ep.AbMap(A, B, func=lambda u: 0)
+    proj = ep.AbMap(B, C, func=lambda u: u % 2)
     assert not ep.check_short_exact(A, B, C, incl, proj)
 
 
@@ -271,8 +287,9 @@ def test_deviation_count_guard():
 FINITE_SOURCES = [FiniteRing(spec) for spec in (
     "F_2", "F_3", "F_4", "Z/4", "Z/6", "F_8", "Z/8", "F_9", "Z/9",
     "Z/2xF_2", "Z/2xZ/4", "Z/3xZ/3", "F_16", "Z/4xZ/4", "Z/2xF_8",
-    "Z/2xZ/2xZ/2xZ/2")] + [ep.AbGroup(orders) for orders in (
-        (2,), (2, 3), (2, 2, 2), (4, 4), (3, 3), (2, 8))]
+    "Z/2xZ/2xZ/2xZ/2")] + [
+        FiniteRing("x".join(f"Z/{m}" for m in orders)) for orders in (
+            (2,), (2, 3), (2, 2, 2), (4, 4), (3, 3), (2, 8))]
 
 
 @st.composite
@@ -287,7 +304,7 @@ def finite_maps(draw):
     scalar = st.integers(-2, 2).map(Fraction) if K is QQ else \
         st.integers(0, K.order - 1)
     kind = draw(st.sampled_from(["table", "sparse", "constant", "power"]))
-    L = U.components[0] if isinstance(U, FiniteRing) else None
+    L = U.components[0]
     if kind == "power" and isinstance(L, Field) and K is not QQ and \
             len(U.components) == 1 and L.char == K.char:
         k = draw(st.integers(0, L.order - 1))
@@ -336,8 +353,8 @@ def test_eml_degree_cost_is_linear_in_the_cap():
     # mod 2, so no power of the augmentation ideal kills it, and every
     # level up to the cap stays nonzero
     F2 = Field.prime(2)
-    f = ep.AbMap(ep.AbGroup((6,)), F2,
-                 func=lambda u: F2.one if u == (0,) else F2.zero)
+    f = ep.AbMap(FiniteRing("Z/6"), F2,
+                 func=lambda u: F2.one if u == 0 else F2.zero)
     start = time.perf_counter()
     assert ep.eml_degree(f, 1500) == ep.NotPolynomialUpTo(1500)
     assert time.perf_counter() - start < 1

@@ -369,6 +369,27 @@ def test_fallback_without_certificate_still_decides(monkeypatch):
     assert _is_proper_submodule(M, mt.find_proper_submodule(M))
 
 
+def test_fallback_spins_one_transpose_vector(monkeypatch):
+    # with θ = 1 the one kernel is the 8-dim Steinberg module of GL_3(F_2):
+    # one spin on the draw, 255 in the sweep, and then one vector of the
+    # transpose kernel decides, where sweeping it too made 511 spins
+    monkeypatch.setattr(mt, "_ATTEMPTS", 1)
+    monkeypatch.setattr(mt, "_random_algebra_element",
+                        lambda mod, rng: Matrix.identity(mod.field,
+                                                         mod.dimension))
+    module = steinberg.build((2, 1), 3, 2).module
+    calls = []
+    spin = mt.span_from_spins
+
+    def counted(*args):
+        calls.append(args)
+        return spin(*args)
+
+    monkeypatch.setattr(mt, "span_from_spins", counted)
+    assert mt.is_simple(module)
+    assert len(calls) == 257
+
+
 def test_certificate_on_simple_module_that_is_not_absolutely_simple(
         monkeypatch):
     # the natural GL_2(F_4)-module read over F_2: End is F_4, yet some θ

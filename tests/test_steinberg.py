@@ -193,7 +193,7 @@ def test_product_decompose():
     K = st.splitting_field(2, 2)
     nat = st.build((1, 0), 2, 2, K=K).module
     triv = st.build((0,), 2, 2, K=K).module
-    names = st.group_generator_names(2)
+    names = list(st.group_generator_matrices(2, 2, K))
     gens = {}
     for nm in names:
         gens[nm + "1"] = nat.generators[nm].kron(
