@@ -358,9 +358,10 @@ OPTIONS = {
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that, once ``shown`` is a list, appends its help
-    text there instead of printing it.  ``run`` returns that text as the
-    job's output, so help inside a batch leaves the report JSON, and no
-    thread swaps the process-wide ``sys.stdout``."""
+    text, or its usage and error message, there instead of printing it.
+    ``run`` returns that text as the job's output, so help inside a batch
+    leaves the report JSON, a job that fails to parse says why, and no
+    thread writes to the process-wide ``sys.stdout`` or ``sys.stderr``."""
 
     shown = None
 
@@ -369,6 +370,13 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
         else:
             self.shown.append(self.format_help())
+
+    def error(self, message):
+        if self.shown is None:
+            super().error(message)
+        self.shown.append(f"{self.format_usage()}{self.prog}: error: "
+                          f"{message}\n")
+        raise SystemExit(2)
 
 
 class _ModuleParsers(argparse._SubParsersAction):
@@ -452,7 +460,7 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # help exits 0 and is the output; errors went to stderr
+        # help exits 0 and an error 2; either text is the output
         return (1 if exc.code else 0), "".join(shown).rstrip("\n")
     if args.module == "batch":
         return run_batch(args)
@@ -508,7 +516,8 @@ def run_batch(args):
 def main(argv=None):
     code, text = run(sys.argv[1:] if argv is None else argv)
     if text:
-        print(text)
+        # a usage error goes to stderr, as argparse writes it
+        print(text, file=sys.stderr if code == 1 else sys.stdout)
     return code
 
 

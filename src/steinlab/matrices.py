@@ -10,15 +10,17 @@ row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
 ``apply_to_vector``, ``Subspace`` and JSON branch on the field kind.
 
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
-its basis.  Over a finite field each vector is inserted by
-``Subspace.add_vector``: reduction against the basis, then back-reduction
-of the basis.  In characteristic 2, rows of 8e or more entries are
-packed bit planes (``fields``): a vector is packed once as it comes in,
-subtracting f*row is a few XORs, and only the pivots where the vector is
-nonzero are visited.  Rows are unpacked where they leave, in ``basis``
-and in what ``reduce`` returns.  Narrower rows and other finite fields
-keep list rows and the list row operations.  Over Q the rows are scaled to integers (same span) and
-eliminated fraction-free, so every entry of a Q basis is a ``Fraction``.
+its basis.  Every vector goes through ``Subspace.add_vector``: reduction
+against the basis, then back-reduction of the basis, one loop for three
+row forms.  Over a finite field a row is a list of labels and a step is
+``Field.row_sub``; in characteristic 2, rows of 8e or more entries are
+packed bit planes (``fields``) and a step is a few XORs.  Over Q a row is
+the primitive int multiple of its RREF row, pivot entry positive, and a
+step is lead*v - f*row over its gcd (fraction-free, as in Bareiss, Math.
+Comp. 22, 1968); ``basis`` divides by the pivot entries.  An RREF row is
+zero at every other pivot, so a step keeps (over Q, up to a positive
+scale) a vector's entries at the other pivots: a vector in the span has
+its coordinates there, and the packed loop visits only its nonzero ones.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
@@ -290,96 +292,41 @@ def _scalar_from_json(F, x):
         raise ValueError(f"{e} or a coefficient list") from None
 
 
-# -- elimination over Q ---------------------------------------------------
-
-def _rref_int(rows, ncols):
-    """The nonzero RREF rows (as Fractions) and pivots of integer rows:
-    fraction-free forward elimination, then back-substitution."""
-    piv = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r]
-        lc = lead[c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                new = [lc * a - f * b for a, b in zip(ri, lead)]
-                g = 0
-                for x in new:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = [x // g for x in new]
-                rows[i] = new
-        piv.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # normalize & back-substitute with fractions (few pivot rows typically)
-    out = [[Fraction(x) for x in rows[i]] for i in range(r)]
-    for i in range(r - 1, -1, -1):
-        c = piv[i]
-        lc = out[i][c]
-        if lc != 1:
-            out[i] = [x / lc for x in out[i]]
-        for k in range(i):
-            f = out[k][c]
-            if f:
-                out[k] = [a - f * b for a, b in zip(out[k], out[i])]
-    return out, piv
-
-
-def _integral(row):
-    """The row times the lcm of its denominators (same span, int entries;
-    ints and Fractions alike have ``numerator`` and ``denominator``)."""
-    d = lcm(*[x.denominator for x in row])
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
 # -- subspaces -----------------------------------------------------------
 
 class Subspace:
-    """A subspace of F^n held as an RREF row basis: built by inserting
-    each vector with ``add_vector`` over a finite field, and by
-    fraction-free elimination of the integral rows over Q.  Entries are
-    field elements: over a finite field, ints in ``range(field.order)``.
-    In characteristic 2, when n is at least 8e, a vector is packed
-    (``fields``) as it comes in and the basis is kept packed; rows are
-    unpacked only where they leave it."""
+    """A subspace of F^n held as an RREF row basis, one row per pivot, in
+    the row form of the module docstring, built by inserting each vector
+    with ``add_vector``.  ``basis`` holds field elements: over a finite
+    field ints in ``range(field.order)``, over Q ``Fraction``s."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
         self.ambient_dim = ambient_dim
         self.pivots = []
-        self._rows = {}  # pivot -> basis row, packed if self._packed
+        self._rows = {}  # pivot -> basis row, in the row form
         self._mask = 0   # the pivots, as the bits of an int
         # on narrower rows, packing and unpacking cost more than the XORs
         # save (timeit on random k x n matrices over F_2, F_4 and F_8)
         self._packed = field.packed and ambient_dim >= 8 * field.degree
-        if field.kind == "rational":
-            rows, self.pivots = _rref_int(
-                [_integral(v) for v in vectors], ambient_dim)
-            self._rows = dict(zip(self.pivots, rows))
+        self._int = field.kind == "rational"
+        # entry j of a row, and v - f*row (up to a positive scale over Q)
+        if self._packed:
+            self._entry, self._sub = field.packed_entry, field.packed_sub
         else:
-            for v in vectors:
-                self.add_vector(v)
+            self._entry = getitem
+            self._sub = _int_sub if self._int else field.row_sub
+        for v in vectors:
+            self.add_vector(v)
 
     @property
     def basis(self):
         rows = [self._rows[c] for c in self.pivots]
         if self._packed:
             return [self.field.unpack(r, self.ambient_dim) for r in rows]
+        if self._int:
+            return [[Fraction(x, r[c]) for x in r]
+                    for c, r in zip(self.pivots, rows)]
         return rows
 
     @property
@@ -387,72 +334,86 @@ class Subspace:
         return len(self.pivots)
 
     def _in(self, v):
-        return self.field.pack(v) if self._packed else list(v)
+        if self._packed:
+            return self.field.pack(v)
+        if not self._int:
+            return list(v)
+        # times the lcm of the denominators (ints have them too)
+        d = lcm(*[x.denominator for x in v])
+        return [x.numerator * (d // x.denominator) for x in v]
 
-    def _reduce(self, v, coords=None):
-        """``reduce`` on v as ``_in`` gives it, returned in that form."""
-        F, rows = self.field, self._rows
+    def _reduce(self, v):
+        """``reduce`` on v in ``_in`` form (over Q, up to a positive scale)."""
+        rows, sub = self._rows, self._sub
         if not self._packed:
             for c in self.pivots:
                 f = v[c]
-                if coords is not None:
-                    coords.append(f)
                 if f:
-                    v = F.row_sub(v, f, rows[c])
+                    v = sub(v, f, rows[c])
             return v
-        if coords is not None:
-            coords.extend(F.packed_entry(v, c) for c in self.pivots)
-        # a basis row is zero at every other pivot, so the entries of v at
-        # the pivots stay as they came in: visit the nonzero ones
+        # visit the pivots where v is nonzero (module docstring)
+        entry = self._entry
         hits = _support(v) & self._mask
         while hits:
             c = (hits & -hits).bit_length() - 1
-            v = F.packed_sub(v, F.packed_entry(v, c), rows[c])
+            v = sub(v, entry(v, c), rows[c])
             hits &= hits - 1
         return v
 
-    def reduce(self, v, coords=None):
-        """v minus f*row for each basis row, f the entry of v at that row's
-        pivot; with ``coords`` a list, each f is appended to it.  What is
-        left is zero exactly when v lies in the span."""
-        v = self._reduce(self._in(v), coords)
-        return self.field.unpack(v, self.ambient_dim) if self._packed else v
+    def reduce(self, v):
+        """v minus f*row for each RREF basis row, f the entry of v at that
+        row's pivot.  What is left is zero exactly when v lies in the
+        span."""
+        w = self._reduce(self._in(v))
+        if self._packed:
+            return self.field.unpack(w, self.ambient_dim)
+        if not self._int:
+            return w
+        # w is a positive multiple of the remainder v - sum v[c]*(RREF row
+        # c), whose entry at w's first nonzero column fixes the scale
+        j = next((j for j, x in enumerate(w) if x), None)
+        if j is None:
+            return [self.field.zero] * len(w)
+        rows = self._rows
+        r = v[j] - sum(Fraction(v[c] * rows[c][j], rows[c][c])
+                       for c in self.pivots)
+        s = Fraction(r, w[j])
+        return [s * x for x in w]
 
     def contains(self, v):
         return not any(self._reduce(self._in(v)))
 
     def coords(self, v):
-        """Coordinates of v in the stored basis, or None."""
-        out = []
-        return None if any(self._reduce(self._in(v), out)) else out
+        """Coordinates of v in the stored basis, or None: its entries at
+        the pivots (module docstring)."""
+        return [v[c] for c in self.pivots] if self.contains(v) else None
 
     def coords_matrix(self, images):
         """The matrix whose column j holds the coordinates of ``images[j]``
         in the stored basis; ValueError if an image leaves the span."""
-        cols = []
-        for v in images:
-            x = self.coords(v)
-            if x is None:
-                raise ValueError("image outside the span of the basis")
-            cols.append(x)
+        cols = [self.coords(v) for v in images]
+        if None in cols:
+            raise ValueError("image outside the span of the basis")
         return Matrix(self.field, [[x[i] for x in cols]
                                    for i in range(self.dim)], len(cols))
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
-        F, rows = self.field, self._rows
+        F, rows, entry, sub = self.field, self._rows, self._entry, self._sub
         v = self._reduce(self._in(v))
         if self._packed:
             lead = _support(v)
             c = (lead & -lead).bit_length() - 1
-            entry, sub = F.packed_entry, F.packed_sub
         else:
             c = next((c for c, x in enumerate(v) if x), -1)
-            entry, sub = getitem, F.row_sub
         if c < 0:
             return False
-        a = F.inv(entry(v, c))
-        v = sub([0] * F.degree, a, v) if self._packed else F.row_scale(a, v)
+        if self._int:
+            v = _primitive(v, 1 if v[c] > 0 else -1)
+        elif self._packed:
+            v = sub([0] * F.degree, F.inv(entry(v, c)), v)
+        else:
+            v = F.row_scale(F.inv(v[c]), v)
         # keep basis reduced
         for k, row in rows.items():
             f = entry(row, c)
@@ -471,6 +432,20 @@ class Subspace:
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "
                 f"{self.field.label()}^{self.ambient_dim})")
+
+
+def _primitive(v, sign=1):
+    """The int row v over the gcd of its entries, times ``sign``."""
+    g = gcd(*v) * sign
+    return v if g in (0, 1) else [x // g for x in v]
+
+
+def _int_sub(v, f, row):
+    """lead*v - f*row over its gcd, where lead is the first nonzero entry
+    of the int row: v - (f/lead)*row up to a positive scale when lead is
+    positive, as it is in a basis row."""
+    lead = next(filter(None, row))
+    return _primitive([lead * a - f * b for a, b in zip(v, row)])
 
 
 def _support(planes):

@@ -23,7 +23,7 @@ of S_d-modules in ``schurfun.elementary_value``.
 from collections import deque
 from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .fields import Field
 
@@ -44,6 +44,7 @@ class _CyclicComponent:
             raise RingError("cyclic component needs modulus >= 2")
         self.m = m
         self.order = m
+        self.char = m
         self.zero = 0
         self.one = 1 % m
 
@@ -83,6 +84,7 @@ class FiniteRing:
             # the label is the component value
             c, = self.components
             self.add, self.neg, self.mul = c.add, c.neg, c.mul
+            self.scalar = lambda n, a: c.mul(n % c.char, a)
         self.zero = self.label_of([c.zero for c in self.components])
         self.one = self.label_of([c.one for c in self.components])
 
@@ -155,12 +157,11 @@ class FiniteRing:
         return any(self.mul(a, b) == self.one for b in self.elements())
 
     def scalar(self, n, a):
-        """Additive n-fold multiple of a."""
-        out = self.zero
-        x = a if n >= 0 else self.neg(a)
-        for _ in range(abs(n)):
-            out = self.add(out, x)
-        return out
+        """Additive n-fold multiple of a: in each component, the product
+        with n·1, whose label is n mod the characteristic (a label below
+        p is its own constant coefficient on F_{p^e})."""
+        return self.label_of([c.mul(n % c.char, x) for c, x in
+                              zip(self.components, self.parts(a))])
 
     def additive_generators(self):
         """Elements whose additive multiples span each component: the
@@ -326,10 +327,7 @@ def primary_idempotents(ring):
     """Orthogonal idempotents e_p summing to 1, with e_p generating the
     p-primary part of (A, +); returned as (p, element) pairs, p ascending."""
     # additive exponent of the ring
-    exponent = 1
-    for c in ring.components:
-        m = c.char if isinstance(c, Field) else c.m
-        exponent = exponent * m // gcd(exponent, m)
+    exponent = lcm(*[c.char for c in ring.components])
     primes = []
     n = exponent
     d = 2

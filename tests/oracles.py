@@ -9,19 +9,23 @@ norm is the matrix whose column space ``schurfun.elementary_value`` once
 took, and ``coefficient_abmap`` is the view of a ring as a product of
 cyclic groups that ``RingMap.as_abmap`` once built.  ``ListSubspace`` is
 the list-row elimination that ``Subspace`` ran in characteristic 2 before
-it packed its rows, and ``multiset_deviation_vanishes`` the walk over
-multisets that ``deviation_vanishes`` made on finite sources before it
-took differences along generators; ``per_d_eml_degree`` is the degree
-search that ran it afresh for each d.  ``build_parser`` is the command
-line parser that ``cli.build_parser`` built in full, every module's
-arguments included, before it added only those of the module a job
-names.
+it packed its rows, and over Q, in ``Fraction``s, before it kept
+primitive int rows; ``rref_int`` is the batch fraction-free elimination
+that built a Q ``Subspace`` until then.  ``multiset_deviation_vanishes``
+is the walk over multisets that ``deviation_vanishes`` made on finite
+sources before it took differences along generators; ``per_d_eml_degree``
+is the degree search that ran it afresh for each d.  ``build_parser`` is
+the command line parser that ``cli.build_parser`` built in full, every
+module's arguments included, before it added only those of the module a
+job names.  ``repeated_addition`` is the loop ``FiniteRing.scalar`` ran
+before it multiplied by n·1 in each component.
 """
 
 import argparse
+from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from steinlab.emlpoly import (AbMap, NotPolynomialUpTo, deviation,
                               deviation_vanishes)
@@ -346,8 +350,9 @@ def cross_effect_check(F, d):
 # -- elimination on list rows ----------------------------------------------
 
 class ListSubspace:
-    """An RREF row basis over a finite field, each row a list of labels,
-    reduced with ``Field.row_sub`` and ``Field.row_scale``."""
+    """An RREF row basis, each row a list of field elements, reduced with
+    ``Field.row_sub`` and ``Field.row_scale``; coordinates are the
+    multipliers of the reduction."""
 
     def __init__(self, field, ambient_dim, vectors=()):
         self.field = field
@@ -404,6 +409,55 @@ class ListSubspace:
                 self.pivots.insert(k, c)
                 return True
         return False
+
+
+def rref_int(rows, ncols):
+    """The nonzero RREF rows (as Fractions) and pivots of rows over Q:
+    each row scaled to integers, fraction-free forward elimination, then
+    back-substitution."""
+    ints = []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+    rows = ints
+    piv = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r]
+        lc = lead[c]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                new = [lc * a - f * b for a, b in zip(rows[i], lead)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        piv.append(c)
+        r += 1
+    out = [[Fraction(x) for x in rows[i]] for i in range(r)]
+    for i in range(r - 1, -1, -1):
+        c = piv[i]
+        out[i] = [x / out[i][c] for x in out[i]]
+        for k in range(i):
+            f = out[k][c]
+            if f:
+                out[k] = [a - f * b for a, b in zip(out[k], out[i])]
+    return out, piv
+
+
+# -- additive multiples by repeated addition -------------------------------
+
+def repeated_addition(ring, n, a):
+    """n·a in a FiniteRing as |n| additions of a, or of -a when n < 0."""
+    out = ring.zero
+    x = a if n >= 0 else ring.neg(a)
+    for _ in range(abs(n)):
+        out = ring.add(out, x)
+    return out
 
 
 # -- deviations on finite sources by multisets ----------------------------

@@ -168,10 +168,35 @@ def test_batch_help_is_the_job_output(tmp_path, capsys):
                                         "output": help_text.rstrip("\n")}
 
 
+def test_batch_parse_error_is_the_job_output(tmp_path, capsys):
+    # a job that fails to parse says why in its own output, and nothing
+    # reaches the process's stderr, with worker threads as without
+    jobs = [{"args": ["bogus"]},
+            {"args": ["schur", "eval", "--lam", "2,1", "--n", "3"]}]
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps(jobs))
+    errors = [parse(oracles.build_parser, job["args"])[2] for job in jobs]
+    assert all(errors)
+    for workers in ("1", "2"):
+        assert cli.main(["--jobs", workers, "batch", str(mf)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [(r["code"], r["output"]) for r in
+                json.loads(out)["results"]] == \
+            [(1, e.rstrip("\n")) for e in errors]
+
+
 def test_console_help_prints_the_parser_help(capsys):
     for argv in (["-h"], ["schur", "-h"], ["batch", "--help"]):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == parse(cli.build_parser, argv)[1]
+
+
+def test_console_usage_error_goes_to_stderr(capsys):
+    for argv in (["bogus"], ["schur", "eval", "--lam", "2,1"], []):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", parse(cli.build_parser, argv)[2])
 
 
 def test_batch_job_missing_an_option_fails_alone(tmp_path):

@@ -1,10 +1,15 @@
+import time
 from itertools import product
+
+import pytest
 
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
 from steinlab.rings import (FiniteRing, all_ideals, cotrivial_ideals,
                             mat_mul, matrix_monoid_generators,
                             monoid_closure, primary_idempotents, ring_homs)
+
+from oracles import repeated_addition
 
 
 def test_parse_and_size():
@@ -66,6 +71,25 @@ def test_label_arithmetic_is_componentwise():
             for b, y in enumerate(tuples):
                 assert tuples[R.add(a, b)] == _componentwise(R, "add", x, y)
                 assert tuples[R.mul(a, b)] == _componentwise(R, "mul", x, y)
+
+
+@pytest.mark.parametrize("spec", ["Z/6", "Z/4xF_9", "F_8", "Z/2xF_2",
+                                  "Z/2xZ/4", "F_2401"])
+def test_scalar_matches_repeated_addition(spec):
+    R = FiniteRing(spec)
+    for a in range(0, R.size, 1 if R.size <= 36 else 97):
+        for n in range(-30, 31):
+            assert R.scalar(n, a) == repeated_addition(R, n, a)
+
+
+def test_scalar_of_a_huge_multiple_returns_at_once():
+    # the additive exponent of Z/4 x F_9 is 12, and 10**18 = 4 mod 12
+    R = FiniteRing("Z/4xF_9")
+    start = time.perf_counter()
+    got = [R.scalar(n, a) for a in R.elements() for n in (10**18, -10**18)]
+    assert time.perf_counter() - start < 1
+    assert got == [repeated_addition(R, n, a) for a in R.elements()
+                   for n in (4, -4)]
 
 
 def test_units():

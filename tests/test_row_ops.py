@@ -1,7 +1,8 @@
 """Property tests for the per-kind row operations, the Subspace
-reduction built on them, the packed rows of characteristic 2 against the
-list rows, ``coords_in_basis``, and elimination against an independent
-scalar Gauss-Jordan.  Hypothesis runs derandomized, so the
+reduction built on them, the packed rows of characteristic 2 and the int
+rows of Q against list rows, ``coords_in_basis``, and elimination against
+an independent scalar Gauss-Jordan and the batch fraction-free
+elimination over Q.  Hypothesis runs derandomized, so the
 examples are the same on every run."""
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace, coords_in_basis
 
-from oracles import ListSubspace
+from oracles import ListSubspace, rref_int
 
 # F_2, F_5, F_4, F_9, F_{7^4} (too large for an add table) and Q
 FIELDS = [Field.prime(2), Field.prime(5), Field.galois(2, 2),
@@ -222,6 +223,7 @@ def test_elimination_matches_scalar_gauss_jordan(F, data):
     assert R.rows == basis + [[F.zero] * R.ncols] * (len(rows) - len(piv))
     if F.kind == "rational":
         assert all(type(x) is Fraction for r in sp.basis + R.rows for x in r)
+        assert rref_int(rows, n) == (basis, piv)
 
 
 @pytest.mark.parametrize("rows", [
@@ -240,7 +242,7 @@ def test_q_rref_pins(rows):
 
 
 
-# -- packed rows (characteristic 2) against list rows ----------------------
+# -- packed rows (characteristic 2) and int rows (Q) against list rows -----
 
 PACKED = [Field.prime(2), Field.galois(2, 2), Field.galois(2, 3),
           Field.galois(2, 4)]
@@ -248,14 +250,19 @@ PACKED = [Field.prime(2), Field.galois(2, 2), Field.galois(2, 3),
 
 @st.composite
 def packed_case(draw):
-    """A characteristic-2 field, a width (0, 64-bit word edges and widths
-    on both sides of 8e, where Subspace starts packing), vectors to insert
-    in order (random, random after a run of zeros, sparse, zero, or a
-    combination of earlier ones) and probe vectors."""
-    F = draw(st.sampled_from(PACKED))
-    n = draw(st.one_of(st.sampled_from([0, 1, 8 * F.degree, 63, 64, 65]),
-                       st.integers(0, 140)))
-    label = st.integers(0, F.order - 1)
+    """A characteristic-2 field or Q, a width (over characteristic 2: 0,
+    64-bit word edges and widths on both sides of 8e, where Subspace
+    starts packing), vectors to insert in order (random, random after a
+    run of zeros, sparse, zero, or a combination of earlier ones) and
+    probe vectors.  Q entries are ints and Fractions of either sign."""
+    F = draw(st.sampled_from(PACKED + [QQ]))
+    if F.kind == "rational":
+        n = draw(st.integers(0, 9))
+        label = q_scalars()
+    else:
+        n = draw(st.one_of(st.sampled_from([0, 1, 8 * F.degree, 63, 64,
+                                            65]), st.integers(0, 140)))
+        label = st.integers(0, F.order - 1)
     vec = st.lists(label, min_size=n, max_size=n)
 
     def combination(vs):
@@ -296,14 +303,14 @@ def test_packed_rows_match_list_rows(case):
         assert sp.add_vector(v) == ref.add_vector(v)
         assert (sp.basis, sp.pivots) == (ref.basis, ref.pivots)
     for w in vs + probes:
-        got, want = [], []
-        assert sp.reduce(w, got) == ref.reduce(w, want)
-        assert got == want
+        assert sp.reduce(w) == ref.reduce(w)
         assert sp.contains(w) == ref.contains(w)
         assert sp.coords(w) == ref.coords(w)
     inside = [w for w in vs + probes if ref.contains(w)]
     assert sp.coords_matrix(inside) == ref.coords_matrix(inside)
-    assert Subspace(F, n, vs) == sp
+    assert Subspace(F, n, vs) == sp == Subspace(F, n, vs[::-1])
+    if F.kind == "rational":
+        assert all(type(x) is Fraction for r in sp.basis for x in r)
 
 
 @pytest.mark.parametrize("F", PACKED, ids=lambda F: F.label())
