@@ -2,9 +2,11 @@
 
 Everything here is exact: no floats anywhere.  Each job has one kernel.
 ``Matrix.apply_to_vector`` is the one product: ``A * B`` applies the
-columns of B to each row of A.  Over Q it multiplies only nonzero pairs of
-entries and starts each sum at ``F.zero``, so Q products hold
-``Fraction``s.  ``+``, ``-``, unary ``-`` and ``scale`` are the field's
+columns of B to each row of A.  Over a finite field it reads the nonzero
+(column, entry) pairs of each row, listed on the first product and kept,
+as a ``Matrix`` never changes once built.  Over Q it multiplies only
+nonzero pairs of entries and starts each sum at ``F.zero``, so Q products
+hold ``Fraction``s.  ``+``, ``-``, unary ``-`` and ``scale`` are the field's
 row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
 ``kron`` keeps its own loop, which skips zero factors.  Only
 ``apply_to_vector``, ``Subspace`` and JSON branch on the field kind.
@@ -41,13 +43,15 @@ from .fields import Field, QQ
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    """Never changed once built (products keep its nonzero entries)."""
+    __slots__ = ("field", "rows", "nrows", "ncols", "_nonzero")
 
     def __init__(self, field, rows, ncols=None):
         """``ncols`` is read from the rows when there are any; a matrix
         with no rows needs it to know its width."""
         self.field = field
         self.rows = [list(r) for r in rows]
+        self._nonzero = None  # each row's (column, entry) pairs, entry != 0
         self.nrows = len(self.rows)
         if ncols is None:
             ncols = len(self.rows[0]) if self.rows else 0
@@ -146,21 +150,24 @@ class Matrix:
         """Matrix times column vector (v a plain list): the one product
         kernel, with one branch per field kind."""
         F = self.field
-        if F.kind == "prime":
-            p = F.char
-            return [sum(a * b for a, b in zip(row, v)) % p
-                    for row in self.rows]
         if F.kind == "rational":
             nz = [(j, b) for j, b in enumerate(v) if b]
             return [sum((row[j] * b for j, b in nz if row[j]), F.zero)
                     for row in self.rows]
+        rows = self._nonzero
+        if rows is None:
+            rows = self._nonzero = [[(j, a) for j, a in enumerate(row) if a]
+                                    for row in self.rows]
+        if F.kind == "prime":
+            p = F.char
+            return [sum([a * v[j] for j, a in row]) % p for row in rows]
         add, mul, z = F.add, F.mul, F.zero
         out = []
-        for row in self.rows:
+        for row in rows:
             acc = z
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = add(acc, mul(a, b))
+            for j, a in row:
+                if v[j]:
+                    acc = add(acc, mul(a, v[j]))
             out.append(acc)
         return out
 

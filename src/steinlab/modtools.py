@@ -517,10 +517,13 @@ def composition_factors(mod, seed=0):
 
 
 def socle(mod, seed=0):
-    """Basis rows of the socle: the sum over iso-classes S of
-    composition factors of the images of **all** homomorphisms S -> M."""
+    """Basis rows of the socle, in RREF: the sum over iso-classes S of
+    composition factors of the images of **all** homomorphisms S -> M.
+    A simple module (one factor) is its own socle: no hom space."""
     F = mod.field
     factors = composition_factors(mod, seed=seed)
+    if len(factors) == 1:
+        return Matrix.identity(F, mod.dimension).rows
     reps = []
     for S in factors:
         if not any(are_isomorphic(S, T, seed=seed) for T in reps):

@@ -185,7 +185,8 @@ def schur_value(lam, n, K):
 
 def socle_simple(lam, n, K, seed=0):
     """L_lam(K^n): the socle of the Schur module, simple for p-restricted
-    lam in characteristic p (and all of S_lam in characteristic 0)."""
+    lam in characteristic p (and all of S_lam in characteristic 0).  A
+    socle that spans S_lam is S_lam itself, renamed."""
     lam = normalize_partition(lam)
     p = K.char
     if p == 0:
@@ -195,7 +196,8 @@ def socle_simple(lam, n, K, seed=0):
     S = schur_value(lam, n, K)
     if S.dimension == 0:
         return S
-    L = restrict_to_submodule(S, _socle_rows(S, seed=seed))
+    rows = _socle_rows(S, seed=seed)
+    L = S if len(rows) == S.dimension else restrict_to_submodule(S, rows)
     L.name = f"L_{lam}(K^{n})"
     return L
 

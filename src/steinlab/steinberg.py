@@ -59,7 +59,9 @@ def group_generator_matrices(n, q, K):
         raise ValueError(f"{K.label()} does not contain F_{q}")
     out = monoid_generator_elements(n, K)
     del out["e"]
-    out["d"].rows[0][0] = K.pow(K.gen(), (K.order - 1) // (q - 1))
+    zj = K.pow(K.gen(), (K.order - 1) // (q - 1))
+    out["d"] = Matrix(K, [[zj if i == j == 0 else x for j, x in enumerate(r)]
+                          for i, r in enumerate(out["d"].rows)])
     return out
 
 

@@ -18,7 +18,12 @@ is the degree search that ran it afresh for each d.  ``build_parser`` is
 the command line parser that ``cli.build_parser`` built in full, every
 module's arguments included, before it added only those of the module a
 job names.  ``repeated_addition`` is the loop ``FiniteRing.scalar`` ran
-before it multiplied by n·1 in each component.
+before it multiplied by n·1 in each component.  ``dense_apply`` is the
+product loop that visited every matrix entry before
+``Matrix.apply_to_vector`` read each row's nonzero entries over finite
+fields, and ``hom_space_socle`` is ``modtools.socle`` as it was before it
+returned a simple module whole: the images of every hom space from a
+composition factor.
 """
 
 import argparse
@@ -33,7 +38,8 @@ from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix, Subspace
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
-                               composition_factors, monoid_actions)
+                               composition_factors, hom_space,
+                               monoid_actions)
 from steinlab.rings import FiniteRing
 from steinlab.schurfun import _sym_basis
 from steinlab.steinberg import group_generator_matrices
@@ -345,6 +351,36 @@ def cross_effect_check(F, d):
         cs, _ = cross_effect(F, s)
         total += comb(d, s) * cs
     return total == F.dim(d)
+
+
+# -- products and socles ---------------------------------------------------
+
+def dense_apply(M, v):
+    """M times the column vector v, every pair of entries multiplied and
+    summed from ``F.zero``."""
+    F = M.field
+    out = []
+    for row in M.rows:
+        acc = F.zero
+        for a, b in zip(row, v):
+            acc = F.add(acc, F.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def hom_space_socle(mod, seed=0):
+    """RREF basis rows of the socle: the columns of every homomorphism
+    from each iso-class of composition factors into ``mod``."""
+    reps = []
+    for S in composition_factors(mod, seed=seed):
+        if not any(are_isomorphic(S, T, seed=seed) for T in reps):
+            reps.append(S)
+    sp = Subspace(mod.field, mod.dimension)
+    for S in reps:
+        for T in hom_space(S, mod):
+            for col in zip(*T.rows):
+                sp.add_vector(list(col))
+    return [list(r) for r in sp.basis]
 
 
 # -- elimination on list rows ----------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
+from oracles import dense_apply
+
 
 def from_ints(F, rows):
     """The matrix of integer entries, each read as its image in F."""
@@ -226,15 +228,32 @@ def _all_fractions(F, rows):
 def test_apply_to_vector_matches_scalar_oracle(F, data):
     M = data.draw(kernel_matrix(F))
     (v,) = data.draw(kernel_rows(F, 1, M.ncols))
-    expected = []
-    for row in M.rows:
-        acc = F.zero
-        for a, b in zip(row, v):
-            acc = F.add(acc, F.mul(a, b))
-        expected.append(acc)
     got = M.apply_to_vector(v)
-    assert got == expected
+    assert got == dense_apply(M, v)
     assert _all_fractions(F, [got])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_reused_matrix_matches_dense_oracle(F, data):
+    # a matrix keeps the nonzero entries it listed on its first product,
+    # so every later product, on either side of *, must still agree
+    M = data.draw(kernel_matrix(F))
+    if data.draw(st.integers(0, 3)) == 0:
+        M = Matrix.zero(F, M.nrows, M.ncols)
+    k = data.draw(st.integers(0, 4))
+    A = Matrix(F, data.draw(kernel_rows(F, k, M.nrows)), M.nrows)
+    B = Matrix(F, data.draw(kernel_rows(F, M.ncols, k)), k)
+    for v in data.draw(kernel_rows(F, 3, M.ncols)):
+        got = M.apply_to_vector(v)
+        assert got == dense_apply(M, v)
+        assert _all_fractions(F, [got])
+        for X, Y in ((A, M), (M, B)):
+            P = X * Y
+            cols = Y.transpose()
+            assert (P.nrows, P.ncols) == (X.nrows, Y.ncols)
+            assert P.rows == [dense_apply(cols, r) for r in X.rows]
+            assert _all_fractions(F, P.rows)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from steinlab import modtools as mt
 from steinlab import steinberg
+from steinlab.schurfun import schur_value
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace, span_from_spins
+
+from oracles import hom_space_socle
 
 # Hypothesis runs derandomized, so the examples are the same on every run
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -131,6 +134,30 @@ def test_socle_nontrivial():
     M = cyclic_shift_module(2, K)
     soc = mt.restrict_to_submodule(M, mt.socle(M))
     assert soc.dimension == 1
+
+
+@pytest.mark.parametrize("build, simple", [
+    (natural_gl2_f2, True),
+    (lambda: schur_value((2, 1), 3, Field.prime(2)), True),
+    (lambda: schur_value((2, 1), 3, Field.prime(5)), True),
+    (lambda: cyclic_shift_module(2, Field.prime(2)), False),
+    (lambda: cyclic_shift_module(3, Field.prime(2)), False),
+    (lambda: schur_value((2,), 2, Field.prime(2)), False),
+    (lambda: schur_value((2, 1), 3, Field.prime(3)), False),
+], ids=["GL2(F2)", "S21(F2^3)", "S21(F5^3)", "F2[Z/2]", "F2[Z/3]",
+        "S2(F2^2)", "S21(F3^3)"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_socle_matches_hom_space_oracle(monkeypatch, build, simple, seed):
+    # a simple module is its own socle, found without a hom space
+    M = build()
+    calls = []
+    hom_space = mt.hom_space
+    monkeypatch.setattr(mt, "hom_space",
+                        lambda *a: calls.append(a) or hom_space(*a))
+    rows = mt.socle(M, seed=seed)
+    assert (not calls) == simple
+    monkeypatch.undo()
+    assert rows == hom_space_socle(M, seed=seed)
 
 
 def test_tensor_dimensions():

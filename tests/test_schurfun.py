@@ -2,14 +2,15 @@ from itertools import combinations, product
 
 import pytest
 
+from steinlab import modtools as mt
 from steinlab import schurfun as sf
 from steinlab import symgrp as sg
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.modtools import end_dim, is_simple
 
-from oracles import (all_partitions, dense_norm_basis, schur_image_vectors,
-                     semistandard_count)
+from oracles import (all_partitions, dense_norm_basis, hom_space_socle,
+                     schur_image_vectors, semistandard_count)
 
 
 def test_char0_sym_and_alt():
@@ -48,6 +49,34 @@ def test_socle_simple_l11_char2():
     L = sf.socle_simple((1, 1), 2, K)
     assert L.dimension == 1
     assert is_simple(L)
+
+
+@pytest.mark.parametrize("lam, n, q, simple", [
+    ((2, 1), 3, 2, True), ((2, 1), 3, 5, True), ((1, 1), 2, 2, True),
+    ((2, 1), 2, 3, True), ((2, 1), 3, 3, False)])
+def test_socle_simple_matches_hom_space_oracle(monkeypatch, lam, n, q,
+                                               simple):
+    # a Schur module that is its own socle is returned under the name
+    # L_lam, and neither it nor a piece of it is restricted
+    K = Field.of_order(q)
+    restricted = []
+    restrict = mt.restrict_to_submodule
+
+    def counted(mod, rows):
+        restricted.append(mod.name)
+        return restrict(mod, rows)
+    monkeypatch.setattr(sf, "restrict_to_submodule", counted)
+    monkeypatch.setattr(mt, "restrict_to_submodule", counted)
+    L = sf.socle_simple(lam, n, K)
+    # schur_value restricts an unnamed ambient module; the rest are S's
+    assert (not any(restricted)) == simple
+    monkeypatch.undo()
+    S = sf.schur_value(lam, n, K)
+    O = mt.restrict_to_submodule(S, hom_space_socle(S))
+    assert L.generators == O.generators
+    assert L.labels == O.labels == S.labels
+    assert L.name == f"L_{lam}(K^{n})"
+    assert (L.dimension == S.dimension) == simple
 
 
 def test_highest_weights_f7():

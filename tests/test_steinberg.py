@@ -4,6 +4,7 @@ import pytest
 
 from steinlab import steinberg as st
 from steinlab.fields import MAX_DEGREE, Field, prime_power
+from steinlab.matrices import Matrix
 from steinlab.modtools import (AlgebraModule, are_isomorphic, end_dim,
                                is_simple)
 
@@ -32,6 +33,25 @@ def test_build_dimension_multiplicative():
 def test_single_digit_reduces_to_socle():
     datum = st.build((1, 1), 2, 3)
     assert datum.module.dimension == 1  # the determinant representation
+
+
+@pytest.mark.parametrize("n, q, K", [(2, 4, Field.galois(2, 4)),
+                                     (3, 2, Field.prime(2))])
+def test_group_torus_generator(n, q, K):
+    # "d" = diag(z^j, 1, ..., 1) with j = (|K| - 1)/(q - 1), and z^j
+    # generates F_q^x: its multiplicative order is q - 1
+    zj = K.one
+    for _ in range((K.order - 1) // (q - 1)):
+        zj = K.mul(zj, K.gen())
+    orbit = [K.one]
+    while K.mul(orbit[-1], zj) != K.one:
+        orbit.append(K.mul(orbit[-1], zj))
+    assert len(orbit) == q - 1
+    d = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+    d[0][0] = zj
+    gens = st.group_generator_matrices(n, q, K)
+    assert gens["d"] == Matrix(K, d)
+    assert sorted(gens) == sorted(["d", "t", "s", "c"][:n + 1])
 
 
 def test_classify_gl2_f2():
