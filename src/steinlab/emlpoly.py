@@ -33,7 +33,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .fields import MAX_DEGREE, Field, QQ
+from .fields import MAX_DEGREE, CapExceeded, Field, QQ
 from .matrices import Matrix
 from .rings import NotMultiplicative, RingMap, ring_homs
 
@@ -55,15 +55,21 @@ class NotPolynomialUpTo:
         return f"NotPolynomialUpTo({self.cap})"
 
 
+# a Z window is read at up to about 2W + 1 points: W = 10**4 takes seconds
+WINDOW_CAP = 10000
+
+
 class AbGroup:
     """Z with an evaluation window W: its elements are the ints of
-    absolute value at most W."""
+    absolute value at most W, and W is at most ``WINDOW_CAP``."""
 
     zero = 0
 
     def __init__(self, window):
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
+        if window > WINDOW_CAP:
+            raise CapExceeded(f"window {window} exceeds cap {WINDOW_CAP}")
         self.window = window
 
     def checked(self, n):

@@ -2,14 +2,17 @@
 
 Everything here is exact: no floats anywhere.  Each job has one kernel.
 ``Matrix.apply_to_vector`` is the one product: ``A * B`` applies the
-columns of B to each row of A.  Over a finite field it reads the nonzero
-(column, entry) pairs of each row, listed on the first product and kept,
-as a ``Matrix`` never changes once built.  Over Q it multiplies only
-nonzero pairs of entries and starts each sum at ``F.zero``, so Q products
-hold ``Fraction``s.  ``+``, ``-``, unary ``-`` and ``scale`` are the field's
-row operations ``Field.row_sub`` (v - f*row) and ``Field.row_scale``.
-``kron`` keeps its own loop, which skips zero factors.  Only
-``apply_to_vector``, ``Subspace`` and JSON branch on the field kind.
+columns of B to each row of A, listed by ``column_pairs`` as (row, entry)
+pairs in one pass over B's rows (or over their listed nonzero pairs), so
+no transpose is built.  It reads the nonzero (column, entry) pairs of
+each row, listed on the first product and kept, as a ``Matrix`` never
+changes once built; over Q it starts each sum at ``F.zero``, so Q
+products hold ``Fraction``s.  ``ColumnImages`` is a map known only by
+each basis vector's sparse image, as ``schurfun`` builds its generators.
+``+``, ``-``, unary ``-`` and ``scale`` are the field's row operations
+``Field.row_sub`` (v - f*row) and ``Field.row_scale``.  ``kron`` keeps
+its own loop, which skips zero factors.  Only the two
+``apply_to_vector``s, ``Subspace`` and JSON branch on the field kind.
 
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
 its basis.  Every vector goes through ``Subspace.add_vector``: reduction
@@ -37,7 +40,7 @@ import re
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem
+from operator import add as _add, getitem, mul as _mul
 
 from .fields import Field, QQ
 
@@ -130,7 +133,9 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = other.transpose()
+        # B's column pairs are the nonzero pairs of the rows of B^t
+        cols = Matrix.__new__(Matrix)
+        cols.field, cols._nonzero = self.field, other.column_pairs()
         return Matrix(self.field, [cols.apply_to_vector(row)
                                    for row in self.rows], other.ncols)
 
@@ -150,14 +155,14 @@ class Matrix:
         """Matrix times column vector (v a plain list): the one product
         kernel, with one branch per field kind."""
         F = self.field
-        if F.kind == "rational":
-            nz = [(j, b) for j, b in enumerate(v) if b]
-            return [sum((row[j] * b for j, b in nz if row[j]), F.zero)
-                    for row in self.rows]
         rows = self._nonzero
         if rows is None:
             rows = self._nonzero = [[(j, a) for j, a in enumerate(row) if a]
                                     for row in self.rows]
+        if F.kind == "rational":
+            nz = {j for j, b in enumerate(v) if b}
+            return [sum([a * v[j] for j, a in row if j in nz], F.zero)
+                    for row in rows]
         if F.kind == "prime":
             p = F.char
             return [sum([a * v[j] for j, a in row]) % p for row in rows]
@@ -170,6 +175,21 @@ class Matrix:
                     acc = add(acc, mul(a, v[j]))
             out.append(acc)
         return out
+
+    def column_pairs(self):
+        """Each column's nonzero (row, entry) pairs, in one pass over the
+        rows, or over their nonzero pairs once those are listed."""
+        cols = [[] for _ in range(self.ncols)]
+        if self._nonzero is None:
+            for i, row in enumerate(self.rows):
+                for j, a in enumerate(row):
+                    if a:
+                        cols[j].append((i, a))
+        else:
+            for i, row in enumerate(self._nonzero):
+                for j, a in row:
+                    cols[j].append((i, a))
+        return cols
 
     def kron(self, other):
         """Kronecker product; basis of the product space is ordered
@@ -297,6 +317,25 @@ def _scalar_from_json(F, x):
         return F.element(x)
     except ValueError as e:
         raise ValueError(f"{e} or a coefficient list") from None
+
+
+class ColumnImages:
+    """A linear map of K^n known by each basis vector's image: ``cols[j]``
+    lists the (row, coefficient) pairs of column j."""
+
+    def __init__(self, field, cols):
+        self.field, self.cols = field, cols
+        self.nrows = self.ncols = len(cols)
+
+    def apply_to_vector(self, v):
+        F = self.field
+        add, mul = (F.add, F.mul) if F.kind == "galois" else (_add, _mul)
+        out = [F.zero] * self.nrows  # sums from F.zero: Q stays Fraction
+        for b, col in zip(v, self.cols):
+            if b:
+                for i, c in col:
+                    out[i] = add(out[i], mul(c, b))
+        return [x % F.char for x in out] if F.kind == "prime" else out
 
 
 # -- subspaces -----------------------------------------------------------

@@ -13,11 +13,12 @@ component's own when there is only one; the component tuple of a label
 labels.  ``ring_homs`` returns the ring homomorphisms in that form, and
 ``emlpoly`` factors multiplicative maps given in it.
 
-``monoid_closure`` is the one closure routine of the package: ideals here
-and ``modtools.monoid_actions`` are its two callers.  The second gives the
-action of every element of M_n(A) in ``functorcat``, the powered
-generators of ``modtools.frobenius_twist`` and the permutation matrices
-of S_d-modules in ``schurfun.elementary_value``.
+``monoid_closure`` is the one closure routine of the package: ideals and
+``RingMap.check_multiplicative`` here and ``modtools.monoid_actions`` are
+its callers.  The last gives the action of every element of M_n(A) in
+``functorcat``, the powered generators of ``modtools.frobenius_twist``
+and the permutation matrices of S_d-modules in
+``schurfun.elementary_value``.
 """
 
 from collections import deque
@@ -259,10 +260,24 @@ class RingMap:
         return self.table[a]
 
     def check_multiplicative(self):
+        """f(1) = 1 and f(s*b) = f(s)f(b) for every b and every s in a set
+        S that generates (A, *) as a monoid; writing a as a word in S gives
+        f(ab) = f(a)f(b) by induction on its length.  S grows greedily: a
+        joins when the closure of {1} under left multiplication by S has
+        not reached it.  A failure names the first failing pair a * b."""
         R, K = self.ring, self.field
         if self(R.one) != K.one:
             raise NotMultiplicative("does not send 1 to 1")
-        els = R.elements()
+        els, gens, reached = R.elements(), [], {R.one}
+        for a in els:
+            if a not in reached:
+                gens.append(a)
+                reached.add(a)
+                reached.update([y for y, _, _ in
+                                monoid_closure(R.mul, reached, gens)])
+        if all(self(R.mul(s, b)) == K.mul(self(s), self(b))
+               for s in gens for b in els):
+            return
         for a in els:
             for b in els:
                 if self(R.mul(a, b)) != K.mul(self(a), self(b)):

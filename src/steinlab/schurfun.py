@@ -5,9 +5,11 @@ on a fixed generating set, labelled by its matrices: the torus generator
 d = diag(z,1,...,1) for a multiplicative generator z, the corank-one
 idempotent e = diag(1,...,1,0), a transvection t, the swap s and the cycle
 c; the rank n is ``labels["d"].nrows``.  Over Q the same matrices (with
-z = 2) are kept even though they only generate a submonoid; every
-construction here acts through explicit matrices, so nothing requires
-full enumeration.  The Schur vectors are the column alternants of
+z = 2) are kept even though they only generate a submonoid.  On the
+symmetric-power product and on (K^n)^{tensor d} (x) M a generator acts by
+sparse column images (``matrices.ColumnImages``), each basis vector
+expanded through the nonzero entries of g's columns; no dense generator
+matrix is built there.  The Schur vectors are the column alternants of
 ``symgrp.column_alternant``, and the elementary functor reads the
 permutation matrices of its S_d-module from ``modtools.monoid_actions``.
 """
@@ -15,7 +17,7 @@ permutation matrices of its S_d-module from ``modtools.monoid_actions``.
 from itertools import combinations, combinations_with_replacement, product
 
 from .fields import CapExceeded
-from .matrices import Matrix, Subspace
+from .matrices import ColumnImages, Matrix, Subspace
 from .modtools import (AlgebraModule, are_isomorphic, monoid_actions,
                        restrict_to_submodule, socle as _socle_rows, tensor)
 from .symgrp import (column_alternant, conjugate, normalize_partition,
@@ -76,23 +78,21 @@ def _norm_image(M, n, K):
     d = len(M.labels["c"])
     dm = M.dimension
     tindex = {t: i for i, t in enumerate(product(range(n), repeat=d))}
-    # left action: (g o pi)(i) = g(pi(i))
-    perm_matrix = dict(monoid_actions(
-        M, lambda g, pi: tuple(g[x - 1] for x in pi),
-        tuple(range(1, d + 1))))
+    # left action: (g o pi)(i) = g(pi(i)); each sigma is kept as its
+    # inverse, with the nonzero pairs of its columns on M
+    perms = [(sorted(range(d), key=perm.__getitem__), Msig.column_pairs())
+             for perm, Msig in monoid_actions(
+                 M, lambda g, pi: tuple(g[x - 1] for x in pi),
+                 tuple(range(1, d + 1)))]
     add, z = K.add, K.zero
     vecs = []
     for t in combinations_with_replacement(range(n), d):
         cols = [[z] * (len(tindex) * dm) for _ in range(dm)]
-        for perm, Msig in perm_matrix.items():
-            inv = [0] * d
-            for i in range(d):
-                inv[perm[i] - 1] = i
-            u = tindex[tuple(t[inv[k]] for k in range(d))] * dm
-            for a, mrow in enumerate(Msig.rows):
-                for col, c in zip(cols, mrow):
-                    if c != z:
-                        col[u + a] = add(col[u + a], c)
+        for inv, mcols in perms:
+            u = tindex[tuple(t[k] for k in inv)] * dm
+            for col, pairs in zip(cols, mcols):
+                for a, c in pairs:
+                    col[u + a] = add(col[u + a], c)
         vecs.extend(cols)
     return Subspace(K, len(tindex) * dm, vecs)
 
@@ -111,8 +111,11 @@ def elementary_value(M, n, K):
     sp = _norm_image(M, n, K)
     if sp.dim == 0:
         return _zero_module(K, elements, f"E_{M.name}")
-    big = AlgebraModule(K, {nm: _tensor_power(g, d).kron(
-        Matrix.identity(K, M.dimension)) for nm, g in elements.items()})
+    dm = M.dimension
+    big = AlgebraModule(K, {nm: ColumnImages(K, [  # g^{tensor d} (x) I_M
+        [(i * dm + a, c) for i, c in col] for col in
+        _tensor_power(g, d).column_pairs() for a in range(dm)])
+        for nm, g in elements.items()})
     sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
     return AlgebraModule(K, sub.generators, labels=elements,
                          name=f"E_{M.name}(K^{n})")
@@ -127,33 +130,25 @@ def _sym_basis(n, lam):
     return [tuple(c) for c in product(*per_row)]
 
 
-def _sym_action(n, lam, K, g, sym, index):
-    """Matrix of g on the symmetric-power product space."""
+def _sym_action(lam, K, g, sym, index):
+    """g on the symmetric-power product space, by column images."""
+    one, mul, add = K.one, K.mul, K.add
+    # an entry equal to one is None: it multiplies nothing
+    gcols = [[(i, None if c == one else c) for i, c in col]
+             for col in g.column_pairs()]
+    cuts = [(sum(lam[:r]), sum(lam[:r + 1])) for r in range(len(lam))]
     cols = []
-    z = K.zero
     for basis in sym:
-        col = [z] * len(sym)
-        # expand g acting on a lift of the multiset basis vector
-        flat = [x for row in basis for x in row]
-        terms = [(K.one, [])]
-        for x in flat:
-            new = []
-            for coeff, prefix in terms:
-                for i in range(n):
-                    c = g.rows[i][x]
-                    if c != z:
-                        new.append((K.mul(coeff, c), prefix + [i]))
-            terms = new
-        for coeff, flat2 in terms:
-            key = []
-            k = 0
-            for li in lam:
-                key.append(tuple(sorted(flat2[k:k + li])))
-                k += li
-            idx = index[tuple(key)]
-            col[idx] = K.add(col[idx], coeff)
-        cols.append(col)
-    return Matrix(K, [list(r) for r in zip(*cols)])
+        terms = [(one, ())]
+        for x in [x for row in basis for x in row]:
+            terms = [(coeff if c is None else mul(coeff, c), prefix + (i,))
+                     for coeff, prefix in terms for i, c in gcols[x]]
+        image = {}
+        for coeff, flat in terms:
+            idx = index[tuple(tuple(sorted(flat[a:b])) for a, b in cuts)]
+            image[idx] = add(image[idx], coeff) if idx in image else coeff
+        cols.append([(i, c) for i, c in image.items() if c])
+    return ColumnImages(K, cols)
 
 
 def schur_value(lam, n, K):
@@ -176,7 +171,7 @@ def schur_value(lam, n, K):
         product(*[combinations(range(n), c) for c in conjugate(lam)])])
     if sp.dim == 0:
         return _zero_module(K, elements, f"S_{lam}")
-    big = AlgebraModule(K, {nm: _sym_action(n, lam, K, g, sym, index)
+    big = AlgebraModule(K, {nm: _sym_action(lam, K, g, sym, index)
                             for nm, g in elements.items()})
     sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
     return AlgebraModule(K, sub.generators, labels=elements,

@@ -23,7 +23,12 @@ product loop that visited every matrix entry before
 ``Matrix.apply_to_vector`` read each row's nonzero entries over finite
 fields, and ``hom_space_socle`` is ``modtools.socle`` as it was before it
 returned a simple module whole: the images of every hom space from a
-composition factor.
+composition factor.  ``dense_sym_action`` and ``dense_tensor_action`` are
+the dense generator matrices that ``schurfun.schur_value`` and
+``schurfun.elementary_value`` built before their generators acted by
+sparse column images, and ``all_pairs_multiplicative`` is the walk over
+every pair that ``RingMap.check_multiplicative`` made before it checked
+monoid generators only.
 """
 
 import argparse
@@ -40,8 +45,8 @@ from steinlab.matrices import Matrix, Subspace
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
                                composition_factors, hom_space,
                                monoid_actions)
-from steinlab.rings import FiniteRing
-from steinlab.schurfun import _sym_basis
+from steinlab.rings import FiniteRing, NotMultiplicative
+from steinlab.schurfun import _sym_basis, _tensor_power
 from steinlab.steinberg import group_generator_matrices
 from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
 
@@ -514,6 +519,58 @@ def per_d_eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) zero, testing each d afresh."""
     return next((d for d in range(cap + 1) if deviation_vanishes(f, d + 1)),
                 NotPolynomialUpTo(cap))
+
+
+# -- dense generator matrices of Schur and elementary functors ------------
+
+def dense_sym_action(n, lam, K, g, sym, index):
+    """Matrix of g on the symmetric-power product space, testing every
+    entry of g for each tensor factor."""
+    cols = []
+    z = K.zero
+    for basis in sym:
+        col = [z] * len(sym)
+        # expand g acting on a lift of the multiset basis vector
+        flat = [x for row in basis for x in row]
+        terms = [(K.one, [])]
+        for x in flat:
+            new = []
+            for coeff, prefix in terms:
+                for i in range(n):
+                    c = g.rows[i][x]
+                    if c != z:
+                        new.append((K.mul(coeff, c), prefix + [i]))
+            terms = new
+        for coeff, flat2 in terms:
+            key = []
+            k = 0
+            for li in lam:
+                key.append(tuple(sorted(flat2[k:k + li])))
+                k += li
+            idx = index[tuple(key)]
+            col[idx] = K.add(col[idx], coeff)
+        cols.append(col)
+    return Matrix(K, [list(r) for r in zip(*cols)])
+
+
+def dense_tensor_action(g, d, dm):
+    """g^{tensor d} (x) I_dm as a dense matrix."""
+    return _tensor_power(g, d).kron(Matrix.identity(g.field, dm))
+
+
+# -- multiplicativity on every pair ----------------------------------------
+
+def all_pairs_multiplicative(phi):
+    """Raise NotMultiplicative unless phi(1) = 1 and phi(ab) = phi(a)phi(b)
+    for every pair, naming the first failing pair in label order."""
+    R, K = phi.ring, phi.field
+    if phi(R.one) != K.one:
+        raise NotMultiplicative("does not send 1 to 1")
+    els = R.elements()
+    for a in els:
+        for b in els:
+            if phi(R.mul(a, b)) != K.mul(phi(a), phi(b)):
+                raise NotMultiplicative(f"fails at {a} * {b}")
 
 
 # -- the command line parser, built in full -------------------------------

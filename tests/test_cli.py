@@ -96,6 +96,27 @@ def test_iext_action_table_cap_is_code_3():
     assert time.perf_counter() - start < 20
 
 
+@pytest.mark.parametrize("action", [["degree"], ["homog"],
+                                    ["deviate", "--d", "2"]])
+def test_window_cap_refuses_before_evaluating(monkeypatch, action):
+    from steinlab import emlpoly
+    cap = emlpoly.WINDOW_CAP
+    evals = []
+    real = emlpoly.AbMap.__call__
+    monkeypatch.setattr(emlpoly.AbMap, "__call__",
+                        lambda f, u: evals.append(u) or real(f, u))
+    argv = ["emlpoly", action[0], "--poly", "0,1"] + action[1:]
+    start = time.perf_counter()
+    code, out = run(argv + ["--window", str(cap + 1)])
+    assert (code, out) == (3, f"error: window {cap + 1} exceeds cap {cap}")
+    assert evals == [] and time.perf_counter() - start < 1
+    if action[0] == "deviate":
+        # the cap itself is allowed: 2 * cap + 1 points, well under a second
+        code, out = run(argv + ["--window", str(cap)])
+        assert (code, out) == (0, '{"order": 2, "vanishes": true}')
+        assert evals
+
+
 def test_field_too_small_is_code_2(monkeypatch):
     # a precondition failure whose message happens to contain "cap"
     def escape(rep, degree=None):

@@ -289,6 +289,28 @@ def test_product_matches_scalar_oracle(F, data):
     assert _all_fractions(F, P.rows)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_product_is_the_same_on_fresh_and_listed_factors(F, data):
+    # A * B reads B's columns from its rows while B is fresh, and from
+    # its listed nonzero pairs once B has been applied to a vector
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A = Matrix(F, data.draw(kernel_rows(F, r, k)), k)
+    B = Matrix(F, data.draw(kernel_rows(F, k, c)), c)
+    want_cols = [[(i, row[j]) for i, row in enumerate(B.rows) if row[j]]
+                 for j in range(c)]
+    want = [dense_apply(B.transpose(), row) for row in A.rows]
+    for listed in (False, True):
+        if listed:
+            (v,) = data.draw(kernel_rows(F, 1, c))
+            assert B.apply_to_vector(v) == dense_apply(B, v)
+        assert B.column_pairs() == want_cols
+        P = A * B
+        assert (P.nrows, P.ncols) == (r, c)
+        assert P.rows == want
+        assert _all_fractions(F, P.rows)
+
+
 def test_rational_product_over_empty_inner_dimension_is_fractions():
     P = Matrix(QQ, [[], []], 0) * Matrix(QQ, [], 3)
     assert P.rows == [[0, 0, 0], [0, 0, 0]]

@@ -5,11 +5,12 @@ import pytest
 
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
-from steinlab.rings import (FiniteRing, all_ideals, cotrivial_ideals,
-                            mat_mul, matrix_monoid_generators,
-                            monoid_closure, primary_idempotents, ring_homs)
+from steinlab.rings import (FiniteRing, NotMultiplicative, RingMap,
+                            all_ideals, cotrivial_ideals, mat_mul,
+                            matrix_monoid_generators, monoid_closure,
+                            primary_idempotents, ring_homs)
 
-from oracles import repeated_addition
+from oracles import all_pairs_multiplicative, repeated_addition
 
 
 def test_parse_and_size():
@@ -145,6 +146,56 @@ def test_ring_hom_tables_are_distinct():
     assert counts["Z/12", "F_2"] == counts["Z/4xF_9", "F_2"] == 1
     assert counts["F_4", "F_16"] == counts["F_9", "F_9"] == 2
     assert counts["Z/6", "F_4"] == 1 and counts["F_9", "F_3"] == 0
+
+
+def _verdict(check, phi):
+    """None when check passes phi, else the NotMultiplicative message."""
+    try:
+        check(phi)
+    except NotMultiplicative as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec,target", [
+    ("F_4", Field.galois(2, 2)), ("F_4", Field.galois(2, 4)),
+    ("F_9", Field.galois(3, 2)), ("Z/6", Field.prime(2)),
+    ("Z/6", Field.prime(3)), ("Z/4xF_9", Field.prime(2)),
+    ("Z/4xF_9", Field.galois(3, 2))], ids=str)
+def test_multiplicativity_matches_all_pairs_oracle(spec, target):
+    # ring homs, their pointwise products (multiplicative, not additive),
+    # and each of those changed at one element, one at a time
+    R, K = FiniteRing(spec), target
+    els = R.elements()
+    homs = [h.table for h in ring_homs(R, K)]
+    assert homs
+    tables = homs + [{a: K.mul(g[a], h[a]) for a in els}
+                     for g in homs for h in homs]
+    for t in list(tables):
+        for a in els:
+            tables.append({**t, a: K.add(t[a], K.one)})
+    verdicts = []
+    for t in tables:
+        phi = RingMap(R, K, table=t)
+        want = _verdict(all_pairs_multiplicative, phi)
+        assert _verdict(RingMap.check_multiplicative, phi) == want
+        verdicts.append(want)
+    assert None in verdicts
+    assert "does not send 1 to 1" in verdicts
+    assert any(v and v.startswith("fails at ") for v in verdicts)
+
+
+def test_multiplicativity_of_a_large_field_map_is_fast():
+    # |A|^2 = 5.76M pairs would take seconds; generators take |S| * |A|
+    R = FiniteRing("F_2401")
+    K = R.as_field()
+    start = time.perf_counter()
+    RingMap(R, K, func=lambda a: K.pow(a, 7)).check_multiplicative()
+    assert time.perf_counter() - start < 1
+    with pytest.raises(NotMultiplicative, match="^fails at 2 \\* 2$"):
+        RingMap(R, K, func=lambda a: K.add(K.pow(a, 7), K.one)
+                if a == R.add(R.one, R.one) else K.pow(a, 7)
+                ).check_multiplicative()
 
 
 def test_all_ideals_z6():

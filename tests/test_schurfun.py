@@ -1,6 +1,8 @@
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinlab import modtools as mt
 from steinlab import schurfun as sf
@@ -9,7 +11,8 @@ from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.modtools import end_dim, is_simple
 
-from oracles import (all_partitions, dense_norm_basis, hom_space_socle,
+from oracles import (all_partitions, dense_norm_basis,
+                     dense_sym_action, dense_tensor_action, hom_space_socle,
                      schur_image_vectors, semistandard_count)
 
 
@@ -207,3 +210,120 @@ def test_norm_image_matches_dense_norm():
                     got = sf._norm_image(M, n, K)
                     assert [list(r) for r in got.basis] == \
                         [list(r) for r in dense_norm_basis(M, n, K)]
+
+
+# -- generators by sparse column images against dense matrices ------------
+
+OPERATOR_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.galois(2, 2),
+                   Field.prime(5)]
+# every lam of d <= 4 with n <= 3, and every lam of d <= 3 with n = 4
+OPERATOR_CASES = [(lam, n) for d in range(5) for lam in all_partitions(d)
+                  for n in range(1, 4)] + \
+    [(lam, 4) for d in range(4) for lam in all_partitions(d)]
+_OPERATORS = {}
+
+
+def _check_columns(op, dense):
+    """op applied to every basis vector gives the columns of dense."""
+    K = dense.field
+    assert (op.nrows, op.ncols) == (dense.nrows, dense.ncols)
+    for j in range(dense.ncols):
+        e = [K.one if i == j else K.zero for i in range(dense.ncols)]
+        got = op.apply_to_vector(e)
+        assert got == [row[j] for row in dense.rows]
+        if K.kind == "rational":
+            assert all(isinstance(x, Fraction) for x in got)
+
+
+def schur_operators(K, lam, n):
+    """(operator, dense oracle) for each generator on Sym^lam(K^n), the
+    operators checked on every basis vector."""
+    key = ("S", K.label(), lam, n)
+    if key not in _OPERATORS:
+        sym = sf._sym_basis(n, lam)
+        index = {b: i for i, b in enumerate(sym)}
+        pairs = []
+        for g in sf.monoid_generator_elements(n, K).values():
+            op = sf._sym_action(lam, K, g, sym, index)
+            dense = dense_sym_action(n, lam, K, g, sym, index)
+            _check_columns(op, dense)
+            pairs.append((op, dense))
+        _OPERATORS[key] = pairs
+    return _OPERATORS[key]
+
+
+def elementary_operators(K, lam, n):
+    """(operator, dense oracle) for each generator that elementary_value
+    restricts to the norm image, for the Specht module of lam; none when
+    that image is zero."""
+    key = ("E", K.label(), lam, n)
+    if key not in _OPERATORS:
+        M = sg.specht_module(lam, K)
+        built = []
+        real = sf.restrict_to_submodule
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sf, "restrict_to_submodule",
+                       lambda mod, rows: built.append(mod) or real(mod, rows))
+            sf.elementary_value(M, n, K)
+        pairs = []
+        if built:
+            elements = sf.monoid_generator_elements(n, K)
+            for name, op in built[0].generators.items():
+                dense = dense_tensor_action(elements[name], sum(lam),
+                                            M.dimension)
+                _check_columns(op, dense)
+                pairs.append((op, dense))
+        else:
+            assert sf._norm_image(M, n, K).dim == 0
+        _OPERATORS[key] = pairs
+    return _OPERATORS[key]
+
+
+def field_vector(data, K, length):
+    """A vector with up to four nonzero entries, or none."""
+    if K.kind == "rational":
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        entry = st.integers(0, K.order - 1)
+    v = [K.zero] * length
+    for j in data.draw(st.lists(st.integers(0, max(length - 1, 0)),
+                                max_size=4 if length else 0)):
+        v[j] = data.draw(entry)
+    return v
+
+
+def column_combination(dense, v):
+    """The sum of v_j times column j of dense, from ``F.zero``."""
+    K = dense.field
+    out = [K.zero] * dense.nrows
+    for j, b in enumerate(v):
+        if b:
+            for i, row in enumerate(dense.rows):
+                out[i] = K.add(out[i], K.mul(row[j], b))
+    return out
+
+
+OPERATOR_SETTINGS = settings(derandomize=True, max_examples=3,
+                             deadline=None)
+
+
+@pytest.mark.parametrize("K", OPERATOR_FIELDS, ids=lambda K: K.label())
+@pytest.mark.parametrize("lam,n", [c for c in OPERATOR_CASES
+                                   if len(c[0]) <= c[1]], ids=str)
+@OPERATOR_SETTINGS
+@given(data=st.data())
+def test_schur_generators_match_dense_oracle(K, lam, n, data):
+    for op, dense in schur_operators(K, lam, n):
+        v = field_vector(data, K, op.ncols)
+        assert op.apply_to_vector(v) == column_combination(dense, v)
+
+
+@pytest.mark.parametrize("K", OPERATOR_FIELDS, ids=lambda K: K.label())
+@pytest.mark.parametrize("lam,n", [c for c in OPERATOR_CASES if c[0]],
+                         ids=str)
+@OPERATOR_SETTINGS
+@given(data=st.data())
+def test_elementary_generators_match_dense_oracle(K, lam, n, data):
+    for op, dense in elementary_operators(K, lam, n):
+        v = field_vector(data, K, op.ncols)
+        assert op.apply_to_vector(v) == column_combination(dense, v)
