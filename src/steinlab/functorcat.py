@@ -14,7 +14,8 @@ Hom(A^m, A^n), held as a ``Subspace``.  Every f: A^n -> A^m factors
 through the m x n matrix f0 with ones on the diagonal (f = e o f0 or
 f0 o e), so that image is spun by ``span_from_spins`` from the dim M
 functions theta(f0 (x) e_j) under precomposition by the generators of
-End(A^m); Hom(A^n, A^m) is never enumerated.  F(h) is the same
+End(A^m), a handful per rank (``rings.matrix_monoid_generators``);
+Hom(A^n, A^m) is never enumerated.  F(h) is the same
 precomposition (``_Precompose``, an index map on coordinates) written in
 the target value's basis with ``Subspace.coords_matrix``.  The action of
 every element of M_n(A) that the seeds need comes from

@@ -376,28 +376,32 @@ def is_simple(mod, seed=0):
 
 def hom_space(mod_m, mod_n):
     """Basis of intertwiners T (dim_n x dim_m matrices) with
-    T g_M = g_N T for every shared generator name."""
+    T g_M = g_N T for every shared generator name: the kernel of the rows
+    of (I_a kron A^t) - (B kron I_b) on vec(T), A of M and B of N."""
     if mod_m.field is not mod_n.field:
         raise ValueError("field mismatch")
     if mod_m.gen_names() != mod_n.gen_names():
         raise ValueError("generator-name mismatch")
     F = mod_m.field
+    z, add, neg = F.zero, F.add, F.neg
     a, b = mod_n.dimension, mod_m.dimension
-    Ia = Matrix.identity(F, a)
-    Ib = Matrix.identity(F, b)
-    blocks = []
+    rows = []
     for name in mod_m.gen_names():
-        A = mod_m.generators[name]
-        B = mod_n.generators[name]
-        # vec(T A) = (I_a kron A^t) vec(T); vec(B T) = (B kron I_b) vec(T)
-        blocks.append(Ia.kron(A.transpose()) - B.kron(Ib))
-    big = Matrix(F, [row for blk in blocks for row in blk.rows])
-    ker = big.kernel_basis()
-    out = []
-    for krow in ker.rows:
-        out.append(Matrix(F, [list(krow[i * b:(i + 1) * b])
-                              for i in range(a)]))
-    return out
+        # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k, with
+        # no Kronecker product; adding to zero keeps Q entries Fractions
+        cols = [[add(z, x) for x in col]
+                for col in zip(*mod_m.generators[name].rows)]
+        for i, Bi in enumerate(mod_n.generators[name].rows):
+            left, right = [z] * (i * b), [z] * ((a - 1 - i) * b)
+            negs = [(l * b, neg(y)) for l, y in enumerate(Bi) if y]
+            for k in range(b):
+                row = left + cols[k] + right
+                for c, y in negs:
+                    row[c + k] = add(row[c + k], y)
+                rows.append(row)
+    ker = Matrix(F, rows).kernel_basis()
+    return [Matrix(F, [list(krow[i * b:(i + 1) * b]) for i in range(a)])
+            for krow in ker.rows]
 
 
 def end_dim(mod):

@@ -147,6 +147,21 @@ class FiniteRing:
         return tuple([[op(a, b) for b in els] for a in els]
                      for op in (self.add, self.mul))
 
+    @cached_property
+    def monoid_generators(self):
+        """A tuple S generating (A, *) as a monoid, grown greedily: in
+        label order, a joins S when the closure of {1} under left
+        multiplication by S has not reached it.  0 comes first and is not
+        1, so S holds it."""
+        gens, reached = [], {self.one}
+        for a in self.elements():
+            if a not in reached:
+                gens.append(a)
+                reached.add(a)
+                reached.update([y for y, _, _ in
+                                monoid_closure(self.mul, reached, gens)])
+        return tuple(gens)
+
     def as_field(self):
         """The Field this ring is, when it is a single F_q component."""
         if len(self.components) != 1 or \
@@ -177,13 +192,6 @@ class FiniteRing:
                          for k in range(c.degree)]
             gens.extend(self.embed(i, b) for b in basis)
         return gens
-
-    def multiplicative_generators(self):
-        """A small set of elements generating A as a ring: one generator
-        per component (a field generator, or 1 for cyclic parts), embedded
-        with 1s elsewhere replaced by the component idempotents."""
-        return [self.embed(i, c.gen() if isinstance(c, Field) else c.one)
-                for i, c in enumerate(self.components)]
 
 
 class RingIdeal:
@@ -262,19 +270,13 @@ class RingMap:
     def check_multiplicative(self):
         """f(1) = 1 and f(s*b) = f(s)f(b) for every b and every s in a set
         S that generates (A, *) as a monoid; writing a as a word in S gives
-        f(ab) = f(a)f(b) by induction on its length.  S grows greedily: a
-        joins when the closure of {1} under left multiplication by S has
-        not reached it.  A failure names the first failing pair a * b."""
+        f(ab) = f(a)f(b) by induction on its length (S is
+        ``FiniteRing.monoid_generators``).  A failure names the first
+        failing pair a * b."""
         R, K = self.ring, self.field
         if self(R.one) != K.one:
             raise NotMultiplicative("does not send 1 to 1")
-        els, gens, reached = R.elements(), [], {R.one}
-        for a in els:
-            if a not in reached:
-                gens.append(a)
-                reached.add(a)
-                reached.update([y for y, _, _ in
-                                monoid_closure(R.mul, reached, gens)])
+        els, gens = R.elements(), R.monoid_generators
         if all(self(R.mul(s, b)) == K.mul(self(s), self(b))
                for s in gens for b in els):
             return
@@ -374,47 +376,36 @@ def ring_identity(ring, n):
 
 
 def matrix_monoid_generators(ring, n):
-    """Generators of the multiplicative monoid M_n(A): transvections
-    e_{ij}(r) over ring generators, the scalar embeddings diag(a,1,...,1),
-    permutation matrices, and the corank-one idempotent diag(1,...,1,0).
-
-    Matrices are tuples of row tuples of ring elements.
-    """
+    """Generators of the multiplicative monoid M_n(A), identity first:
+    diag(s, 1, ..., 1) for s in ``ring.monoid_generators`` (s = 0 gives
+    the corank-one idempotent), e_01(r) for r in ``additive_generators``,
+    the swap (0 1) and, for n >= 3, the n-cycle.  The diag(s, 1, ..., 1)
+    give every diag(a, 1, ..., 1), e_01(r) e_01(r') = e_01(r + r') gives
+    every e_01(x), the two permutations generate S_n, and P e_01(x) P^-1
+    with P^-1 = P^k gives every e_ij(x); row and column operations by
+    these bring any matrix over a finite commutative ring to diagonal
+    form.  Matrices are tuples of row tuples of ring elements."""
     if n < 1:
         raise RingError(f"rank n must be >= 1, got {n}")
-    ident = ring_identity(ring, n)
-    gens = []
+    one, zero = ring.one, ring.zero
 
     def mat(fn):
         return tuple(tuple(fn(i, j) for j in range(n)) for i in range(n))
 
-    # scalar block diag(a, 1, ..., 1) for every ring element a; this covers
-    # non-unit diagonal entries (needed e.g. for 2 in Z/4) and absorbs the
-    # corank-one idempotent as the a = 0 case
-    for a in ring.elements():
-        if a == ring.one:
-            continue
-        gens.append(mat(lambda i, j, a=a:
-                        (a if i == 0 else ring.one) if i == j else ring.zero))
+    gens = [ring_identity(ring, n)]
+    gens += [mat(lambda i, j, s=s: (s if i == 0 else one) if i == j
+                 else zero) for s in ring.monoid_generators]
     if n == 1:
-        return [ident] + gens
-    rgens = ring.multiplicative_generators() + ring.additive_generators()
-    for r in sorted(set(rgens)):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    gens.append(mat(lambda a, b, i=i, j=j, r=r:
-                                    ring.one if a == b
-                                    else (r if (a, b) == (i, j)
-                                          else ring.zero)))
-    # transpositions generate the permutations
-    for k in range(n - 1):
-        def swap(i, j, k=k):
-            pi = list(range(n))
-            pi[k], pi[k + 1] = pi[k + 1], pi[k]
-            return ring.one if pi[i] == j else ring.zero
-        gens.append(mat(swap))
-    return [ident] + gens
+        return gens
+    gens += [mat(lambda i, j, r=r: one if i == j
+                 else (r if (i, j) == (0, 1) else zero))
+             for r in ring.additive_generators()]
+    perms = [(1, 0) + tuple(range(2, n))]
+    if n >= 3:
+        perms.append(tuple((i + 1) % n for i in range(n)))
+    gens += [mat(lambda i, j, p=p: one if p[i] == j else zero)
+             for p in perms]
+    return gens
 
 
 def mat_mul(ring, A, B, cols):

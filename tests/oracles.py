@@ -28,7 +28,11 @@ the dense generator matrices that ``schurfun.schur_value`` and
 ``schurfun.elementary_value`` built before their generators acted by
 sparse column images, and ``all_pairs_multiplicative`` is the walk over
 every pair that ``RingMap.check_multiplicative`` made before it checked
-monoid generators only.
+monoid generators only.  ``full_matrix_monoid_generators`` is the
+generating set of M_n(A) that ``rings.matrix_monoid_generators`` listed
+before it kept only e_01(r), the swap and the n-cycle, and
+``kron_hom_rows`` the system that ``modtools.hom_space`` built by
+Kronecker products before it wrote the rows directly.
 """
 
 import argparse
@@ -45,7 +49,7 @@ from steinlab.matrices import Matrix, Subspace
 from steinlab.modtools import (AlgebraModule, are_isomorphic,
                                composition_factors, hom_space,
                                monoid_actions)
-from steinlab.rings import FiniteRing, NotMultiplicative
+from steinlab.rings import FiniteRing, NotMultiplicative, ring_identity
 from steinlab.schurfun import _sym_basis, _tensor_power
 from steinlab.steinberg import group_generator_matrices
 from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
@@ -571,6 +575,85 @@ def all_pairs_multiplicative(phi):
         for b in els:
             if phi(R.mul(a, b)) != K.mul(phi(a), phi(b)):
                 raise NotMultiplicative(f"fails at {a} * {b}")
+
+
+# -- generators of M_n(A), every transvection listed --------------------
+
+def multiplicative_generators(ring):
+    """A small set of elements generating A as a ring: one generator
+    per component (a field generator, or 1 for cyclic parts), embedded
+    with 1s elsewhere replaced by the component idempotents."""
+    return [ring.embed(i, c.gen() if isinstance(c, Field) else c.one)
+            for i, c in enumerate(ring.components)]
+
+
+def full_matrix_monoid_generators(ring, n):
+    """Generators of the multiplicative monoid M_n(A): transvections
+    e_{ij}(r) over ring generators, the scalar embeddings diag(a,1,...,1),
+    permutation matrices, and the corank-one idempotent diag(1,...,1,0).
+
+    Matrices are tuples of row tuples of ring elements.
+    """
+    if n < 1:
+        raise ValueError(f"rank n must be >= 1, got {n}")
+    ident = ring_identity(ring, n)
+    gens = []
+
+    def mat(fn):
+        return tuple(tuple(fn(i, j) for j in range(n)) for i in range(n))
+
+    # scalar block diag(a, 1, ..., 1) for every ring element a; this covers
+    # non-unit diagonal entries (needed e.g. for 2 in Z/4) and absorbs the
+    # corank-one idempotent as the a = 0 case
+    for a in ring.elements():
+        if a == ring.one:
+            continue
+        gens.append(mat(lambda i, j, a=a:
+                        (a if i == 0 else ring.one) if i == j else ring.zero))
+    if n == 1:
+        return [ident] + gens
+    rgens = multiplicative_generators(ring) + ring.additive_generators()
+    for r in sorted(set(rgens)):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    gens.append(mat(lambda a, b, i=i, j=j, r=r:
+                                    ring.one if a == b
+                                    else (r if (a, b) == (i, j)
+                                          else ring.zero)))
+    # transpositions generate the permutations
+    for k in range(n - 1):
+        def swap(i, j, k=k):
+            pi = list(range(n))
+            pi[k], pi[k + 1] = pi[k + 1], pi[k]
+            return ring.one if pi[i] == j else ring.zero
+        gens.append(mat(swap))
+    return [ident] + gens
+
+
+# -- the hom-space system by Kronecker products ---------------------------
+
+def kron_hom_rows(mod_m, mod_n):
+    """The rows of (I_a kron A^t) - (B kron I_b), one block per generator
+    (A of M, B of N, a = dim N, b = dim M): T A - B T = 0 on vec(T)."""
+    F = mod_m.field
+    Ia = Matrix.identity(F, mod_n.dimension)
+    Ib = Matrix.identity(F, mod_m.dimension)
+    rows = []
+    for name in mod_m.gen_names():
+        A = mod_m.generators[name]
+        B = mod_n.generators[name]
+        rows.extend((Ia.kron(A.transpose()) - B.kron(Ib)).rows)
+    return rows
+
+
+def kron_hom_space(mod_m, mod_n):
+    """``modtools.hom_space`` on the Kronecker system."""
+    F = mod_m.field
+    a, b = mod_n.dimension, mod_m.dimension
+    ker = Matrix(F, kron_hom_rows(mod_m, mod_n)).kernel_basis()
+    return [Matrix(F, [list(krow[i * b:(i + 1) * b]) for i in range(a)])
+            for krow in ker.rows]
 
 
 # -- the command line parser, built in full -------------------------------

@@ -12,7 +12,7 @@ from steinlab.matrices import Subspace
 from steinlab.rings import (FiniteRing, mat_mul, matrix_monoid_generators,
                             ring_homs)
 
-from oracles import cross_effect_check
+from oracles import cross_effect_check, full_matrix_monoid_generators
 
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
@@ -197,6 +197,40 @@ def test_intermediate_extension_value_matches_enumeration(ring, q, module,
     assert (dim, ambient) == (oracle.dim, oracle.ambient_dim)
     assert list(homs) == fc.all_ring_homs_matrices(R, m, n)
     assert sp.basis == oracle.basis
+
+
+# (ring, order of the coefficient field, module of M_n(A), n): tdelta's
+# character module, and the value modules of the lines functor (which
+# needs a field) and of tdelta itself, spun at ranks m <= 3 while
+# |Hom(A^m, A^n)| * dim M stays at most SPIN_AMBIENT_BOUND
+SPIN_CASES = [("F_2", 4, "delta", 1), ("F_2", 4, "gr1", 2),
+              ("F_3", 3, "delta", 1), ("F_3", 3, "gr1", 2),
+              ("F_4", 4, "delta", 1), ("F_4", 4, "gr1", 2),
+              ("Z/6", 4, "delta", 1), ("Z/6", 4, "tdelta", 2)]
+SPIN_AMBIENT_BOUND = 12000
+
+
+@pytest.mark.parametrize("ring, q, module, n", SPIN_CASES)
+def test_spin_over_small_generators_matches_every_transvection(
+        monkeypatch, ring, q, module, n):
+    R = FiniteRing(ring)
+    K = Field.of_order(q)
+    if module == "delta":
+        mm = fc.MonoidModule.from_character(
+            R, K, lambda a: K.one if R.is_unit(a) else K.zero)
+    else:
+        mm = fc.functor_value_module(make_functor_expr(module, R, K, n), n)
+    ranks = [m for m in range(4)
+             if R.size ** (m * n) * mm.dimension <= SPIN_AMBIENT_BOUND]
+    assert max(ranks) >= n  # some rank is spun
+    small = [fc.intermediate_extension_value(mm, m) for m in ranks]
+    monkeypatch.setattr(fc, "matrix_monoid_generators",
+                        full_matrix_monoid_generators)
+    for m, (dim, sp, homs, ambient) in zip(ranks, small):
+        fdim, fsp, fhoms, fambient = fc.intermediate_extension_value(mm, m)
+        assert (dim, homs, ambient) == (fdim, fhoms, fambient)
+        assert sp == fsp
+        assert (sp.basis, sp.pivots) == (fsp.basis, fsp.pivots)
 
 
 def test_tensor_with_constant():

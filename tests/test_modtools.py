@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from steinlab.schurfun import schur_value
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace, span_from_spins
 
-from oracles import hom_space_socle
+from oracles import hom_space_socle, kron_hom_rows, kron_hom_space
 
 # Hypothesis runs derandomized, so the examples are the same on every run
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -119,6 +121,97 @@ def test_hom_space_and_iso():
     one = Matrix.identity(K, 1)
     triv = mt.AlgebraModule(K, {nm: one for nm in a.gen_names()})
     assert not mt.are_isomorphic(a, triv)
+
+
+# -- the hom-space system against its Kronecker construction -------------
+
+HOM_FIELDS = [QQ, Field.prime(2), Field.galois(2, 2), Field.prime(5),
+              Field.galois(3, 2)]
+
+
+@st.composite
+def hom_matrix(draw, F, n):
+    """An n x n matrix over F, about half its entries zero."""
+    scalar = (st.fractions(min_value=-4, max_value=4, max_denominator=5)
+              if F.kind == "rational" else st.integers(0, F.order - 1))
+    return Matrix(F, [[draw(scalar) if draw(st.booleans()) else F.zero
+                       for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def hom_pair(draw):
+    """Modules M and N on shared generator names: unrelated, of
+    dimensions 1 to 5 that differ; N a conjugate P M P^-1 of M, an
+    isomorphic pair; or N = M + C with C unrelated, in either order, so
+    that Hom is nonzero.  Returns (M, N, whether they are isomorphic)."""
+    F = draw(st.sampled_from(HOM_FIELDS))
+    names = ["g", "h", "k"][:draw(st.integers(1, 3))]
+
+    def module(n):
+        return mt.AlgebraModule(F, {nm: draw(hom_matrix(F, n))
+                                    for nm in names})
+    kind = draw(st.sampled_from(["unrelated", "conjugate", "sum"]))
+    b = draw(st.integers(1, 4 if kind == "sum" else 5))
+    M = module(b)
+    if kind == "unrelated":
+        a = draw(st.integers(1, 5).filter(lambda a: a != b))
+        return M, module(a), False
+    if kind == "conjugate":
+        # unit lower times invertible upper triangular: invertible
+        L, U = draw(hom_matrix(F, b)), draw(hom_matrix(F, b))
+        P = (Matrix(F, [[F.one if i == j else (L[i, j] if i > j else F.zero)
+                         for j in range(b)] for i in range(b)])
+             * Matrix(F, [[(U[i, j] or F.one) if i == j
+                           else (U[i, j] if i < j else F.zero)
+                           for j in range(b)] for i in range(b)]))
+        Pinv = P.inverse()
+        return M, mt.AlgebraModule(F, {nm: P * g * Pinv for nm, g
+                                       in M.generators.items()}), True
+    C = module(draw(st.integers(1, 5 - b)))
+    S = mt.AlgebraModule(F, {nm: block_diagonal(M.generators[nm],
+                                                C.generators[nm])
+                             for nm in names})
+    return (M, S, False) if draw(st.booleans()) else (S, M, False)
+
+
+def block_diagonal(X, Y):
+    F, n, m = X.field, X.nrows, Y.nrows
+    return Matrix(F, [list(r) + [F.zero] * m for r in X.rows]
+                  + [[F.zero] * n + list(r) for r in Y.rows])
+
+
+def hom_space_and_system(mod_m, mod_n):
+    """hom_space's output and the rows it hands to kernel_basis."""
+    systems = []
+    kernel_basis = Matrix.kernel_basis
+
+    def spy(self):
+        systems.append(self.rows)
+        return kernel_basis(self)
+    with mock.patch.object(Matrix, "kernel_basis", spy):
+        homs = mt.hom_space(mod_m, mod_n)
+    (rows,) = systems
+    return homs, rows
+
+
+def _types(rows):
+    return [type(x) for r in rows for x in r]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hom_pair())
+def test_hom_space_rows_match_kronecker_oracle(pair):
+    M, N, isomorphic = pair
+    homs, rows = hom_space_and_system(M, N)
+    want = kron_hom_rows(M, N)
+    assert rows == want
+    assert _types(rows) == _types(want)
+    assert homs == kron_hom_space(M, N)
+    if M.field.kind == "rational":
+        assert {Fraction} >= set(_types(rows)).union(
+            *(_types(T.rows) for T in homs))
+    if isomorphic:
+        assert mt.are_isomorphic(M, N)
 
 
 def test_socle_of_group_algebra():

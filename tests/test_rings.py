@@ -1,5 +1,6 @@
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,9 +9,11 @@ from steinlab.matrices import Matrix
 from steinlab.rings import (FiniteRing, NotMultiplicative, RingMap,
                             all_ideals, cotrivial_ideals, mat_mul,
                             matrix_monoid_generators, monoid_closure,
-                            primary_idempotents, ring_homs)
+                            primary_idempotents, ring_homs,
+                            ring_identity)
 
-from oracles import all_pairs_multiplicative, repeated_addition
+from oracles import (all_pairs_multiplicative,
+                     full_matrix_monoid_generators, repeated_addition)
 
 
 def test_parse_and_size():
@@ -242,6 +245,36 @@ def test_monoid_closure_full():
     Z6 = FiniteRing("Z/6")
     gens6 = matrix_monoid_generators(Z6, 2)
     assert len(monoid(Z6, gens6)) == 6 ** 4
+
+
+# F_2 to rank 3; the rest at rank 2 (and rank 1 for F_9 and Z/4xF_3),
+# where M_n(A) has at most 12^4 elements
+GENERATOR_CASES = ([("F_2", n) for n in (1, 2, 3)]
+                   + [(spec, 2) for spec in ("F_3", "F_4", "F_5", "Z/4",
+                                             "Z/6")]
+                   + [(spec, n) for spec in ("F_9", "Z/4xF_3")
+                      for n in (1, 2)])
+
+
+@pytest.mark.parametrize("spec, n", GENERATOR_CASES)
+def test_matrix_generators_close_like_every_transvection(spec, n):
+    # the small set and the oracle's, which lists every e_ij(r) and every
+    # diag(a, 1, ..., 1), generate the same monoid: all of M_n(A)
+    R = FiniteRing(spec)
+    add, mul = R.cayley_tables
+    tabled = SimpleNamespace(zero=R.zero, add=lambda a, b: add[a][b],
+                             mul=lambda a, b: mul[a][b])
+
+    def monoid(gens):
+        return set(gens) | {y for y, _, _ in monoid_closure(
+            lambda g, x: mat_mul(tabled, g, x, n), gens, gens)}
+
+    small = matrix_monoid_generators(R, n)
+    full = full_matrix_monoid_generators(R, n)
+    assert small[0] == full[0] == ring_identity(R, n)
+    assert len(small) < len(full) or R.size == 2
+    assert monoid(small) == monoid(full)
+    assert len(monoid(small)) == R.size ** (n * n)
 
 
 def test_mat_mul_empty_shapes():
