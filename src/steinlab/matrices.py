@@ -218,10 +218,13 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Rows spanning {v : A v = 0}, in RREF of the kernel."""
-        R, piv = self.rref()
+        """Rows spanning {v : A v = 0}, in RREF of the kernel.  The echelon
+        basis is read from a ``Subspace``, with no zero rows padding it to
+        a tall matrix's height."""
         n = self.ncols
         F = self.field
+        sp = Subspace(F, n, self.rows)
+        R, piv = sp.basis, sp.pivots
         pivset = set(piv)
         free = [j for j in range(n) if j not in pivset]
         basis = []
@@ -229,7 +232,7 @@ class Matrix:
             v = [F.zero] * n
             v[j] = F.one
             for i, pc in enumerate(piv):
-                v[pc] = F.neg(R.rows[i][j])
+                v[pc] = F.neg(R[i][j])
             basis.append(v)
         return Matrix(F, basis, n).rref()[0]
 
