@@ -218,9 +218,8 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Rows spanning {v : A v = 0}, in RREF of the kernel.  The echelon
-        basis is read from a ``Subspace``, with no zero rows padding it to
-        a tall matrix's height."""
+        """Rows spanning {v : A v = 0}, in RREF of the kernel, read off
+        the rows' ``Subspace`` (``rref`` would pad it with zero rows)."""
         n = self.ncols
         F = self.field
         sp = Subspace(F, n, self.rows)

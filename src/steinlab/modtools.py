@@ -387,8 +387,8 @@ def hom_space(mod_m, mod_n):
     a, b = mod_n.dimension, mod_m.dimension
     rows = []
     for name in mod_m.gen_names():
-        # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k, with
-        # no Kronecker product; adding to zero keeps Q entries Fractions
+        # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k;
+        # adding to zero keeps Q entries Fractions
         cols = [[add(z, x) for x in col]
                 for col in zip(*mod_m.generators[name].rows)]
         for i, Bi in enumerate(mod_n.generators[name].rows):

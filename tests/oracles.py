@@ -32,7 +32,8 @@ monoid generators only.  ``full_matrix_monoid_generators`` is the
 generating set of M_n(A) that ``rings.matrix_monoid_generators`` listed
 before it kept only e_01(r), the swap and the n-cycle, and
 ``kron_hom_rows`` the system that ``modtools.hom_space`` built by
-Kronecker products before it wrote the rows directly.
+Kronecker products before it wrote the rows directly; ``rref_kernel_basis``
+is ``Matrix.kernel_basis`` as it was when it read the padded ``rref``.
 """
 
 import argparse
@@ -647,11 +648,29 @@ def kron_hom_rows(mod_m, mod_n):
     return rows
 
 
+def rref_kernel_basis(M):
+    """The kernel of M from its padded rref: each free column j gives e_j
+    minus the entries of column j at the pivots."""
+    R, piv = M.rref()
+    n = M.ncols
+    F = M.field
+    pivset = set(piv)
+    free = [j for j in range(n) if j not in pivset]
+    basis = []
+    for j in free:
+        v = [F.zero] * n
+        v[j] = F.one
+        for i, pc in enumerate(piv):
+            v[pc] = F.neg(R.rows[i][j])
+        basis.append(v)
+    return Matrix(F, basis, n).rref()[0]
+
+
 def kron_hom_space(mod_m, mod_n):
     """``modtools.hom_space`` on the Kronecker system."""
     F = mod_m.field
     a, b = mod_n.dimension, mod_m.dimension
-    ker = Matrix(F, kron_hom_rows(mod_m, mod_n)).kernel_basis()
+    ker = rref_kernel_basis(Matrix(F, kron_hom_rows(mod_m, mod_n)))
     return [Matrix(F, [list(krow[i * b:(i + 1) * b]) for i in range(a)])
             for krow in ker.rows]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
-from oracles import dense_apply
+from oracles import dense_apply, rref_kernel_basis
 
 
 def from_ints(F, rows):
@@ -266,6 +266,19 @@ def test_kron_matches_scalar_oracle(F, data):
     assert K.rows == [[F.mul(a, b) for a in ra for b in rb]
                       for ra in A.rows for rb in B.rows]
     assert _all_fractions(F, K.rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_kernel_basis_matches_padded_rref_oracle(F, data):
+    # tall matrices too: the rows repeat, so the rank stays below nrows
+    M = data.draw(kernel_matrix(F))
+    M = Matrix(F, M.rows * data.draw(st.integers(1, 3)), M.ncols)
+    K = M.kernel_basis()
+    want = rref_kernel_basis(M)
+    assert (K.nrows, K.ncols, K.rows) == (want.nrows, want.ncols, want.rows)
+    assert _all_fractions(F, K.rows)
+    assert all(not any(r) for r in (M * K.transpose()).rows)
 
 
 def _dot(F, xs, ys):
