@@ -361,7 +361,7 @@ class _Parser(argparse.ArgumentParser):
     text, or its usage and error message, there instead of printing it.
     ``run`` returns that text as the job's output, so help inside a batch
     leaves the report JSON, a job that fails to parse says why, and no
-    thread writes to the process-wide ``sys.stdout`` or ``sys.stderr``."""
+    job writes to the process-wide ``sys.stdout`` or ``sys.stderr``."""
 
     shown = None
 
@@ -398,6 +398,8 @@ class _ModuleParsers(argparse._SubParsersAction):
 def build_parser():
     top = _Parser(prog="steinlab", allow_abbrev=False)
     top.add_argument("--seed", type=int, default=0)
+    # accepted and unread: a batch runs its jobs in turn, which beat
+    # worker threads, and scripts still pass it
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--format", choices=("json", "tsv"), default=None)
     # with prog given, argparse does not format a usage line to find it
@@ -493,19 +495,12 @@ def run_batch(args):
                 and all(isinstance(a, str) for a in argv)):
             return 2, f"error: args of job {i} must be a list of strings"
 
-    def one(job):
+    results = []
+    for job in jobs:
         argv = list(job.get("args", []))
         if args.seed and "--seed" not in argv:
             argv = ["--seed", str(args.seed)] + argv
-        return run(argv)
-
-    if args.jobs > 1 and len(jobs) > 1:
-        # imported here, as only this branch needs it and it is slow to load
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
+        results.append(run(argv))
     report = {"jobs": len(jobs),
               "results": [{"index": i, "code": code, "output": text}
                           for i, (code, text) in enumerate(results)],

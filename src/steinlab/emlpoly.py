@@ -30,7 +30,7 @@ all of those kill f.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import factorial
 
 from .fields import MAX_DEGREE, CapExceeded, Field, QQ
@@ -159,7 +159,8 @@ def deviation_vanishes(f, d):
     2*d*b + 1 points of [-d*b, d*b], b = W // d, and tests the d-th
     differences there (module docstring; b = 0 leaves dev_d(0,...,0) = 0).
     A finite source reads f once at each element and takes differences
-    along its additive generators (module docstring).  dev_0 is f(0).
+    along its additive generators (module docstring): dev_d vanishes
+    when level d of ``_difference_levels`` is empty.  dev_0 is f(0).
     """
     if d < 0:
         raise ValueError(f"deviation order d must be >= 0, got {d}")
@@ -175,53 +176,44 @@ def deviation_vanishes(f, d):
         for _ in range(d):
             table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
         return all(_is_zero_value(v, zero) for v in table)
-    table, n, diff, nonzero = _differences(f)
-    # (D_w f, least next letter, letters left) for nondecreasing words w,
-    # depth first; a zero table is not differenced further
-    stack = [(table, 0, d)]
-    while stack:
-        t, j, k = stack.pop()
-        if not nonzero(t):
-            continue
-        if k == 0:
-            return False
-        stack.extend((diff(t, i), i, k - 1) for i in range(j, n))
-    return True
+    return not next(islice(_difference_levels(f), d, None))
 
 
-def _differences(f):
-    """f's table on its finite source, the number n of additive
-    generators g_i, (t, i) -> D_g_i t and a test that t is not zero."""
+def _difference_levels(f):
+    """The nonzero tables D_w f on f's finite source, one list per length
+    k = 0, 1, ... of the nondecreasing words w in its additive generators
+    g_i, where D_g t = t(u + g) - t(u).  Differences commute, so these
+    words give every k-fold difference, and a zero table is not
+    differenced further: once a level is empty, every later one is."""
     U = f.source
     # shifts[i][u] is the label of u + g_i
     shifts = [[U.add(u, g) for u in U.elements()]
               for g in U.additive_generators()]
-    table = [f(u) for u in U.elements()]
     add, neg, zero = f.value_ops()
-    return (table, len(shifts),
-            lambda t, i: [add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
-            lambda t: not all(_is_zero_value(v, zero) for v in t))
+    # (D_w f, last letter of w), the words of one length
+    level = [([f(u) for u in U.elements()], 0)]
+    while True:
+        level = [(t, j) for t, j in level
+                 if not all(_is_zero_value(v, zero) for v in t)]
+        yield [t for t, _ in level]
+        level = [([add(t[s], neg(x)) for x, s in zip(t, shifts[i])], i)
+                 for t, j in level for i in range(j, len(shifts))]
 
 
 def eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) identically zero, else the
-    NotPolynomialUpTo(cap) sentinel.  On a finite source the nonzero
-    tables of the words of length d seed those of length d + 1; a Z
-    window tests each d afresh, as b = W // d changes."""
+    NotPolynomialUpTo(cap) sentinel.  On a finite source that d is one
+    below the first empty level of ``_difference_levels`` after level 0,
+    so each level is built once; a Z window tests each d afresh, as
+    b = W // d changes."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if isinstance(f.source, AbGroup):
         return next((d for d in range(cap + 1)
                      if deviation_vanishes(f, d + 1)), NotPolynomialUpTo(cap))
-    table, n, diff, nonzero = _differences(f)
-    # (D_w f, last letter of w) for the nonzero tables of words of length d
-    level = [(table, 0)] if nonzero(table) else []
-    for d in range(cap + 1):
-        level = [(u, i) for t, j in level for i in range(j, n)
-                 if nonzero(u := diff(t, i))]
-        if not level:
-            return d
-    return NotPolynomialUpTo(cap)
+    levels = islice(_difference_levels(f), 1, cap + 2)
+    return next((d for d, level in enumerate(levels) if not level),
+                NotPolynomialUpTo(cap))
 
 
 def homogeneous_decomposition(f, cap=8):

@@ -243,8 +243,8 @@ class Matrix:
         if n != self.ncols:
             raise ValueError("inverse of non-square matrix")
         F = self.field
-        aug = Matrix(F, [self.rows[i] + Matrix.identity(F, n).rows[i]
-                         for i in range(n)])
+        aug = Matrix(F, [row + e for row, e in
+                         zip(self.rows, Matrix.identity(F, n).rows)])
         R, piv = aug.rref()
         if piv[:n] != list(range(n)):
             raise ValueError("singular matrix")

@@ -17,6 +17,7 @@ over them to give the action of every element the labels generate.
 
 import operator
 import random
+from itertools import count
 
 from .matrices import Matrix, Subspace, coords_in_basis, span_from_spins
 from .rings import monoid_closure
@@ -152,22 +153,24 @@ def minimal_polynomial(A):
 
 
 def _local_min_poly(A, v):
+    """The monic polynomial m of least degree with m(A) v = 0.
+
+    Each row [A^k v | e_k] goes into one ``Subspace`` of width 2n + 1,
+    and row operations keep "left part = sum of tag_j A^j v".  While the
+    iterates are independent every pivot lies in the left n columns, so
+    tag k of row k stays 1: the first row whose left part ``reduce``
+    sends to zero carries the monic relation in its tags 0..k."""
     F = A.field
     n = A.nrows
-    if all(x == F.zero for x in v):
-        return [F.one]
-    iterates = [list(v)]
-    while True:
-        nxt = A.apply_to_vector(iterates[-1])
-        B = Matrix(F, iterates).transpose()
-        x = B.solve_right(nxt)
-        if x is not None:
-            # A^k v = sum x_j A^j v  ->  min poly x^k - sum x_j x^j
-            poly = [F.neg(c) for c in x] + [F.one]
-            return poly
-        iterates.append(nxt)
-        if len(iterates) > n:
-            raise RuntimeError("local minimal polynomial runaway")
+    sp = Subspace(F, 2 * n + 1)
+    w = list(v)
+    for k in count():
+        row = sp.reduce(w + [F.one if j == k else F.zero
+                             for j in range(n + 1)])
+        if not any(row[:n]):
+            return row[n:n + k + 1]
+        sp.add_vector(row)
+        w = A.apply_to_vector(w)
 
 
 def _berlekamp_factor(f, F):

@@ -13,8 +13,10 @@ it packed its rows, and over Q, in ``Fraction``s, before it kept
 primitive int rows; ``rref_int`` is the batch fraction-free elimination
 that built a Q ``Subspace`` until then.  ``multiset_deviation_vanishes``
 is the walk over multisets that ``deviation_vanishes`` made on finite
-sources before it took differences along generators; ``per_d_eml_degree``
-is the degree search that ran it afresh for each d.  ``build_parser`` is
+sources before it took differences along generators, and
+``depth_first_deviation_vanishes`` the depth-first walk of those
+differences before one level-by-level walk served it and ``eml_degree``;
+``per_d_eml_degree`` is the degree search that ran it afresh for each d.  ``build_parser`` is
 the command line parser that ``cli.build_parser`` built in full, every
 module's arguments included, before it added only those of the module a
 job names.  ``repeated_addition`` is the loop ``FiniteRing.scalar`` ran
@@ -34,6 +36,10 @@ before it kept only e_01(r), the swap and the n-cycle, and
 ``kron_hom_rows`` the system that ``modtools.hom_space`` built by
 Kronecker products before it wrote the rows directly; ``rref_kernel_basis``
 is ``Matrix.kernel_basis`` as it was when it read the padded ``rref``.
+``solve_right_local_min_poly`` is ``modtools._local_min_poly`` as it was
+when it solved each Krylov iterate against the earlier ones by
+``solve_right``, before one tagged ``Subspace`` gave the relation, and
+``solve_right_minimal_polynomial`` is ``minimal_polynomial`` on it.
 """
 
 import argparse
@@ -47,7 +53,7 @@ from steinlab.emlpoly import (AbMap, NotPolynomialUpTo, deviation,
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix, Subspace
-from steinlab.modtools import (AlgebraModule, are_isomorphic,
+from steinlab.modtools import (AlgebraModule, _poly_mul, are_isomorphic,
                                composition_factors, hom_space,
                                monoid_actions)
 from steinlab.rings import FiniteRing, NotMultiplicative, ring_identity
@@ -393,6 +399,40 @@ def hom_space_socle(mod, seed=0):
     return [list(r) for r in sp.basis]
 
 
+# -- minimal polynomials by one solve per Krylov iterate -------------------
+
+def solve_right_local_min_poly(A, v):
+    """The monic m of least degree with m(A) v = 0: each iterate A^k v is
+    solved against the earlier ones by ``Matrix.solve_right``."""
+    F = A.field
+    if all(x == F.zero for x in v):
+        return [F.one]
+    iterates = [list(v)]
+    while True:
+        nxt = A.apply_to_vector(iterates[-1])
+        x = Matrix(F, iterates).transpose().solve_right(nxt)
+        if x is not None:
+            # A^k v = sum x_j A^j v  ->  x^k - sum x_j x^j
+            return [F.neg(c) for c in x] + [F.one]
+        iterates.append(nxt)
+
+
+def solve_right_minimal_polynomial(A):
+    """``modtools.minimal_polynomial`` on ``solve_right_local_min_poly``:
+    the product of the local annihilators of the e_i, each taken relative
+    to what the product so far already kills."""
+    F, n = A.field, A.nrows
+    m = [F.one]
+    for i in range(n):
+        # m(A) e_i by Horner's rule on the vector
+        w = [m[-1] if k == i else F.zero for k in range(n)]
+        for c in reversed(m[:-1]):
+            w = A.apply_to_vector(w)
+            w[i] = F.add(w[i], c)
+        m = _poly_mul(m, solve_right_local_min_poly(A, w), F)
+    return m
+
+
 # -- elimination on list rows ----------------------------------------------
 
 class ListSubspace:
@@ -524,6 +564,32 @@ def per_d_eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) zero, testing each d afresh."""
     return next((d for d in range(cap + 1) if deviation_vanishes(f, d + 1)),
                 NotPolynomialUpTo(cap))
+
+
+def depth_first_deviation_vanishes(f, d):
+    """Whether dev_d(f) vanishes on a finite source, d >= 1, walking the
+    nondecreasing words of additive generators depth first; a zero table
+    is not differenced further."""
+    U = f.source
+    # shifts[i][u] is the label of u + g_i
+    shifts = [[U.add(u, g) for u in U.elements()]
+              for g in U.additive_generators()]
+    add, neg, zero = f.value_ops()
+
+    def nonzero(t):
+        return not all(v.is_zero() if isinstance(v, Matrix) else v == zero
+                       for v in t)
+    # (D_w f, least next letter, letters left)
+    stack = [([f(u) for u in U.elements()], 0, d)]
+    while stack:
+        t, j, k = stack.pop()
+        if not nonzero(t):
+            continue
+        if k == 0:
+            return False
+        stack.extend(([add(t[s], neg(x)) for x, s in zip(t, shifts[i])],
+                      i, k - 1) for i in range(j, len(shifts)))
+    return True
 
 
 # -- dense generator matrices of Schur and elementary functors ------------

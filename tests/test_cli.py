@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -168,14 +169,31 @@ def test_batch_mixed_and_parallel(tmp_path):
     assert report["failures"] == 1
     assert report["results"][1]["code"] == 3
     assert json.loads(report["results"][2]["output"])["dimension"] == 1
-    # the same manifest with worker threads gives the same report
+    # --jobs changes nothing in the report
     code2, out2 = run(["--jobs", "3", "batch", str(mf)])
     assert (code2, out2) == (code, out)
 
 
+def test_batch_starts_no_thread(tmp_path, monkeypatch):
+    # a batch runs its jobs in turn, --jobs 2 included
+    def refuse(thread):
+        raise AssertionError("a batch started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    jobs = [{"args": ["partition", "conj", "--lam", "3,1"]},
+            {"args": ["schur", "-h"]},
+            {"args": ["schur", "eval", "--lam", "1,1", "--n", "2",
+                      "--coeff", "Q"]}]
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps(jobs))
+    code, out = run(["--jobs", "2", "batch", str(mf)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["jobs"] == 3 and report["failures"] == 0
+
+
 def test_batch_help_is_the_job_output(tmp_path, capsys):
     # a help job answers in its own output, so stdout stays one JSON
-    # report, with worker threads as without
+    # report, whatever --jobs says
     jobs = [{"args": ["schur", "-h"]},
             {"args": ["partition", "conj", "--lam", "3,1"]}]
     mf = tmp_path / "jobs.json"
@@ -191,7 +209,7 @@ def test_batch_help_is_the_job_output(tmp_path, capsys):
 
 def test_batch_parse_error_is_the_job_output(tmp_path, capsys):
     # a job that fails to parse says why in its own output, and nothing
-    # reaches the process's stderr, with worker threads as without
+    # reaches the process's stderr, whatever --jobs says
     jobs = [{"args": ["bogus"]},
             {"args": ["schur", "eval", "--lam", "2,1", "--n", "3"]}]
     mf = tmp_path / "jobs.json"

@@ -3,15 +3,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinlab import emlpoly as ep
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
-from oracles import (coefficient_abmap, multiset_deviation_vanishes,
-                     per_d_eml_degree)
+from oracles import (coefficient_abmap, depth_first_deviation_vanishes,
+                     multiset_deviation_vanishes, per_d_eml_degree)
 
 
 def window_map(window, func):
@@ -323,22 +323,41 @@ def finite_maps(draw):
         draw(st.integers(0, 4))
 
 
+def power_map(q, k):
+    """x^k on F_q, of degree the sum of the base-p digits of k, k < q."""
+    R = FiniteRing(f"F_{q}")
+    K = R.as_field()
+    return ep.RingMap(R, K, func=lambda a: K.pow(a, k)).as_abmap()
+
+
+def indicator_of_zero(ring, K):
+    """1 at 0 and 0 elsewhere; not polynomial when |ring| is a unit in K."""
+    return ep.AbMap(FiniteRing(ring), K,
+                    func=lambda u: K.one if u == 0 else K.zero)
+
+
+# walks that reach level d: power maps of degree d and d - 1, and a map
+# of no degree
+@example((power_map(16, 7), 3))
+@example((power_map(16, 15), 4))
+@example((power_map(9, 8), 4))
+@example((power_map(16, 7), 4))
+@example((indicator_of_zero("Z/6", Field.prime(2)), 4))
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(finite_maps())
 def test_finite_differences_match_multiset_oracle(case):
     f, d = case
-    assert ep.deviation_vanishes(f, d) == multiset_deviation_vanishes(f, d)
+    got = ep.deviation_vanishes(f, d)
+    assert got == multiset_deviation_vanishes(f, d)
+    # the depth-first walk decides d >= 1; dev_0 is f(0)
+    assert d == 0 or got == depth_first_deviation_vanishes(f, d)
 
 
 @pytest.mark.parametrize("q, k, degree", [
     (16, 0, 0), (16, 1, 1), (16, 3, 2), (16, 7, 3), (16, 15, 4),
     (9, 4, 2), (9, 8, 4), (2401, 1, 1), (2401, 8, 2)])
 def test_power_map_degree_is_the_digit_sum(q, k, degree):
-    # x^k on F_q has degree the sum of the base-p digits of k, k < q
-    R = FiniteRing(f"F_{q}")
-    K = R.as_field()
-    f = ep.RingMap(R, K, func=lambda a: K.pow(a, k)).as_abmap()
-    assert ep.eml_degree(f, 4) == degree
+    assert ep.eml_degree(power_map(q, k), 4) == degree
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -352,9 +371,7 @@ def test_eml_degree_cost_is_linear_in_the_cap():
     # the indicator of 0 on Z/6 into F_2 is not polynomial: 3 is a unit
     # mod 2, so no power of the augmentation ideal kills it, and every
     # level up to the cap stays nonzero
-    F2 = Field.prime(2)
-    f = ep.AbMap(FiniteRing("Z/6"), F2,
-                 func=lambda u: F2.one if u == 0 else F2.zero)
+    f = indicator_of_zero("Z/6", Field.prime(2))
     start = time.perf_counter()
     assert ep.eml_degree(f, 1500) == ep.NotPolynomialUpTo(1500)
     assert time.perf_counter() - start < 1

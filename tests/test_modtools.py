@@ -11,7 +11,8 @@ from steinlab.schurfun import schur_value
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace, span_from_spins
 
-from oracles import hom_space_socle, kron_hom_rows, kron_hom_space
+from oracles import (hom_space_socle, kron_hom_rows, kron_hom_space,
+                     solve_right_minimal_polynomial)
 
 # Hypothesis runs derandomized, so the examples are the same on every run
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -110,6 +111,51 @@ def test_minimal_polynomial_matches_matrix_evaluation(data):
     mp = mt.minimal_polynomial(A)
     assert mp == minimal_polynomial_by_matrices(A)
     assert mt._poly_eval_matrix(mp, A) == Matrix.zero(K, n, n)
+
+
+KRYLOV_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.galois(2, 2),
+                 Field.prime(5), Field.galois(3, 2), Field.galois(2, 4)]
+
+
+@st.composite
+def krylov_matrices(draw, F):
+    """An n x n matrix over F, n <= 24: random, zero, the identity, strictly
+    upper triangular (nilpotent) or one random block repeated down the
+    diagonal (derogatory).  n = 4e - 1 and 4e put the tagged Krylov rows,
+    of width 2n + 1, on each side of the packing threshold 8e."""
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def scalar():
+        if F is QQ:
+            return Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        return rnd.randrange(F.order)
+    kind = draw(st.sampled_from(["random", "zero", "identity", "nilpotent",
+                                 "blocks"]))
+    if kind == "blocks":
+        b = draw(st.integers(1, 4))
+        n = b * draw(st.sampled_from(range(1, 24 // b + 1)))
+        block = [[scalar() for _ in range(b)] for _ in range(b)]
+        return Matrix(F, [[block[i % b][j % b] if i // b == j // b
+                           else F.zero for j in range(n)]
+                          for i in range(n)], n)
+    n = draw(st.sampled_from([*range(25), 4 * F.degree - 1, 4 * F.degree]))
+    if kind == "zero":
+        return Matrix.zero(F, n, n)
+    if kind == "identity":
+        return Matrix.identity(F, n)
+    return Matrix(F, [[scalar() if kind == "random" or j > i else F.zero
+                       for j in range(n)] for i in range(n)], n)
+
+
+@pytest.mark.parametrize("F", KRYLOV_FIELDS, ids=lambda F: F.label())
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_minimal_polynomial_matches_the_solve_right_oracle(F, data):
+    A = data.draw(krylov_matrices(F))
+    mp = mt.minimal_polynomial(A)
+    assert mp == solve_right_minimal_polynomial(A)
+    if F is QQ:
+        assert all(type(c) is Fraction for c in mp)
 
 
 def test_hom_space_and_iso():
