@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from . import emlpoly, functorcat, modtools, schurfun, steinberg, symgrp
 from .fields import CapExceeded, Field, QQ
@@ -106,14 +108,13 @@ def make_ring_map(ring, name):
 
 
 def make_window_map(window, coeffs):
-    Z = emlpoly.AbGroup(window=window)
+    """Horner's rule on a Z window, in ints over the lcm of denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
 
     def f(u):
-        v = Fraction(0)
-        for c in reversed(coeffs):
-            v = v * u + c
-        return v
-    return emlpoly.AbMap(Z, QQ, func=f)
+        return Fraction(reduce(lambda v, c: v * u + c, nums, 0), den)
+    return emlpoly.AbMap(emlpoly.AbGroup(window=window), QQ, func=f)
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -356,6 +357,21 @@ OPTIONS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Reads the terminal width only to format text, not in each
+    ``add_argument``, which builds a formatter to check a metavar."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=0)  # a given width is not read
+        del self._width, self._max_help_position  # see __getattr__
+
+    def __getattr__(self, name):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        setattr(self, name, getattr(argparse.HelpFormatter(self._prog), name))
+        return getattr(self, name)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that, once ``shown`` is a list, appends its help
     text, or its usage and error message, there instead of printing it.
@@ -387,7 +403,8 @@ class _ModuleParsers(argparse._SubParsersAction):
         name = values[0]
         if self.choices[name] is None:
             # what add_parser builds; it refuses a name already present
-            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}",
+                                     formatter_class=_HelpFormatter)
             sub.shown = parser.shown
             for flag, kwargs in OPTIONS[name]:
                 sub.add_argument(flag, **kwargs)
@@ -396,7 +413,8 @@ class _ModuleParsers(argparse._SubParsersAction):
 
 
 def build_parser():
-    top = _Parser(prog="steinlab", allow_abbrev=False)
+    top = _Parser(prog="steinlab", allow_abbrev=False,
+                  formatter_class=_HelpFormatter)
     top.add_argument("--seed", type=int, default=0)
     # accepted and unread: a batch runs its jobs in turn, which beat
     # worker threads, and scripts still pass it

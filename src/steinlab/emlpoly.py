@@ -30,8 +30,8 @@ all of those kill f.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, islice
-from math import factorial
+from itertools import combinations_with_replacement, compress, count, islice
+from math import factorial, lcm
 
 from .fields import MAX_DEGREE, CapExceeded, Field, QQ
 from .matrices import Matrix
@@ -55,7 +55,7 @@ class NotPolynomialUpTo:
         return f"NotPolynomialUpTo({self.cap})"
 
 
-# a Z window is read at up to about 2W + 1 points: W = 10**4 takes seconds
+# a Z window is read once, at up to 2W + 1 points
 WINDOW_CAP = 10000
 
 
@@ -157,10 +157,10 @@ def deviation_vanishes(f, d):
 
     A Z source with window W and d >= 1 reads f once at each of the
     2*d*b + 1 points of [-d*b, d*b], b = W // d, and tests the d-th
-    differences there (module docstring; b = 0 leaves dev_d(0,...,0) = 0).
-    A finite source reads f once at each element and takes differences
-    along its additive generators (module docstring): dev_d vanishes
-    when level d of ``_difference_levels`` is empty.  dev_0 is f(0).
+    differences there (``_window_levels``; b = 0 leaves dev_d(0,...,0) =
+    0).  A finite source reads f once at each element and takes
+    differences along its additive generators (module docstring): dev_d
+    vanishes when level d of ``_difference_levels`` is empty.
     """
     if d < 0:
         raise ValueError(f"deviation order d must be >= 0, got {d}")
@@ -168,15 +168,30 @@ def deviation_vanishes(f, d):
         return _is_zero_value(deviation(f, 0)(), f.value_ops()[2])
     U = f.source
     if isinstance(U, AbGroup):
-        b = U.window // d
-        if b == 0:
-            return True
-        table = [f(x) for x in range(-d * b, d * b + 1)]
-        add, neg, zero = f.value_ops()
-        for _ in range(d):
-            table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
-        return all(_is_zero_value(v, zero) for v in table)
+        reach = d * (U.window // d)
+        return next(islice(_window_levels(f, reach), d - 1, None))
     return not next(islice(_difference_levels(f), d, None))
+
+
+def _window_levels(f, reach):
+    """Whether level k = 1, 2, ... of the differences of f on a Z window
+    vanishes on [-k*b, k*b - k], b = reach // k, where dev_k is tested;
+    f is read once on [-reach, reach].  Fractions into Q are differenced
+    as ints over their lcm; F_p labels need their field's add and neg."""
+    table = [f(x) for x in range(-reach, reach + 1)] if reach else []
+    add, neg, zero = f.value_ops()
+    if f.target is QQ and all(type(v) is Fraction for v in table):
+        den = lcm(*[v.denominator for v in table])
+        table = [v.numerator * (den // v.denominator) for v in table]
+        sub, zero = int.__sub__, 0
+    else:
+        def sub(y, x):
+            return add(y, neg(x))
+    for k in count(1):
+        table = list(map(sub, table[1:], table))  # (D^k f)(i - reach)
+        b = reach // k
+        yield all(_is_zero_value(v, zero)
+                  for v in table[reach - k * b:reach + k * b - k + 1])
 
 
 def _difference_levels(f):
@@ -202,15 +217,15 @@ def _difference_levels(f):
 
 def eml_degree(f, cap):
     """Least d <= cap with dev_{d+1}(f) identically zero, else the
-    NotPolynomialUpTo(cap) sentinel.  On a finite source that d is one
-    below the first empty level of ``_difference_levels`` after level 0,
-    so each level is built once; a Z window tests each d afresh, as
-    b = W // d changes."""
+    NotPolynomialUpTo(cap) sentinel.  Each level of differences is built
+    once: on a Z window, level d + 1 of ``_window_levels`` on the whole
+    window; on a finite source, d is one below the first empty level of
+    ``_difference_levels`` after level 0."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if isinstance(f.source, AbGroup):
-        return next((d for d in range(cap + 1)
-                     if deviation_vanishes(f, d + 1)), NotPolynomialUpTo(cap))
+        zero = islice(_window_levels(f, f.source.window), cap + 1)
+        return next(compress(count(), zero), NotPolynomialUpTo(cap))
     levels = islice(_difference_levels(f), 1, cap + 2)
     return next((d for d, level in enumerate(levels) if not level),
                 NotPolynomialUpTo(cap))

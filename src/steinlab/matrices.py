@@ -29,11 +29,10 @@ its coordinates there, and the packed loop visits only its nonzero ones.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
-restriction of an action to a submodule goes through them:
-``modtools.restrict_to_submodule`` and Specht modules through
-``coords_in_basis``, and the functor action of an intermediate extension,
-whose module at each rank is the functor's value module, straight against
-the value's ``Subspace``.
+restriction of an action to a submodule goes through them: Specht modules
+and ``modtools.restrict_to_submodule`` given rows through the latter, and
+the restriction given a ``Subspace`` and the intermediate extension's
+functor action straight against the ``Subspace``.
 """
 
 import re
@@ -387,8 +386,11 @@ class Subspace:
         if not self._int:
             return list(v)
         # times the lcm of the denominators (ints have them too)
-        d = lcm(*[x.denominator for x in v])
-        return [x.numerator * (d // x.denominator) for x in v]
+        dens = [x.denominator for x in v]
+        d = lcm(*dens)
+        if d == 1:
+            return [x.numerator for x in v]
+        return [x.numerator * (d // e) for x, e in zip(v, dens)]
 
     def _reduce(self, v):
         """``reduce`` on v in ``_in`` form (over Q, up to a positive scale)."""

@@ -475,15 +475,19 @@ def tensor(mod_m, mod_n):
     return AlgebraModule(mod_m.field, gens, labels=labels, name=name)
 
 
-def restrict_to_submodule(mod, basis_rows):
-    """Action matrices on an invariant subspace, in the given basis."""
+def restrict_to_submodule(mod, basis):
+    """Action matrices on an invariant subspace, in the given basis: a
+    ``Subspace``'s echelon basis, or independent rows."""
     F = mod.field
-    k = len(basis_rows)
+    held = isinstance(basis, Subspace)
+    rows = basis.basis if held else basis
+    k = len(rows)
     names = list(mod.generators)
     # the images of every generator share one Subspace
-    X = coords_in_basis(F, basis_rows,
-                        [mod.generators[name].apply_to_vector(list(row))
-                         for name in names for row in basis_rows])
+    images = [mod.generators[name].apply_to_vector(list(row))
+              for name in names for row in rows]
+    X = basis.coords_matrix(images) if held else \
+        coords_in_basis(F, rows, images)
     gens = {name: Matrix(F, [r[i * k:(i + 1) * k] for r in X.rows])
             for i, name in enumerate(names)}
     return AlgebraModule(F, gens, labels=mod.labels,

@@ -116,7 +116,7 @@ def elementary_value(M, n, K):
         [(i * dm + a, c) for i, c in col] for col in
         _tensor_power(g, d).column_pairs() for a in range(dm)])
         for nm, g in elements.items()})
-    sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
+    sub = restrict_to_submodule(big, sp)
     return AlgebraModule(K, sub.generators, labels=elements,
                          name=f"E_{M.name}(K^{n})")
 
@@ -173,7 +173,7 @@ def schur_value(lam, n, K):
         return _zero_module(K, elements, f"S_{lam}")
     big = AlgebraModule(K, {nm: _sym_action(lam, K, g, sym, index)
                             for nm, g in elements.items()})
-    sub = restrict_to_submodule(big, [list(r) for r in sp.basis])
+    sub = restrict_to_submodule(big, sp)
     return AlgebraModule(K, sub.generators, labels=elements,
                          name=f"S_{lam}(K^{n})")
 

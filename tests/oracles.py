@@ -16,8 +16,11 @@ is the walk over multisets that ``deviation_vanishes`` made on finite
 sources before it took differences along generators, and
 ``depth_first_deviation_vanishes`` the depth-first walk of those
 differences before one level-by-level walk served it and ``eml_degree``;
-``per_d_eml_degree`` is the degree search that ran it afresh for each d.  ``build_parser`` is
-the command line parser that ``cli.build_parser`` built in full, every
+``per_d_eml_degree`` is the degree search that ran it afresh for each d.
+``window_deviation_vanishes`` is ``deviation_vanishes`` on a Z window as
+it was when it read f afresh for each d, before one value table per
+window served it and ``eml_degree``.  ``build_parser`` is the command
+line parser that ``cli.build_parser`` built in full, every
 module's arguments included, before it added only those of the module a
 job names.  ``repeated_addition`` is the loop ``FiniteRing.scalar`` ran
 before it multiplied by n·1 in each component.  ``dense_apply`` is the
@@ -48,8 +51,8 @@ from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import comb, factorial, gcd, lcm
 
-from steinlab.emlpoly import (AbMap, NotPolynomialUpTo, deviation,
-                              deviation_vanishes)
+from steinlab.emlpoly import (AbGroup, AbMap, NotPolynomialUpTo,
+                              deviation, deviation_vanishes)
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
 from steinlab.matrices import Matrix, Subspace
@@ -560,9 +563,31 @@ def multiset_deviation_vanishes(f, d):
                for us in combinations_with_replacement(f.source.elements(), d))
 
 
+def window_deviation_vanishes(f, d):
+    """Whether dev_d(f) vanishes on a Z window: f read afresh at each
+    point of [-d*b, d*b], b = W // d, and its d-th differences there;
+    b = 0 leaves dev_d(0,...,0) = 0, and dev_0 is f(0)."""
+    add, neg, zero = f.value_ops()
+
+    def is_zero(v):
+        return v.is_zero() if isinstance(v, Matrix) else v == zero
+    if d == 0:
+        return is_zero(f(0))
+    b = f.source.window // d
+    if b == 0:
+        return True
+    table = [f(x) for x in range(-d * b, d * b + 1)]
+    for _ in range(d):
+        table = [add(y, neg(x)) for x, y in zip(table, table[1:])]
+    return all(is_zero(v) for v in table)
+
+
 def per_d_eml_degree(f, cap):
-    """Least d <= cap with dev_{d+1}(f) zero, testing each d afresh."""
-    return next((d for d in range(cap + 1) if deviation_vanishes(f, d + 1)),
+    """Least d <= cap with dev_{d+1}(f) zero, testing each d afresh: on a
+    Z window by ``window_deviation_vanishes``."""
+    vanishes = window_deviation_vanishes if isinstance(f.source, AbGroup) \
+        else deviation_vanishes
+    return next((d for d in range(cap + 1) if vanishes(f, d + 1)),
                 NotPolynomialUpTo(cap))
 
 

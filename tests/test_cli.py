@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import shutil
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -229,6 +230,29 @@ def test_console_help_prints_the_parser_help(capsys):
     for argv in (["-h"], ["schur", "-h"], ["batch", "--help"]):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == parse(cli.build_parser, argv)[1]
+
+
+def test_help_formatter_matches_argparse(monkeypatch):
+    # the formatter reads the terminal width only to format text, and
+    # formats it as argparse's own at every width
+    argvs = (["-h"], ["schur", "-h"], ["schur", "eval", "--lam", "2,1"])
+    texts = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = [run(argv) for argv in argvs]
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+            assert got == [run(argv) for argv in argvs]
+        texts.add(got[0][1])
+    assert len(texts) == 3
+
+
+def test_a_job_parses_without_the_terminal_width(monkeypatch):
+    def refuse():
+        raise AssertionError("the terminal width was read")
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    assert run(["partition", "conj", "--lam", "3,1"]) == \
+        (0, '{"conjugate": [2, 1, 1]}')
 
 
 def test_console_usage_error_goes_to_stderr(capsys):

@@ -11,7 +11,8 @@ from steinlab.matrices import Matrix
 from steinlab.rings import FiniteRing
 
 from oracles import (coefficient_abmap, depth_first_deviation_vanishes,
-                     multiset_deviation_vanishes, per_d_eml_degree)
+                     multiset_deviation_vanishes, per_d_eml_degree,
+                     window_deviation_vanishes)
 
 
 def window_map(window, func):
@@ -280,6 +281,57 @@ def test_deviation_count_guard():
             f = window_map(window, Recorder(lambda u: Fraction(u) ** 3))
             ep.deviation_vanishes(f, d)
             assert len(f.func.reads) <= 2 * d * (window // d) + 1
+
+
+F5 = Field.prime(5)
+
+
+@st.composite
+def window_polynomials(draw):
+    """(window, target, value function): a polynomial of degree <= 9 with
+    negative and fractional coefficients into Q, its integer twin into
+    F_5, or 2x2 Q matrices of such entries, each with an optional bump at
+    one point, so that some maps have no degree."""
+    window = draw(st.integers(0, 60))
+    degree = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["Q", "F_5", "matrix"]))
+    coeffs = st.lists(small, min_size=degree + 1, max_size=degree + 1)
+    polys = [draw(coeffs) for _ in range(4 if kind == "matrix" else 1)]
+    bump = {}
+    if draw(st.booleans()):
+        bump[draw(st.integers(-window, window))] = \
+            draw(small.filter(lambda x: x != 0))
+
+    def scalar(u, coeffs=polys[0]):
+        return _poly(coeffs, u) + bump.get(u, 0)
+    if kind == "Q":
+        return window, QQ, scalar
+    if kind == "F_5":
+        return window, F5, lambda u: F5.from_int(
+            int(_poly([c.numerator for c in polys[0]], u)) + (u in bump))
+    return window, QQ, lambda u: Matrix(QQ, [
+        [scalar(u), _poly(polys[1], u)], [_poly(polys[2], u),
+                                          _poly(polys[3], u)]])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(window_polynomials(), st.integers(0, 9), st.integers(0, 10))
+@example((3, QQ, lambda u: Fraction(u) ** 9), 9, 4)
+@example((0, F5, lambda u: u % 5), 0, 0)
+def test_window_levels_match_the_per_d_oracle(case, cap, d):
+    # one value table per window gives the degree and dev_d of the
+    # per-d search, reading f no more often; W < k leaves b = 0
+    window, target, values = case
+
+    def fresh():
+        return ep.AbMap(ep.AbGroup(window), target, func=Recorder(values))
+    for got, want in ((lambda f: ep.eml_degree(f, cap),
+                       lambda f: per_d_eml_degree(f, cap)),
+                      (lambda f: ep.deviation_vanishes(f, d),
+                       lambda f: window_deviation_vanishes(f, d))):
+        f, g = fresh(), fresh()
+        assert got(f) == want(g)
+        assert len(f.func.reads) <= len(g.func.reads)
 
 
 # -- finite sources: differences along generators against multisets ------

@@ -8,7 +8,7 @@ from steinlab import modtools as mt
 from steinlab import schurfun as sf
 from steinlab import symgrp as sg
 from steinlab.fields import Field, QQ
-from steinlab.matrices import Matrix
+from steinlab.matrices import Matrix, Subspace
 from steinlab.modtools import end_dim, is_simple
 
 from oracles import (all_partitions, dense_norm_basis,
@@ -327,3 +327,31 @@ def test_elementary_generators_match_dense_oracle(K, lam, n, data):
     for op, dense in elementary_operators(K, lam, n):
         v = field_vector(data, K, op.ncols)
         assert op.apply_to_vector(v) == column_combination(dense, v)
+
+
+@pytest.mark.parametrize("K", OPERATOR_FIELDS, ids=lambda K: K.label())
+@pytest.mark.parametrize("lam,n", [((2,), 2), ((1, 1), 2), ((2, 1), 2),
+                                   ((2, 1), 3), ((1, 1, 1), 3), ((3, 1), 2)],
+                         ids=str)
+def test_restriction_to_a_subspace_equals_restriction_to_its_rows(
+        monkeypatch, K, lam, n):
+    # schur_value and elementary_value pass the Subspace that holds their
+    # basis; its rows, through coords_in_basis, give the same matrices
+    real = mt.restrict_to_submodule
+    seen = []
+
+    def both(mod, basis):
+        assert isinstance(basis, Subspace)
+        got = real(mod, basis)
+        rows = real(mod, [list(r) for r in basis.basis])
+        assert got.generators == rows.generators
+        entries = [x for g in got.generators.values()
+                   for x in g.entries_flat()]
+        assert all(type(x) is Fraction for x in entries) if K is QQ else \
+            all(type(x) is int for x in entries)
+        seen.append(mod)
+        return got
+    monkeypatch.setattr(sf, "restrict_to_submodule", both)
+    sf.schur_value(lam, n, K)
+    sf.elementary_value(sg.specht_module(lam, K), n, K)
+    assert seen
