@@ -3,7 +3,7 @@ Eilenberg-Mac Lane degrees, module tools, Schur and elementary
 functors, functor categories, and the GL_n(F_q) classification, plus a
 batch runner over JSON manifests.  Module arguments live in one table,
 ``OPTIONS``; each run adds to its parser only those of the module its
-argv names.
+argv names, and each handler imports only the modules it runs.
 
 Exit codes come from exception types: 0 success, 1 usage/parse error,
 3 ``CapExceeded`` (the job would exceed a size cap), 2 any other failed
@@ -17,10 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from . import emlpoly, functorcat, modtools, schurfun, steinberg, symgrp
 from .fields import CapExceeded, Field, QQ
 from .matrices import Matrix
-from .rings import FiniteRing, ring_homs
 
 
 def parse_field(spec):
@@ -40,6 +38,7 @@ def parse_partition(spec):
 
 
 def load_module(path):
+    from . import modtools
     with open(path) as fh:
         obj = json.load(fh)
     gens = {nm: Matrix.from_json(mj) for nm, mj in obj["generators"].items()}
@@ -65,11 +64,12 @@ def dump_module(mod):
 # -- named functors ------------------------------------------------------
 
 def make_functor(name, ring, K, N):
+    from . import functorcat, rings
     name = name.strip()
     if name == "const":
         return functorcat.constant_functor(ring, K, N)
     if name in ("lambda1", "proj"):
-        homs = ring_homs(ring, K)
+        homs = rings.ring_homs(ring, K)
         if not homs:
             raise ValueError(f"no ring homomorphism {ring.label()} -> "
                              f"{K.label()}")
@@ -87,6 +87,7 @@ def make_functor(name, ring, K, N):
 
 
 def make_functor_expr(expr, ring, K, N):
+    from . import functorcat
     parts = expr.split("*")
     F = make_functor(parts[0], ring, K, N)
     for nm in parts[1:]:
@@ -98,6 +99,7 @@ def make_functor_expr(expr, ring, K, N):
 
 def make_ring_map(ring, name):
     """A named self-map of a finite field, as a map into that field."""
+    from . import emlpoly
     K = ring.as_field()
     if name.startswith("pow"):
         k = int(name[3:])
@@ -109,6 +111,7 @@ def make_ring_map(ring, name):
 
 def make_window_map(window, coeffs):
     """Horner's rule on a Z window, in ints over the lcm of denominators."""
+    from . import emlpoly
     den = lcm(*[c.denominator for c in coeffs])
     nums = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
 
@@ -120,6 +123,7 @@ def make_window_map(window, coeffs):
 # -- subcommand handlers -------------------------------------------------
 
 def cmd_partition(args):
+    from . import symgrp
     lam = parse_partition(args.lam)
     if args.action == "conj":
         return {"conjugate": list(symgrp.conjugate(lam))}
@@ -133,9 +137,11 @@ def cmd_partition(args):
 
 
 def cmd_emlpoly(args):
+    from . import emlpoly, rings
     if args.action in ("degree", "deviate"):
         if args.ring:
-            f = make_ring_map(FiniteRing(args.ring), args.map).as_abmap()
+            f = make_ring_map(rings.FiniteRing(args.ring),
+                              args.map).as_abmap()
         else:
             f = make_window_map(args.window, _coeff_list(args.poly))
     if args.action == "degree":
@@ -154,7 +160,7 @@ def cmd_emlpoly(args):
                    if any(fk(u) != 0 for u in range(probe + 1))]
         return {"degrees": degrees}
     if args.action == "factor":
-        ring = FiniteRing(args.ring)
+        ring = rings.FiniteRing(args.ring)
         phi = make_ring_map(ring, args.map)
         factors, ext = emlpoly.factor_multiplicative(phi, cap=args.cap)
         out = []
@@ -174,7 +180,7 @@ def cmd_emlpoly(args):
         a, b, c = orders
         if b % a or b // a != c:
             raise ValueError("orders must describe a cyclic extension")
-        A, B, C = (FiniteRing(f"Z/{m}") for m in orders)
+        A, B, C = (rings.FiniteRing(f"Z/{m}") for m in orders)
         incl = emlpoly.AbMap(A, B, func=lambda u: c * u % b)
         proj = emlpoly.AbMap(B, C, func=lambda u: u % c)
         K = parse_field(args.coeff)
@@ -186,10 +192,14 @@ def cmd_emlpoly(args):
 def _coeff_list(spec):
     if not spec:
         raise ValueError("a --poly coefficient list is required")
-    return [Fraction(x) for x in spec.split(",")]
+    try:
+        return [Fraction(x) for x in spec.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --poly {spec}") from None
 
 
 def cmd_meataxe(args):
+    from . import modtools
     mod = load_module(args.modfile)
     if args.action == "simple":
         return {"simple": modtools.is_simple(mod, seed=args.seed)}
@@ -210,6 +220,7 @@ def cmd_meataxe(args):
 
 
 def cmd_schur(args):
+    from . import schurfun
     lam = parse_partition(args.lam)
     K = parse_field(args.coeff)
     if args.action == "eval":
@@ -229,6 +240,7 @@ def cmd_schur(args):
 
 
 def cmd_elementary(args):
+    from . import schurfun, symgrp
     lam = parse_partition(args.lam)
     K = parse_field(args.coeff)
     d = sum(lam)
@@ -241,7 +253,8 @@ def cmd_elementary(args):
 
 
 def cmd_functor(args):
-    ring = FiniteRing(args.ring)
+    from . import emlpoly, functorcat, rings
+    ring = rings.FiniteRing(args.ring)
     K = parse_field(args.coeff)
     N = args.rank
     F = make_functor_expr(args.functor, ring, K, N)
@@ -279,6 +292,7 @@ def cmd_functor(args):
 
 
 def cmd_steinberg(args):
+    from . import steinberg
     K = parse_field(args.field) if args.field else None
     if args.action == "classify":
         rows = steinberg.classify_table(args.n, args.q, K=K,

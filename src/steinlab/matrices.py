@@ -8,11 +8,13 @@ no transpose is built.  It reads the nonzero (column, entry) pairs of
 each row, listed on the first product and kept, as a ``Matrix`` never
 changes once built; over Q it starts each sum at ``F.zero``, so Q
 products hold ``Fraction``s.  ``ColumnImages`` is a map known only by
-each basis vector's sparse image, as ``schurfun`` builds its generators.
+each basis vector's sparse image, as ``schurfun`` builds its generators
+(over Q with int coefficients where it can; sums start at ``F.zero``).
 ``+``, ``-``, unary ``-`` and ``scale`` are the field's row operations
-``Field.row_sub`` (v - f*row) and ``Field.row_scale``.  ``kron`` keeps
-its own loop, which skips zero factors.  Only the two
-``apply_to_vector``s, ``Subspace`` and JSON branch on the field kind.
+``Field.row_sub`` (v - f*row) and ``Field.row_scale``.  ``kron`` writes
+the products of its factors' nonzero pairs, and keeps them as its own.
+Only the two ``apply_to_vector``s, ``Subspace`` and JSON branch on the
+field kind.
 
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
 its basis.  Every vector goes through ``Subspace.add_vector``: reduction
@@ -31,8 +33,9 @@ its coordinates there, and the packed loop visits only its nonzero ones.
 ``coords_in_basis`` puts it behind any independent rows.  Every
 restriction of an action to a submodule goes through them: Specht modules
 and ``modtools.restrict_to_submodule`` given rows through the latter, and
-the restriction given a ``Subspace`` and the intermediate extension's
-functor action straight against the ``Subspace``.
+the restriction given a ``Subspace`` (``Subspace.action_matrix``, which
+over Q stays in ints on the primitive rows) and the intermediate
+extension's functor action straight against the ``Subspace``.
 """
 
 import re
@@ -154,10 +157,7 @@ class Matrix:
         """Matrix times column vector (v a plain list): the one product
         kernel, with one branch per field kind."""
         F = self.field
-        rows = self._nonzero
-        if rows is None:
-            rows = self._nonzero = [[(j, a) for j, a in enumerate(row) if a]
-                                    for row in self.rows]
+        rows = self._pairs()
         if F.kind == "rational":
             nz = {j for j, b in enumerate(v) if b}
             return [sum([a * v[j] for j, a in row if j in nz], F.zero)
@@ -174,6 +174,13 @@ class Matrix:
                     acc = add(acc, mul(a, v[j]))
             out.append(acc)
         return out
+
+    def _pairs(self):
+        """Each row's nonzero (column, entry) pairs, listed once and kept."""
+        if self._nonzero is None:
+            self._nonzero = [[(j, a) for j, a in enumerate(row) if a]
+                             for row in self.rows]
+        return self._nonzero
 
     def column_pairs(self):
         """Each column's nonzero (row, entry) pairs, in one pass over the
@@ -192,15 +199,18 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product; basis of the product space is ordered
-        lexicographically: index (i, k) -> i * other.n + k."""
-        F = self.field
-        mul, z = F.mul, F.zero
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([mul(a, b) if a and b else z
-                            for a in ra for b in rb])
-        return Matrix(F, out, self.ncols * other.ncols)
+        lexicographically: index (i, k) -> i * other.n + k.  It writes the
+        products of the factors' nonzero pairs, which are its own."""
+        F, m = self.field, other.ncols
+        mul, rbs = F.mul, other._pairs()
+        pairs = [[(j * m + k, mul(a, b)) for j, a in ra for k, b in rb]
+                 for ra in self._pairs() for rb in rbs]
+        out = Matrix.zero(F, len(pairs), self.ncols * m)
+        for row, nz in zip(out.rows, pairs):
+            for j, x in nz:
+                row[j] = x
+        out._nonzero = pairs
+        return out
 
     # -- row reduction ---------------------------------------------------
 
@@ -328,6 +338,9 @@ class ColumnImages:
         self.field, self.cols = field, cols
         self.nrows = self.ncols = len(cols)
 
+    def column_pairs(self):
+        return self.cols
+
     def apply_to_vector(self, v):
         F = self.field
         add, mul = (F.add, F.mul) if F.kind == "galois" else (_add, _mul)
@@ -446,6 +459,32 @@ class Subspace:
             raise ValueError("image outside the span of the basis")
         return Matrix(self.field, [[x[i] for x in cols]
                                    for i in range(self.dim)], len(cols))
+
+    def action_matrix(self, g):
+        """The matrix of g (a ``Matrix`` or ``ColumnImages``) on the span in
+        the stored basis; ValueError if an image leaves it.  Over Q, in
+        ints: D*g, D the lcm of g's denominators, on the primitive row of
+        pivot entry L is D*L times the image of the basis row."""
+        if not self._int:
+            return self.coords_matrix([g.apply_to_vector(r)
+                                       for r in self.basis])
+        cols = g.column_pairs()
+        D = lcm(*[c.denominator for col in cols for _, c in col])
+        cols = [[(i, c.numerator * (D // c.denominator)) for i, c in col]
+                for col in cols]
+        z, out = self.field.zero, []
+        for c in self.pivots:
+            w = [0] * self.ambient_dim
+            for x, col in zip(self._rows[c], cols):
+                if x:
+                    for i, a in col:
+                        w[i] += a * x
+            if any(self._reduce(w)):
+                raise ValueError("image outside the span of the basis")
+            den = D * self._rows[c][c]
+            out.append([Fraction(w[p], den) if w[p] else z
+                        for p in self.pivots])
+        return Matrix(self.field, zip(*out), len(out))
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""

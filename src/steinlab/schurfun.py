@@ -12,6 +12,10 @@ expanded through the nonzero entries of g's columns; no dense generator
 matrix is built there.  The Schur vectors are the column alternants of
 ``symgrp.column_alternant``, and the elementary functor reads the
 permutation matrices of its S_d-module from ``modtools.monoid_actions``.
+Over Q the generators and the permutation actions have integral entries,
+so the column images and the norm are summed in ints, and the restriction
+to the value works in ints too (``Subspace.action_matrix``): a
+``Fraction`` is built only for an entry of a restricted generator.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -70,24 +74,33 @@ def _zero_module(K, elements, name):
                          name=name)
 
 
+def _ints(cols):
+    """Column pairs with each integral entry an int (labels already are)."""
+    return [[(i, c.numerator if c.denominator == 1 else c) for i, c in col]
+            for col in cols]
+
+
 def _norm_image(M, n, K):
     """The image of the norm N, the sum of all of S_d, on
     (K^n)^{tensor d} tensor M.  As N sigma = N, it is spanned by the
     columns N(e_t (x) e_m) with t weakly increasing: for each sigma,
-    column m of sigma on M placed in block sigma(t)."""
+    column m of sigma on M placed in block sigma(t).  Sums start at 0,
+    every field's zero, so over Q they stay ints while sigma's entries are
+    integral (``_ints``)."""
     d = len(M.labels["c"])
     dm = M.dimension
     tindex = {t: i for i, t in enumerate(product(range(n), repeat=d))}
     # left action: (g o pi)(i) = g(pi(i)); each sigma is kept as its
     # inverse, with the nonzero pairs of its columns on M
-    perms = [(sorted(range(d), key=perm.__getitem__), Msig.column_pairs())
+    perms = [(sorted(range(d), key=perm.__getitem__),
+              _ints(Msig.column_pairs()))
              for perm, Msig in monoid_actions(
                  M, lambda g, pi: tuple(g[x - 1] for x in pi),
                  tuple(range(1, d + 1)))]
-    add, z = K.add, K.zero
+    add = K.add
     vecs = []
     for t in combinations_with_replacement(range(n), d):
-        cols = [[z] * (len(tindex) * dm) for _ in range(dm)]
+        cols = [[0] * (len(tindex) * dm) for _ in range(dm)]
         for inv, mcols in perms:
             u = tindex[tuple(t[k] for k in inv)] * dm
             for col, pairs in zip(cols, mcols):
@@ -108,8 +121,7 @@ def elementary_value(M, n, K):
     dim_big = n ** d * M.dimension
     if dim_big > DIM_CAP:
         raise CapExceeded(f"dimension {dim_big} exceeds cap {DIM_CAP}")
-    sp = _norm_image(M, n, K)
-    if sp.dim == 0:
+    if not dim_big or (sp := _norm_image(M, n, K)).dim == 0:
         return _zero_module(K, elements, f"E_{M.name}")
     dm = M.dimension
     big = AlgebraModule(K, {nm: ColumnImages(K, [  # g^{tensor d} (x) I_M
@@ -131,15 +143,17 @@ def _sym_basis(n, lam):
 
 
 def _sym_action(lam, K, g, sym, index):
-    """g on the symmetric-power product space, by column images."""
-    one, mul, add = K.one, K.mul, K.add
+    """g on the symmetric-power product space, by column images; over Q
+    in ints while g's entries are integral (``_ints``), as they are for
+    the generators.  Every field's one is 1."""
+    mul, add = K.mul, K.add
     # an entry equal to one is None: it multiplies nothing
-    gcols = [[(i, None if c == one else c) for i, c in col]
-             for col in g.column_pairs()]
+    gcols = [[(i, None if c == 1 else c) for i, c in col]
+             for col in _ints(g.column_pairs())]
     cuts = [(sum(lam[:r]), sum(lam[:r + 1])) for r in range(len(lam))]
     cols = []
     for basis in sym:
-        terms = [(one, ())]
+        terms = [(1, ())]
         for x in [x for row in basis for x in row]:
             terms = [(coeff if c is None else mul(coeff, c), prefix + (i,))
                      for coeff, prefix in terms for i, c in gcols[x]]
@@ -286,8 +300,8 @@ def delta_rep(n, K):
 def det_twist_check(lam, n, K, seed=0):
     """Verify L_lam = L_{lam - (1,...,1)} (x) det and L_lam = L_lam (x)
     delta as M_n(K)-modules; lam must have n positive parts."""
-    lam = normalize_partition(lam)
-    if len(lam) != n or lam[-1] < 1:
+    lam = normalize_partition(lam)  # no zero parts
+    if not lam or len(lam) != n:
         raise ValueError("need a partition with n positive parts")
     mu = tuple(x - 1 for x in lam)
     L_lam = socle_simple(lam, n, K, seed=seed)

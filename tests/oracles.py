@@ -43,6 +43,11 @@ is ``Matrix.kernel_basis`` as it was when it read the padded ``rref``.
 when it solved each Krylov iterate against the earlier ones by
 ``solve_right``, before one tagged ``Subspace`` gave the relation, and
 ``solve_right_minimal_polynomial`` is ``minimal_polynomial`` on it.
+``dense_kron`` is ``Matrix.kron`` as it was when it tested every pair of
+entries, before it multiplied the factors' nonzero pairs, and
+``echelon_restriction`` is ``modtools.restrict_to_submodule`` given a
+``Subspace`` as it was before it worked in ints over Q: each generator
+applied to the echelon rows, the images written by ``coords_matrix``.
 """
 
 import argparse
@@ -60,7 +65,7 @@ from steinlab.modtools import (AlgebraModule, _poly_mul, are_isomorphic,
                                composition_factors, hom_space,
                                monoid_actions)
 from steinlab.rings import FiniteRing, NotMultiplicative, ring_identity
-from steinlab.schurfun import _sym_basis, _tensor_power
+from steinlab.schurfun import _sym_basis
 from steinlab.steinberg import group_generator_matrices
 from steinlab.symgrp import _perm_sign_on, conjugate, normalize_partition
 
@@ -649,9 +654,35 @@ def dense_sym_action(n, lam, K, g, sym, index):
     return Matrix(K, [list(r) for r in zip(*cols)])
 
 
+def dense_kron(A, B):
+    """The Kronecker product, every pair of entries tested: index (i, k)
+    -> i * B.ncols + k."""
+    F = A.field
+    return Matrix(F, [[F.mul(a, b) if a and b else F.zero
+                       for a in ra for b in rb]
+                      for ra in A.rows for rb in B.rows], A.ncols * B.ncols)
+
+
 def dense_tensor_action(g, d, dm):
     """g^{tensor d} (x) I_dm as a dense matrix."""
-    return _tensor_power(g, d).kron(Matrix.identity(g.field, dm))
+    out = Matrix.identity(g.field, 1)
+    for _ in range(d):
+        out = dense_kron(out, g)
+    return dense_kron(out, Matrix.identity(g.field, dm))
+
+
+def echelon_restriction(mod, sp):
+    """The generators of ``mod`` on the invariant ``Subspace`` sp, in its
+    echelon basis: every image of a basis row written by one
+    ``coords_matrix``, which raises ValueError if one leaves the span."""
+    rows = sp.basis
+    k = len(rows)
+    names = list(mod.generators)
+    X = sp.coords_matrix([mod.generators[name].apply_to_vector(list(row))
+                          for name in names for row in rows])
+    return {name: Matrix(mod.field, [r[i * k:(i + 1) * k] for r in X.rows],
+                         k)
+            for i, name in enumerate(names)}
 
 
 # -- multiplicativity on every pair ----------------------------------------

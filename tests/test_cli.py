@@ -1,10 +1,15 @@
 import argparse
+import ast
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -539,3 +544,58 @@ def test_a_schur_job_builds_only_the_schur_arguments():
     assert list(modules.choices) == list(cli.OPTIONS)
     assert [name for name, sub in modules.choices.items()
             if sub is not None] == ["schur"]
+
+
+# -- inputs that once ended in a traceback ---------------------------------
+
+ZERO_DENOMINATOR = (["emlpoly", "degree", "--window", "4", "--poly", "1/0"],
+                    "error: zero denominator in --poly 1/0")
+EMPTY_DETTWIST = (["schur", "dettwist", "--lam", "0", "--n", "0",
+                   "--coeff", "F_4"],
+                  "error: need a partition with n positive parts")
+
+
+@pytest.mark.parametrize("argv, message", [ZERO_DENOMINATOR, EMPTY_DETTWIST,
+                                           (["emlpoly", "homog", "--poly",
+                                             "1,2/0"],
+                                            "error: zero denominator in "
+                                            "--poly 1,2/0")])
+def test_former_tracebacks_exit_2_with_a_message(argv, message):
+    assert run(argv) == (2, message)
+
+
+def test_batch_of_former_tracebacks_reports_both(tmp_path):
+    mf = tmp_path / "jobs.json"
+    mf.write_text(json.dumps([{"args": ZERO_DENOMINATOR[0]},
+                              {"args": EMPTY_DETTWIST[0]}]))
+    code, out = run(["batch", str(mf)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == 2
+    assert [(r["code"], r["output"]) for r in report["results"]] == \
+        [(2, ZERO_DENOMINATOR[1]), (2, EMPTY_DETTWIST[1])]
+
+
+def test_elementary_on_k0_skips_the_norm(monkeypatch):
+    # n^d dim M = 0: the zero module, before S_7 is walked
+    def walked(*args):
+        raise AssertionError("the norm walked S_d")
+    monkeypatch.setattr(schurfun, "monoid_actions", walked)
+    assert run(["elementary", "eval", "--lam", "4,2,1", "--n", "0",
+                "--coeff", "Q"]) == (0, '{"degree": 7, "dimension": 0}')
+
+
+def test_importing_the_cli_loads_no_command_module():
+    # each handler imports the modules it runs
+    code = ("import sys, steinlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('steinlab')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert loaded == {"steinlab", "steinlab.cli", "steinlab.fields",
+                      "steinlab.matrices"}

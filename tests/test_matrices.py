@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from steinlab.fields import Field, QQ
 from steinlab.matrices import Matrix, Subspace
 
-from oracles import dense_apply, rref_kernel_basis
+from oracles import dense_apply, dense_kron, rref_kernel_basis
 
 
 def from_ints(F, rows):
@@ -266,6 +266,42 @@ def test_kron_matches_scalar_oracle(F, data):
     assert K.rows == [[F.mul(a, b) for a in ra for b in rb]
                       for ra in A.rows for rb in B.rows]
     assert _all_fractions(F, K.rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, Field.prime(2), Field.galois(2, 2),
+                        Field.prime(5)]), st.data())
+def test_kron_matches_dense_oracle_and_lists_its_pairs(F, data):
+    # zero rows come from kernel_rows, zero columns are set here, and
+    # either factor may be 0 x 0; a factor may have listed its pairs
+    factors = []
+    for _ in range(2):
+        M = data.draw(kernel_matrix(F))
+        cut = data.draw(st.sets(st.integers(0, 3), max_size=2))
+        M = Matrix(F, [[F.zero if j in cut else x for j, x in enumerate(r)]
+                       for r in M.rows], M.ncols)
+        if data.draw(st.booleans()):
+            M.apply_to_vector([F.one] * M.ncols)
+        factors.append(M)
+    A, B = factors
+    K = A.kron(B)
+    want = dense_kron(A, B)
+    assert (K.nrows, K.ncols, K.rows) == (want.nrows, want.ncols, want.rows)
+    assert K._nonzero == [[(j, x) for j, x in enumerate(row) if x]
+                          for row in K.rows]
+    assert _all_fractions(F, K.rows)
+    assert K.column_pairs() == want.column_pairs()
+
+
+def test_kron_of_empty_factors():
+    for F in (QQ, Field.prime(5)):
+        E, one = Matrix(F, [], 0), Matrix.identity(F, 1)
+        for A, B, shape in ((E, E, (0, 0)), (E, one, (0, 0)),
+                            (Matrix(F, [[], []], 0), one, (2, 0)),
+                            (one, Matrix(F, [], 3), (0, 3))):
+            K = A.kron(B)
+            assert (K.nrows, K.ncols) == shape
+            assert K.rows == dense_kron(A, B).rows and K._nonzero == K.rows
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -9,9 +9,10 @@ from steinlab import modtools as mt
 from steinlab import steinberg
 from steinlab.schurfun import schur_value
 from steinlab.fields import Field, QQ
-from steinlab.matrices import Matrix, Subspace, span_from_spins
+from steinlab.matrices import ColumnImages, Matrix, Subspace, span_from_spins
 
-from oracles import (hom_space_socle, kron_hom_rows, kron_hom_space,
+from oracles import (echelon_restriction, hom_space_socle, kron_hom_rows,
+                     kron_hom_space,
                      solve_right_minimal_polynomial)
 
 # Hypothesis runs derandomized, so the examples are the same on every run
@@ -675,3 +676,53 @@ def test_berlekamp_factors_are_distinct_monic_irreducibles(F, data):
     for _ in range(deg):
         power = _times(power, radical, F)
     assert not _rem(power, monic, F)
+
+
+# -- restriction to a held Subspace ---------------------------------------
+
+RESTRICT_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.galois(2, 2),
+                   Field.prime(5)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(RESTRICT_FIELDS), st.data())
+def test_restriction_to_a_subspace_matches_the_echelon_oracle(F, data):
+    # Q entries are signed fractions, so a generator's denominators have
+    # an lcm above 1; a spun subspace is invariant, and one that is not
+    # spun may leave the span, when both raise the same ValueError
+    n = data.draw(st.integers(0, 6))
+    entry = (st.fractions(min_value=-3, max_value=3, max_denominator=4)
+             if F.kind == "rational" else st.integers(0, F.order - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    gens = {}
+    for name in "ab":
+        g = Matrix(F, data.draw(st.lists(row, min_size=n, max_size=n)), n)
+        gens[name] = (ColumnImages(F, g.column_pairs())
+                      if data.draw(st.booleans()) else g)
+    mod = mt.AlgebraModule(F, gens)
+    seeds = data.draw(st.lists(row, min_size=min(n, 1), max_size=n))
+    sp = (span_from_spins(F, n, seeds, list(gens.values()))
+          if data.draw(st.booleans()) else Subspace(F, n, seeds))
+    try:
+        want = echelon_restriction(mod, sp)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            mt.restrict_to_submodule(mod, sp)
+        return
+    got = mt.restrict_to_submodule(mod, sp).generators
+    assert got == want
+    assert all(g.nrows == g.ncols == sp.dim for g in got.values())
+    if F.kind == "rational":
+        assert all(type(x) is Fraction for g in got.values()
+                   for x in g.entries_flat())
+
+
+@pytest.mark.parametrize("F", RESTRICT_FIELDS, ids=lambda F: F.label())
+def test_restriction_to_a_subspace_that_is_not_invariant_raises(F):
+    half = F.inv(F.from_int(2)) if F.char != 2 else F.one
+    g = Matrix(F, [[F.zero, half], [F.one, F.zero]])
+    sp = Subspace(F, 2, [[F.one, F.zero]])
+    for op in (g, ColumnImages(F, g.column_pairs())):
+        with pytest.raises(ValueError,
+                           match="image outside the span of the basis"):
+            mt.restrict_to_submodule(mt.AlgebraModule(F, {"g": op}), sp)
