@@ -33,9 +33,9 @@ its coordinates there, and the packed loop visits only its nonzero ones.
 ``coords_in_basis`` puts it behind any independent rows.  Every
 restriction of an action to a submodule goes through them: Specht modules
 and ``modtools.restrict_to_submodule`` given rows through the latter, and
-the restriction given a ``Subspace`` (``Subspace.action_matrix``, which
-over Q stays in ints on the primitive rows) and the intermediate
-extension's functor action straight against the ``Subspace``.
+the restriction given a ``Subspace`` and the intermediate extension's
+functor action straight against the ``Subspace``; over Q the former
+stays in ints on the primitive rows (``Subspace.action_matrix``).
 """
 
 import re
@@ -461,13 +461,12 @@ class Subspace:
                                    for i in range(self.dim)], len(cols))
 
     def action_matrix(self, g):
-        """The matrix of g (a ``Matrix`` or ``ColumnImages``) on the span in
-        the stored basis; ValueError if an image leaves it.  Over Q, in
-        ints: D*g, D the lcm of g's denominators, on the primitive row of
-        pivot entry L is D*L times the image of the basis row."""
+        """Over Q, the matrix of g (a ``Matrix`` or ``ColumnImages``) on the
+        span in the stored basis; ValueError if an image leaves it.  It
+        works in ints: D*g, D the lcm of g's denominators, on the primitive
+        row of pivot entry L is D*L times the image of the basis row."""
         if not self._int:
-            return self.coords_matrix([g.apply_to_vector(r)
-                                       for r in self.basis])
+            raise ValueError("action_matrix reads the int rows of Q")
         cols = g.column_pairs()
         D = lcm(*[c.denominator for col in cols for _, c in col])
         cols = [[(i, c.numerator * (D // c.denominator)) for i, c in col]

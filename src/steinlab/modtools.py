@@ -477,19 +477,23 @@ def tensor(mod_m, mod_n):
 
 def restrict_to_submodule(mod, basis):
     """Action matrices on an invariant subspace, in the given basis: a
-    ``Subspace``'s echelon basis, read by ``Subspace.action_matrix`` (over
-    Q in ints, on its primitive rows), or independent rows."""
+    ``Subspace``'s echelon basis, or independent rows.  Over Q a
+    ``Subspace`` gives each matrix by ``Subspace.action_matrix``, in ints
+    on its primitive rows."""
     F = mod.field
-    if isinstance(basis, Subspace):
+    held = isinstance(basis, Subspace)
+    if held and F.kind == "rational":
         gens = {name: basis.action_matrix(g)
                 for name, g in mod.generators.items()}
     else:
-        k = len(basis)
+        rows = basis.basis if held else basis
+        k = len(rows)
         names = list(mod.generators)
         # the images of every generator share one Subspace
         images = [mod.generators[name].apply_to_vector(list(row))
-                  for name in names for row in basis]
-        X = coords_in_basis(F, basis, images)
+                  for name in names for row in rows]
+        X = basis.coords_matrix(images) if held else \
+            coords_in_basis(F, rows, images)
         gens = {name: Matrix(F, [r[i * k:(i + 1) * k] for r in X.rows])
                 for i, name in enumerate(names)}
     return AlgebraModule(F, gens, labels=mod.labels,

@@ -726,3 +726,7 @@ def test_restriction_to_a_subspace_that_is_not_invariant_raises(F):
         with pytest.raises(ValueError,
                            match="image outside the span of the basis"):
             mt.restrict_to_submodule(mt.AlgebraModule(F, {"g": op}), sp)
+    if F.kind != "rational":
+        # a finite field's rows are labels, not the int rows it reads
+        with pytest.raises(ValueError, match="int rows of Q"):
+            sp.action_matrix(g)

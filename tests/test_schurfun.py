@@ -212,6 +212,32 @@ def test_norm_image_matches_dense_norm():
                         [list(r) for r in dense_norm_basis(M, n, K)]
 
 
+def test_non_integral_entries_stay_fractions():
+    # over Q integral entries are summed as ints and the rest as
+    # Fractions: a Specht module conjugated by diag(1/2, 1, ..., 1), and a
+    # generator with entries 1/2 and -2/3, match the dense oracles
+    for lam in [(2, 1), (2, 2), (3, 1)]:
+        S = sg.specht_module(lam, QQ)
+        k = S.dimension
+        P = Matrix(QQ, [[Fraction(1, 2) if i == j == 0 else Fraction(i == j)
+                         for j in range(k)] for i in range(k)])
+        M = mt.AlgebraModule(QQ, {nm: P.inverse() * g * P
+                                  for nm, g in S.generators.items()},
+                             labels=S.labels)
+        assert any(x.denominator > 1 for g in M.generators.values()
+                   for x in g.entries_flat())
+        for n in (1, 2):
+            assert [list(r) for r in sf._norm_image(M, n, QQ).basis] == \
+                [list(r) for r in dense_norm_basis(M, n, QQ)]
+    g = Matrix(QQ, [[Fraction(1, 2), Fraction(-2, 3)],
+                    [Fraction(0), Fraction(1)]])
+    for lam in [(2,), (2, 1), (3,)]:
+        sym = sf._sym_basis(2, lam)
+        index = {b: i for i, b in enumerate(sym)}
+        _check_columns(sf._sym_action(lam, QQ, g, sym, index),
+                       dense_sym_action(2, lam, QQ, g, sym, index))
+
+
 # -- generators by sparse column images against dense matrices ------------
 
 OPERATOR_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.galois(2, 2),
