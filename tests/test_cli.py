@@ -597,5 +597,7 @@ def test_importing_the_cli_loads_no_command_module():
                           capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = set(ast.literal_eval(done.stdout))
-    assert loaded == {"steinlab", "steinlab.cli", "steinlab.fields",
-                      "steinlab.matrices"}
+    assert "steinlab.cli" in loaded
+    assert not loaded & {f"steinlab.{m}" for m in (
+        "emlpoly", "functorcat", "modtools", "schurfun", "steinberg",
+        "symgrp", "rings")}
