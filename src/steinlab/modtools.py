@@ -3,10 +3,15 @@
 A module is a field, a dimension, and a dict of named square matrices.
 Simplicity over a finite field is decided by one loop over seeded random
 algebra elements θ, applying Norton's test to ker f(θ) for irreducible
-factors f of the minimal polynomial.  When dim ker f(θ) = deg f, one
-spin of a kernel vector on the module and one on its transpose decide
-(the Holt–Rees form of the test); when no draw gives such an f, every
-vector of the thinnest kernel seen is spun, and one of its transpose.
+factors f of the minimal polynomial, roots first (x - a for each root a,
+then Berlekamp's other factors only if the loop gets that far).  When
+dim ker f(θ) = deg f, one spin of a kernel vector on the module and one
+on its transpose decide (the Holt–Rees form of the test); when no draw
+gives such an f, every vector of the thinnest kernel seen is spun, and
+one of its transpose.  A module found simple on x - a with
+dim ker(θ - a) = 1 has End = K (``end_dim`` builds no hom space), and a
+generator trace that differs proves non-isomorphism (Holt and Rees,
+1994; Parker, *The Meat-Axe*, 1984).
 Every module of the package is an ``AlgebraModule``: Specht and simple
 modules of S_d, Schur, elementary and socle values of M_n(K), the
 GL_n(F_q) simples and K[M_n(A)]-modules.  Its ``labels`` name the monoid
@@ -17,16 +22,21 @@ over them to give the action of every element the labels generate.
 
 import operator
 import random
-from itertools import count
+from functools import reduce
+from itertools import accumulate, count
 
+from .fields import CapExceeded
 from .matrices import Matrix, Subspace, coords_in_basis, span_from_spins
 from .rings import monoid_closure
+
+# largest hom-space system, rows times columns, that ``hom_space`` writes
+HOM_SYSTEM_CAP = 25_000_000
 
 
 class AlgebraModule:
     """A module over the algebra spanned by named generator matrices;
     ``labels``, when given, maps each name to the monoid element that
-    generator stands for."""
+    generator stands for.  ``end_is_k`` records a proof of End = K."""
 
     def __init__(self, field, generators, labels=None, name=""):
         self.field = field
@@ -38,6 +48,7 @@ class AlgebraModule:
         self.dimension = dims.pop()
         self.labels = dict(labels) if labels else None
         self.name = name
+        self.end_is_k = self.dimension == 1
 
     def gen_names(self):
         return sorted(self.generators)
@@ -123,15 +134,20 @@ def _poly_gcd(f, g, F):
 
 
 def _poly_eval_matrix(f, A):
+    """f(A) by Horner's rule, each constant added on the diagonal:
+    deg f - 1 products, none for a linear f."""
     F = A.field
-    n = A.nrows
-    out = Matrix.zero(F, n, n)
-    P = Matrix.identity(F, n)
-    for c in f:
+    *low, top = f
+    P = A if low else Matrix.identity(F, A.nrows)
+    if top != F.one:
+        P = P.scale(top)
+    for k, c in enumerate(reversed(low)):
+        if k:
+            P = P * A
         if c != F.zero:
-            out = out + P.scale(c)
-        P = P * A
-    return out
+            P = Matrix(F, [r[:i] + [F.add(r[i], c)] + r[i + 1:]
+                           for i, r in enumerate(P.rows)], P.ncols)
+    return P
 
 
 def minimal_polynomial(A):
@@ -181,9 +197,10 @@ def _berlekamp_factor(f, F):
     stack = [list(f)]
     while stack:
         g = stack.pop()
-        g = list(g)
         inv = F.inv(g[-1])
         g = [F.mul(inv, c) for c in g]
+        if len(g) == 1:
+            continue  # a constant has no factors
         if len(g) == 2:
             factors.append(g)
             continue
@@ -195,28 +212,21 @@ def _berlekamp_factor(f, F):
             if len(h) > 1:
                 q, r = _poly_divmod(g, h, F)
                 assert not r
-                stack.append(h)
-                if len(q) > 1:
-                    stack.append(q)
+                stack += [h, q]
                 continue
         else:
-            # g = u(x^p): take p-th root
-            p = F.char
-            root = []
-            for i in range(0, len(g), p):
-                c = g[i]
-                # c = b^p has the solution b = c^(q/p)
-                root.append(F.pow(c, F.order // p))
-            stack.append(root)
+            # g = u(x^p): take the p-th root, c = b^p having b = c^(q/p)
+            stack.append([F.pow(c, F.order // F.char)
+                          for c in g[::F.char]])
             continue
         # g squarefree: Berlekamp subalgebra
         n = len(g) - 1
-        q = F.order
-        rows = []
+        # x^(q i) mod g, each row the one before times x^q mod g
+        xq = _poly_divmod([F.zero] * F.order + [F.one], g, F)[1]
+        rem, rows = [F.one], []
         for i in range(n):
-            # x^(q i) mod g
-            xi = [F.zero] * (q * i) + [F.one]
-            _, rem = _poly_divmod(xi, g, F)
+            if i:
+                rem = _poly_divmod(_poly_mul(rem, xq, F), g, F)[1]
             row = rem + [F.zero] * (n - len(rem))
             row[i] = F.sub(row[i], F.one)
             rows.append(row)
@@ -226,13 +236,8 @@ def _berlekamp_factor(f, F):
             factors.append(g)
             continue
         # split with a non-constant kernel element
-        split = None
-        for krow in ker.rows:
-            poly = _poly_trim(list(krow), F)
-            if len(poly) > 1:
-                split = poly
-                break
-        found = False
+        split = next(p for p in (_poly_trim(list(r), F) for r in ker.rows)
+                     if len(p) > 1)
         for c in F.elements():
             cand = list(split)
             cand[0] = F.sub(cand[0], c)
@@ -242,19 +247,30 @@ def _berlekamp_factor(f, F):
             h = _poly_gcd(g, cand, F)
             if 1 < len(h) < len(g):
                 quo, _ = _poly_divmod(g, h, F)
-                stack.append(h)
-                stack.append(quo)
-                found = True
+                stack += [h, quo]
                 break
-        if not found:
+        else:
             raise RuntimeError("berlekamp split failed")
-    # dedupe
-    uniq = []
-    for fac in factors:
-        if fac not in uniq:
-            uniq.append(fac)
-    uniq.sort(key=lambda h: (len(h), h))
-    return uniq
+    return sorted(map(list, {tuple(h) for h in factors}),
+                  key=lambda h: (len(h), h))
+
+
+def _factors_roots_first(f, F):
+    """``_berlekamp_factor(f, F)`` in its order: x - a for each root a in
+    F, then Berlekamp's factors of the rest, when the caller reads on."""
+    negs = set()
+    for a in F.elements():
+        while len(f) > 1:
+            # f = (x - a) quo + f(a), by Horner's rule from the top
+            *quo, r = accumulate(reversed(f),
+                                 lambda acc, c: F.add(F.mul(acc, a), c))
+            if r != F.zero:
+                break
+            f = quo[::-1]
+            negs.add(F.neg(a))
+    yield from ([c, F.one] for c in sorted(negs))
+    if len(f) > 1:
+        yield from _berlekamp_factor(f, F)
 
 
 # -- simplicity ----------------------------------------------------------
@@ -339,12 +355,15 @@ def find_proper_submodule(mod, seed=0):
     thinnest = None
     for _ in range(_ATTEMPTS):
         theta = _random_algebra_element(mod, rng)
-        factors = _berlekamp_factor(minimal_polynomial(theta), F)
+        factors = _factors_roots_first(minimal_polynomial(theta), F)
         for i, f in enumerate(factors):
             N = _poly_eval_matrix(f, theta)
             ker = N.kernel_basis()
             if ker.nrows == len(f) - 1:
-                return _norton(mod, N, ker, sweep=False)
+                sub = _norton(mod, N, ker, sweep=False)
+                # End(M), a field over K, maps the K-line ker f(θ) to itself
+                mod.end_is_k |= sub is None and ker.nrows == 1
+                return sub
             if i == 0:
                 sub = _proper_spin(F, n, ker.rows[:1], gens)
                 if sub is not None:
@@ -355,17 +374,18 @@ def find_proper_submodule(mod, seed=0):
 
 
 def _random_algebra_element(mod, rng):
+    """A random short sum of scaled products of generators, each product
+    started at its first generator."""
     gens = mod.gen_list()
-    F = mod.field
-    n = mod.dimension
-    els = list(F.elements())
-    # random short product-sum of generators
-    total = Matrix.zero(F, n, n)
+    els = list(mod.field.elements())
+    total = None
     for _ in range(rng.randrange(2, 4)):
-        term = Matrix.identity(F, n)
-        for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(1, 4)
+        term = gens[rng.randrange(len(gens))]
+        for _ in range(k - 1):
             term = term * gens[rng.randrange(len(gens))]
-        total = total + term.scale(els[rng.randrange(1, len(els))])
+        term = term.scale(els[rng.randrange(1, len(els))])
+        total = term if total is None else total + term
     return total
 
 
@@ -377,19 +397,31 @@ def is_simple(mod, seed=0):
 
 # -- endomorphisms and homomorphisms -------------------------------------
 
+def _shared_names(mod_m, mod_n):
+    """The generator names of two modules over one field, which agree."""
+    if mod_m.field is not mod_n.field:
+        raise ValueError("field mismatch")
+    names = mod_m.gen_names()
+    if names != mod_n.gen_names():
+        raise ValueError("generator-name mismatch")
+    return names
+
+
 def hom_space(mod_m, mod_n):
     """Basis of intertwiners T (dim_n x dim_m matrices) with
     T g_M = g_N T for every shared generator name: the kernel of the rows
-    of (I_a kron A^t) - (B kron I_b) on vec(T), A of M and B of N."""
-    if mod_m.field is not mod_n.field:
-        raise ValueError("field mismatch")
-    if mod_m.gen_names() != mod_n.gen_names():
-        raise ValueError("generator-name mismatch")
+    of (I_a kron A^t) - (B kron I_b) on vec(T), A of M and B of N.  A
+    system of more than ``HOM_SYSTEM_CAP`` entries raises ``CapExceeded``
+    before any row is written."""
+    names = _shared_names(mod_m, mod_n)
     F = mod_m.field
     z, add, neg = F.zero, F.add, F.neg
     a, b = mod_n.dimension, mod_m.dimension
+    if len(names) * (a * b) ** 2 > HOM_SYSTEM_CAP:
+        raise CapExceeded(f"hom-space system of {len(names) * a * b} x "
+                          f"{a * b} exceeds cap {HOM_SYSTEM_CAP}")
     rows = []
-    for name in mod_m.gen_names():
+    for name in names:
         # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k;
         # adding to zero keeps Q entries Fractions
         cols = [[add(z, x) for x in col]
@@ -408,10 +440,18 @@ def hom_space(mod_m, mod_n):
 
 
 def end_dim(mod):
-    """Dimension of the commutant of the generator matrices."""
+    """Dimension of the commutant of the generator matrices: 1 when
+    ``mod.end_is_k`` holds, with no hom space."""
     if mod.dimension == 0:
         return 0
+    if mod.end_is_k:
+        return 1
     return len(hom_space(mod, mod))
+
+
+def _trace(g):
+    return reduce(g.field.add, map(operator.getitem, g.rows, count()),
+                  g.field.zero)
 
 
 # q^dim Hom above which 200 random combinations are tried before the sweep
@@ -419,14 +459,19 @@ _ISO_SWEEP_MAX = 4096
 
 
 def are_isomorphic(mod_m, mod_n, seed=0):
-    """Whether an invertible intertwiner exists: a hom basis element or a
-    combination of them.  Over Q, 200 random small integer combinations
-    decide; over F_q every combination is swept, after 200 random ones
-    when q^dim Hom > _ISO_SWEEP_MAX."""
+    """Whether an invertible intertwiner exists.  Conjugate generators
+    have equal traces, so a generator whose traces differ proves M and N
+    non-isomorphic before any hom space is built.  Otherwise a hom basis
+    element or a combination of them is sought: over Q, 200 random small
+    integer combinations decide; over F_q every combination is swept,
+    after 200 random ones when q^dim Hom > _ISO_SWEEP_MAX."""
     if mod_m.dimension != mod_n.dimension:
         return False
     if mod_m.dimension == 0:
         return True
+    if any(_trace(mod_m.generators[nm]) != _trace(mod_n.generators[nm])
+           for nm in _shared_names(mod_m, mod_n)):
+        return False
     homs = hom_space(mod_m, mod_n)
     if not homs:
         return False
@@ -462,12 +507,8 @@ def are_isomorphic(mod_m, mod_n, seed=0):
 def tensor(mod_m, mod_n):
     """Tensor product with the diagonal action (Kronecker on each
     generator); basis ordered lexicographically (i of m, then j of n)."""
-    if mod_m.field is not mod_n.field:
-        raise ValueError("field mismatch")
-    if mod_m.gen_names() != mod_n.gen_names():
-        raise ValueError("generator-name mismatch")
     gens = {name: mod_m.generators[name].kron(mod_n.generators[name])
-            for name in mod_m.gen_names()}
+            for name in _shared_names(mod_m, mod_n)}
     labels = mod_m.labels
     name = ""
     if mod_m.name or mod_n.name:

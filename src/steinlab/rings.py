@@ -409,18 +409,21 @@ def matrix_monoid_generators(ring, n):
 
 
 def mat_mul(ring, A, B, cols):
-    """Multiply two matrices of ring elements (tuple-of-tuples form).
-    A matrix without rows cannot carry its width, so the column count of
-    the product is given; empty shapes (no rows, no columns or an empty
-    inner dimension) come out of the same loop."""
-    k = len(B)
+    """Multiply two matrices of ring elements (tuple-of-tuples form) on
+    the ring's Cayley tables.  A matrix without rows cannot carry its
+    width, so the column count of the product is given; empty shapes (no
+    rows, no columns or an empty inner dimension) come out of the same
+    loop."""
+    add, mul = ring.cayley_tables
+    columns = list(zip(*B)) or [()] * cols
     out = []
     for row in A:
+        products = [mul[a] for a in row]
         prod = []
-        for j in range(cols):
+        for col in columns:
             acc = ring.zero
-            for t in range(k):
-                acc = ring.add(acc, ring.mul(row[t], B[t][j]))
+            for m, b in zip(products, col):
+                acc = add[acc][m[b]]
             prod.append(acc)
         out.append(tuple(prod))
     return tuple(out)

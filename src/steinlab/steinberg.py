@@ -150,7 +150,9 @@ def classify(n, q, K=None, seed=0):
     """All iso-classes of simple GL_n(F_q)-modules, as SteinbergDatum
     objects in lexicographic partition order; simplicity, pairwise
     non-isomorphism, scalar endomorphisms, and agreement with the
-    p-regular class count q^n - q^(n-1) are all asserted."""
+    p-regular class count q^n - q^(n-1) are all asserted.  The draw that
+    proves a module simple mostly proves End = K too, and a generator
+    trace mostly proves two modules non-isomorphic (``modtools``)."""
     if n < 1:
         raise ValueError(f"rank n must be >= 1, got {n}")
     _check_caps(n, q)

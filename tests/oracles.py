@@ -48,14 +48,24 @@ entries, before it multiplied the factors' nonzero pairs, and
 ``echelon_restriction`` is ``modtools.restrict_to_submodule`` given a
 ``Subspace`` as it was before it worked in ints over Q: each generator
 applied to the echelon rows, the images written by ``coords_matrix``.
+``power_sum_eval_matrix`` is ``modtools._poly_eval_matrix`` as it was
+before Horner's rule: the sum of c_k A^k over every power of A.
+``unsplit_find_proper_submodule`` is ``modtools.find_proper_submodule``
+as it was before it took the roots of each draw first: every draw
+factored whole by ``_berlekamp_factor``, each product term started at
+the identity, and f(θ) by ``power_sum_eval_matrix``.
+``elementwise_mat_mul`` is ``rings.mat_mul`` as it was before it read
+the ring's Cayley tables: ``ring.add`` and ``ring.mul`` on each entry.
 """
 
 import argparse
+import random
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import comb, factorial, gcd, lcm
 
+from steinlab import modtools
 from steinlab.emlpoly import (AbGroup, AbMap, NotPolynomialUpTo,
                               deviation, deviation_vanishes)
 from steinlab.fields import Field
@@ -795,6 +805,82 @@ def kron_hom_space(mod_m, mod_n):
     ker = rref_kernel_basis(Matrix(F, kron_hom_rows(mod_m, mod_n)))
     return [Matrix(F, [list(krow[i * b:(i + 1) * b]) for i in range(a)])
             for krow in ker.rows]
+
+
+# -- the Meataxe draw with each minimal polynomial factored whole ---------
+
+def power_sum_eval_matrix(f, A):
+    """f(A) as the sum of c_k A^k, one product per power of A."""
+    F = A.field
+    n = A.nrows
+    out = Matrix.zero(F, n, n)
+    P = Matrix.identity(F, n)
+    for c in f:
+        if c != F.zero:
+            out = out + P.scale(c)
+        P = P * A
+    return out
+
+
+def _identity_started_algebra_element(mod, rng):
+    gens = mod.gen_list()
+    F = mod.field
+    n = mod.dimension
+    els = list(F.elements())
+    total = Matrix.zero(F, n, n)
+    for _ in range(rng.randrange(2, 4)):
+        term = Matrix.identity(F, n)
+        for _ in range(rng.randrange(1, 4)):
+            term = term * gens[rng.randrange(len(gens))]
+        total = total + term.scale(els[rng.randrange(1, len(els))])
+    return total
+
+
+def unsplit_find_proper_submodule(mod, seed=0):
+    """``find_proper_submodule`` with each draw's minimal polynomial
+    factored whole; also returns whether the deciding draw had a linear
+    factor x - a with a one-dimensional kernel."""
+    F, n = mod.field, mod.dimension
+    if n == 1:
+        return None, True
+    gens = mod.gen_list()
+    rng = random.Random(f"holt-rees:{seed}")
+    thinnest = None
+    for _ in range(modtools._ATTEMPTS):
+        theta = _identity_started_algebra_element(mod, rng)
+        factors = modtools._berlekamp_factor(
+            modtools.minimal_polynomial(theta), F)
+        for i, f in enumerate(factors):
+            N = power_sum_eval_matrix(f, theta)
+            ker = N.kernel_basis()
+            if ker.nrows == len(f) - 1:
+                return (modtools._norton(mod, N, ker, sweep=False),
+                        ker.nrows == 1)
+            if i == 0:
+                sub = modtools._proper_spin(F, n, ker.rows[:1], gens)
+                if sub is not None:
+                    return sub, False
+            if thinnest is None or ker.nrows < thinnest[1].nrows:
+                thinnest = N, ker
+    return modtools._norton(mod, *thinnest, sweep=True), False
+
+
+# -- ring matrix products entry by entry ----------------------------------
+
+def elementwise_mat_mul(ring, A, B, cols):
+    """The product of two ring matrices with ``ring.add`` and
+    ``ring.mul`` on each entry."""
+    k = len(B)
+    out = []
+    for row in A:
+        prod = []
+        for j in range(cols):
+            acc = ring.zero
+            for t in range(k):
+                acc = ring.add(acc, ring.mul(row[t], B[t][j]))
+            prod.append(acc)
+        out.append(tuple(prod))
+    return tuple(out)
 
 
 # -- the command line parser, built in full -------------------------------

@@ -93,6 +93,25 @@ def test_cap_exceeded_is_code_3():
     assert out == "error: classification cap exceeded for (n, q) = (4, 2)"
 
 
+def test_hom_space_cap_is_code_3(tmp_path):
+    # the socle of the 140-dim Schur module needs a hom space from its
+    # 116-dim factor: a dense 81200 x 16240 system, refused before any row
+    code, out = run(["schur", "weight", "--lam", "4,2,1", "--n", "4",
+                     "--coeff", "F_9"])
+    assert code == 3
+    assert out == ("error: hom-space system of 81200 x 16240 exceeds cap "
+                   "25000000")
+    # End of a 71-dim module: 5041 x 5041 entries
+    mat = {"field": {"p": 2, "e": 1}, "rows": 71, "cols": 71,
+           "entries": [[0] * 71 for _ in range(71)]}
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {"g": mat}}))
+    code, out = run(["meataxe", "end", "--module", str(mf)])
+    assert code == 3
+    assert out == ("error: hom-space system of 5041 x 5041 exceeds cap "
+                   "25000000")
+
+
 def test_iext_action_table_cap_is_code_3():
     # M_3(Z/6) has 6^9 elements; the cap refuses them before any is built
     start = time.perf_counter()

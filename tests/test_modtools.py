@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from steinlab import modtools as mt
 from steinlab import steinberg
 from steinlab.schurfun import schur_value
-from steinlab.fields import Field, QQ
+from steinlab.fields import CapExceeded, Field, QQ
 from steinlab.matrices import ColumnImages, Matrix, Subspace, span_from_spins
 
 from oracles import (echelon_restriction, hom_space_socle, kron_hom_rows,
-                     kron_hom_space,
-                     solve_right_minimal_polynomial)
+                     kron_hom_space, power_sum_eval_matrix,
+                     solve_right_minimal_polynomial,
+                     unsplit_find_proper_submodule)
 
 # Hypothesis runs derandomized, so the examples are the same on every run
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -413,9 +414,15 @@ def test_isomorphism_found_only_by_a_combination(F, sweep_max, monkeypatch):
     homs = mt.hom_space(AB, AB)
     assert len(homs) == 2 and not any(T.is_invertible() for T in homs)
     assert mt.are_isomorphic(AB, diagonal_module(F, one, two))
-    # nonzero homs, none invertible: every phase runs and finds nothing
+    # nonzero homs, none invertible: the traces 1 + 2 and 1 + 1 differ
     assert mt.hom_space(AB, AA)
     assert not mt.are_isomorphic(AB, AA)
+    # equal traces (3 = 1 + 2 + 0), nonzero homs, none invertible: every
+    # phase runs and finds nothing
+    D, I = diagonal_module(F, one, two, F.zero), diagonal_module(F, one,
+                                                                 one, one)
+    assert mt.hom_space(D, I)
+    assert not mt.are_isomorphic(D, I)
 
 
 # -- the decision loop against the exhaustive oracle -----------------------
@@ -579,6 +586,8 @@ def test_certificate_on_simple_module_that_is_not_absolutely_simple(
 
     monkeypatch.setattr(mt, "_subspace_vectors", no_sweep)
     assert mt.find_proper_submodule(M) is None
+    # End = F_4 makes every kernel of θ an F_4-space, never an F_2-line
+    assert not M.end_is_k and mt.end_dim(M) == 2
 
 
 def test_simple_steinberg_module_needs_few_spins(monkeypatch):
@@ -676,6 +685,161 @@ def test_berlekamp_factors_are_distinct_monic_irreducibles(F, data):
     for _ in range(deg):
         power = _times(power, radical, F)
     assert not _rem(power, monic, F)
+
+
+# -- roots first, Horner's rule and the two certificates ------------------
+
+ROOT_FIELDS = [Field.prime(2), Field.prime(3), Field.galois(2, 2),
+               Field.prime(5), Field.galois(2, 3), Field.galois(3, 2),
+               Field.galois(2, 4)]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.sampled_from(ROOT_FIELDS), st.data())
+def test_roots_first_order_matches_berlekamp(F, data):
+    # each a in F is a root 0 to 3 times, mostly not at all, beside a
+    # random monic cofactor that may have roots of its own
+    f = [F.one]
+    for a in F.elements():
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+            f = mt._poly_mul(f, [F.neg(a), F.one], F)
+    deg = data.draw(st.integers(0, 4))
+    f = mt._poly_mul(f, data.draw(st.lists(
+        st.sampled_from(list(F.elements())), min_size=deg,
+        max_size=deg)) + [F.one], F)
+    assert list(mt._factors_roots_first(f, F)) == mt._berlekamp_factor(f, F)
+
+
+def test_roots_first_factors_the_rest_only_when_read(monkeypatch):
+    # (x - 1)^2 (x - 2)(x^2 + 1) over F_3, where x^2 + 1 has no root
+    F = Field.prime(3)
+    f = [F.one]
+    for g in ([2, 1], [2, 1], [1, 1], [1, 0, 1]):
+        f = mt._poly_mul(f, g, F)
+    calls = []
+    berlekamp = mt._berlekamp_factor
+    monkeypatch.setattr(mt, "_berlekamp_factor",
+                        lambda g, F: calls.append(g) or berlekamp(g, F))
+    factors = mt._factors_roots_first(f, F)
+    assert [next(factors), next(factors)] == [[1, 1], [2, 1]]
+    assert not calls
+    assert list(factors) == [[1, 0, 1]]
+    assert calls == [[1, 0, 1]]
+    assert list(mt._factors_roots_first([2, 0, 1], F)) == [[1, 1], [2, 1]]
+    assert len(calls) == 1
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(KRYLOV_FIELDS), st.data())
+def test_horner_matches_the_power_sum_oracle(F, data):
+    def entry():
+        return F.from_int(data.draw(st.integers(-4, 8)))
+
+    n = data.draw(st.integers(1, 5))
+    A = Matrix(F, [[entry() for _ in range(n)] for _ in range(n)])
+    deg = data.draw(st.integers(0, 5))
+    f = [entry() for _ in range(deg)]
+    f.append(data.draw(st.sampled_from([F.one, F.from_int(2)]))
+             if F.char != 2 else F.one)
+    products = []
+    product = Matrix.__mul__
+    with mock.patch.object(Matrix, "__mul__",
+                           lambda X, Y: products.append(1) or product(X, Y)):
+        got = mt._poly_eval_matrix(f, A)
+    assert len(products) == max(deg - 1, 0)
+    assert got == power_sum_eval_matrix(f, A)
+
+
+@settings(SETTINGS, max_examples=120)
+@given(oracle_modules(), st.sampled_from([0, 1, 7]))
+def test_roots_first_draw_matches_the_unsplit_loop(case, seed):
+    # the same submodule, or None; End = K is recorded exactly when the
+    # deciding draw has a linear factor with a one-dimensional kernel,
+    # and then the hom space End(M) is one-dimensional
+    mod, _ = case
+    sub, line = unsplit_find_proper_submodule(mod, seed)
+    assert mt.find_proper_submodule(mod, seed=seed) == sub
+    assert mod.end_is_k == (sub is None and line)
+    assert mt.end_dim(mod) == len(mt.hom_space(mod, mod))
+
+
+@pytest.mark.parametrize("n, q, certified", [(2, 2, 2), (2, 4, 12),
+                                             (3, 2, 3)])
+def test_end_certificate_on_the_classify_tables(n, q, certified):
+    data = steinberg.classify(n, q)
+    assert sum(d.module.end_is_k for d in data) == certified
+    for d in data:
+        assert mt.end_dim(d.module) == len(mt.hom_space(d.module,
+                                                        d.module)) == 1
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(KRYLOV_FIELDS), st.data())
+def test_trace_test_keeps_conjugate_pairs(F, data):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(1, 4))
+
+    def entry():
+        return F.from_int(rnd.randrange(-3, 4))
+
+    def matrix():
+        return Matrix(F, [[entry() for _ in range(n)] for _ in range(n)])
+
+    # P = LU, L unit lower triangular and U upper triangular with +-1 on
+    # its diagonal, is invertible
+    L = Matrix(F, [[F.one if i == j else entry() if i > j else F.zero
+                    for j in range(n)] for i in range(n)])
+    U = Matrix(F, [[F.from_int(rnd.choice([1, -1])) if i == j
+                    else entry() if i < j else F.zero
+                    for j in range(n)] for i in range(n)])
+    P = L * U
+    Q = P.inverse()
+    gens = {nm: matrix() for nm in ["a", "b"][:data.draw(st.integers(1, 2))]}
+    M = mt.AlgebraModule(F, gens)
+    N = mt.AlgebraModule(F, {nm: P * g * Q for nm, g in gens.items()})
+    assert all(mt._trace(g) == mt._trace(N.generators[nm])
+               for nm, g in gens.items())
+    assert mt.are_isomorphic(M, N)
+
+
+def test_a_trace_difference_builds_no_hom_space(monkeypatch):
+    F = Field.prime(3)
+    one, two = F.one, F.from_int(2)
+
+    def no_hom_space(*args):
+        raise AssertionError("a hom space was built")
+
+    monkeypatch.setattr(mt, "hom_space", no_hom_space)
+    assert not mt.are_isomorphic(diagonal_module(F, one, one),
+                                 diagonal_module(F, one, two))
+    with pytest.raises(ValueError, match="generator-name mismatch"):
+        mt.are_isomorphic(diagonal_module(F, one),
+                          mt.AlgebraModule(F, {"h": Matrix(F, [[two]])}))
+
+
+def test_hom_space_refuses_a_system_above_the_cap(monkeypatch):
+    # 71-dim modules with one generator: 5041 rows of 5041 entries pass
+    # the cap, and the refusal comes before any entry is written
+    K = Field.prime(2)
+
+    def no_entry(*args):
+        raise AssertionError("an entry was written")
+
+    big = mt.AlgebraModule(K, {"g": Matrix.zero(K, 71, 71)})
+    monkeypatch.setattr(K, "add", no_entry)
+    with pytest.raises(CapExceeded, match="5041 x 5041 exceeds cap"):
+        mt.hom_space(big, big)
+    with pytest.raises(CapExceeded):
+        mt.end_dim(big)
+    monkeypatch.undo()
+    # two generators, dims 3 and 4: a 24 x 12 system of 288 entries
+    M = mt.AlgebraModule(K, {nm: Matrix.identity(K, 3) for nm in "ab"})
+    N = mt.AlgebraModule(K, {nm: Matrix.identity(K, 4) for nm in "ab"})
+    monkeypatch.setattr(mt, "HOM_SYSTEM_CAP", 288)
+    assert len(mt.hom_space(M, N)) == 12
+    monkeypatch.setattr(mt, "HOM_SYSTEM_CAP", 287)
+    with pytest.raises(CapExceeded, match="24 x 12 exceeds cap 287"):
+        mt.hom_space(M, N)
 
 
 # -- restriction to a held Subspace ---------------------------------------

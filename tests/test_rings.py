@@ -1,8 +1,8 @@
 import time
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinlab.fields import Field
 from steinlab.matrices import Matrix
@@ -12,7 +12,7 @@ from steinlab.rings import (FiniteRing, NotMultiplicative, RingMap,
                             primary_idempotents, ring_homs,
                             ring_identity)
 
-from oracles import (all_pairs_multiplicative,
+from oracles import (all_pairs_multiplicative, elementwise_mat_mul,
                      full_matrix_monoid_generators, repeated_addition)
 
 
@@ -261,13 +261,10 @@ def test_matrix_generators_close_like_every_transvection(spec, n):
     # the small set and the oracle's, which lists every e_ij(r) and every
     # diag(a, 1, ..., 1), generate the same monoid: all of M_n(A)
     R = FiniteRing(spec)
-    add, mul = R.cayley_tables
-    tabled = SimpleNamespace(zero=R.zero, add=lambda a, b: add[a][b],
-                             mul=lambda a, b: mul[a][b])
 
     def monoid(gens):
         return set(gens) | {y for y, _, _ in monoid_closure(
-            lambda g, x: mat_mul(tabled, g, x, n), gens, gens)}
+            lambda g, x: mat_mul(R, g, x, n), gens, gens)}
 
     small = matrix_monoid_generators(R, n)
     full = full_matrix_monoid_generators(R, n)
@@ -287,3 +284,20 @@ def test_mat_mul_empty_shapes():
     assert mat_mul(R, g, ((), ()), 0) == ((), (), ())
     # empty inner dimension: a 3 x 0 by 0 x 2 product is the zero matrix
     assert mat_mul(R, ((), (), ()), (), 2) == ((R.zero, R.zero),) * 3
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(["Z/4xF_3", "Z/2xF_2", "Z/6", "F_4", "Z/4xF_9"]),
+       st.data())
+def test_mat_mul_matches_the_elementwise_oracle(spec, data):
+    # the Cayley tables give each entry that ring.add and ring.mul give,
+    # empty shapes included
+    R = FiniteRing(spec)
+    r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(data.draw(st.integers(0, R.size - 1))
+                           for _ in range(cols)) for _ in range(rows))
+
+    A, B = matrix(r, k), matrix(k, c)
+    assert mat_mul(R, A, B, c) == elementwise_mat_mul(R, A, B, c)
