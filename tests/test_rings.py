@@ -270,8 +270,9 @@ def test_matrix_generators_close_like_every_transvection(spec, n):
     full = full_matrix_monoid_generators(R, n)
     assert small[0] == full[0] == ring_identity(R, n)
     assert len(small) < len(full) or R.size == 2
-    assert monoid(small) == monoid(full)
-    assert len(monoid(small)) == R.size ** (n * n)
+    closed = monoid(small)
+    assert closed == monoid(full)
+    assert len(closed) == R.size ** (n * n)
 
 
 def test_mat_mul_empty_shapes():
