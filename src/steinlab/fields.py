@@ -287,13 +287,6 @@ class Field:
             f = f << 1 | p >> j & 1
         return f
 
-    def packed_sub(self, v, f, row):
-        """The packed row v - f*row, which is v + f*row."""
-        v = v[:]
-        for k, i in self._plane_maps[f]:
-            v[k] ^= row[i]
-        return v
-
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)

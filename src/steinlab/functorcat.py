@@ -25,14 +25,17 @@ there (``functor_value_module``).
 
 A map's index in ``all_ring_homs_matrices`` reads its entries (ring
 element labels) as mixed-radix digits.  ``_row_table`` lists the index
-of x.h for every row vector x, on the ring's Cayley tables, and the
-index of g.h is a sum of row-table entries over the rows of g:
-precomposition and the representable action form no ring matrix product
-per Hom element.
+of x.h for every row vector x, on the ring's Cayley tables, one column
+of h at a time: column j of every x.h as one list of labels, folded into
+the indices as their next digit, with no tuple per vector.  The index of
+g.h is a sum of row-table entries over the rows of g: precomposition and
+the representable action form no ring matrix product per Hom element,
+and ``_Precompose`` gathers coordinates with one ``itemgetter``.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
+from operator import itemgetter
 
 from .emlpoly import NotPolynomialUpTo
 from .fields import CapExceeded, QQ, prime_power
@@ -305,19 +308,20 @@ class MonoidModule(AlgebraModule):
 
 def _row_table(ring, h, k, cols):
     """The index of x.h in A^cols for every row vector x in A^k, in index
-    order, for a k x cols ring matrix h: built one row of h at a time on
-    the ring's Cayley tables, as x = (x', a) has x.h = x'.h + a.h[t]."""
+    order, for a k x cols ring matrix h: built one column of h at a time
+    on the ring's Cayley tables, as scalar lists.  Column j of x.h over
+    x = (x', a) is col_j(x') + a.h[t][j], and the index gains column j
+    as its next digit."""
     q = ring.size
-    if not cols:
-        return [0] * q ** k
     add, mul = ring.cayley_tables
-    vecs = [(ring.zero,) * cols]
-    for t in range(k):
-        row = h[t]
-        vecs = [tuple([add[u][mul[a][y]] for u, y in zip(v, row)])
-                for v in vecs for a in range(q)]
-    weights = [q ** j for j in reversed(range(cols))]
-    return [sum(d * w for d, w in zip(v, weights)) for v in vecs]
+    idx = [0] * q ** k
+    for j in range(cols):
+        col = [ring.zero]
+        for t in range(k):
+            ys = [mul[a][h[t][j]] for a in range(q)]
+            col = [add[u][y] for u in col for y in ys]
+        idx = [i * q + c for i, c in zip(idx, col)]
+    return idx
 
 
 class _Precompose:
@@ -326,19 +330,24 @@ class _Precompose:
     image (g: A^m2 -> A^n) reads block g o h of phi.  Row i of g o h is
     row_i(g).h, so with R the row table of h and w = |A|^m the block of
     g o h is the sum of R[row_i(g)] * w^(n-1-i); listing g in index order
-    lists every choice of rows, row 0 slowest.  It acts by indexing, so
-    it never builds a dense matrix."""
+    lists every choice of rows, row 0 slowest.  It acts by indexing, one
+    ``itemgetter`` over ``src``, so it never builds a dense matrix."""
 
     def __init__(self, ring, n, dm, h, m, m2):
         R = _row_table(ring, h, m2, m)
         w = ring.size ** m
-        blocks = [0]
-        for _ in range(n):
+        blocks = R if n else [0]
+        for _ in range(n - 1):
             blocks = [b * w + r for b in blocks for r in R]
-        self.src = [b * dm + k for b in blocks for k in range(dm)]
+        self.src = src = blocks if dm == 1 else \
+            [b * dm + k for b in blocks for k in range(dm)]
+        # itemgetter returns a bare entry for one index and takes no zero
+        self._get = itemgetter(*src) if len(src) > 1 else None
 
     def apply_to_vector(self, v):
-        return [v[k] for k in self.src]
+        if self._get is None:
+            return [v[k] for k in self.src]
+        return list(self._get(v))
 
 
 def intermediate_extension_value(mm, m):
@@ -383,24 +392,26 @@ def intermediate_extension_functor(mm, N):
     """T(M) as a truncated FunctorRep."""
     ring, K = mm.ring, mm.field
     dm = mm.dimension
-    cache = {}
 
+    @cache
     def value(m):
-        if m not in cache:
-            cache[m] = intermediate_extension_value(mm, m)
-        return cache[m]
+        return intermediate_extension_value(mm, m)
+
+    @cache
+    def basis(m):  # value m's basis rows, unpacked once for every F(h)
+        return value(m)[1].basis
 
     def dim_rule(m):
         return value(m)[0]
 
     def act(h, m, m2):
-        d1, sp1, _, _ = value(m)
+        d1 = value(m)[0]
         d2, sp2, _, _ = value(m2)
         if d1 == 0 or d2 == 0:
             return Matrix.zero(K, d2, d1)
         op = _Precompose(ring, mm.n, dm, h, m, m2)
         return sp2.coords_matrix([op.apply_to_vector(row)
-                                  for row in sp1.basis])
+                                  for row in basis(m)])
 
     return FunctorRep(ring, K, N, dim_rule, act,
                       name=f"T({mm.name})" if mm.name else "T(M)")

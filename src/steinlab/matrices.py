@@ -21,13 +21,16 @@ its basis.  Every vector goes through ``Subspace.add_vector``: reduction
 against the basis, then back-reduction of the basis, one loop for three
 row forms.  Over a finite field a row is a list of labels and a step is
 ``Field.row_sub``; in characteristic 2, rows of 8e or more entries are
-packed bit planes (``fields``) and a step is a few XORs.  Over Q a row is
-the primitive int multiple of its RREF row, pivot entry positive, and a
-step is lead*v - f*row over its gcd (fraction-free, as in Bareiss, Math.
-Comp. 22, 1968); ``basis`` divides by the pivot entries.  An RREF row is
-zero at every other pivot, so a step keeps (over Q, up to a positive
-scale) a vector's entries at the other pivots: a vector in the span has
-its coordinates there, and the packed loop visits only its nonzero ones.
+packed bit planes (``fields``) and a step is a few XORs: the loop reads
+the pivot entry f from the planes' bits and XORs the planes that
+``Field._plane_maps[f]`` names, with no call per step or per stored row.
+Over Q a row is the primitive int multiple of its RREF row, pivot entry
+positive, and a step is lead*v - f*row over its gcd (fraction-free, as in
+Bareiss, Math. Comp. 22, 1968); ``basis`` divides by the pivot entries.
+An RREF row is zero at every other pivot, so a step keeps (over Q, up to
+a positive scale) a vector's entries at the other pivots: a vector in
+the span has its coordinates there, and the packed loop visits only its
+nonzero ones.
 
 ``Subspace.coords_matrix`` is the one way to write vectors in a basis;
 ``coords_in_basis`` puts it behind any independent rows.  Every
@@ -42,7 +45,7 @@ import re
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add as _add, getitem, mul as _mul
+from operator import add as _add, mul as _mul
 
 from .fields import Field, QQ
 
@@ -370,12 +373,8 @@ class Subspace:
         # save (timeit on random k x n matrices over F_2, F_4 and F_8)
         self._packed = field.packed and ambient_dim >= 8 * field.degree
         self._int = field.kind == "rational"
-        # entry j of a row, and v - f*row (up to a positive scale over Q)
-        if self._packed:
-            self._entry, self._sub = field.packed_entry, field.packed_sub
-        else:
-            self._entry = getitem
-            self._sub = _int_sub if self._int else field.row_sub
+        # v - f*row on list rows (up to a positive scale over Q)
+        self._sub = _int_sub if self._int else field.row_sub
         for v in vectors:
             self.add_vector(v)
 
@@ -414,13 +413,18 @@ class Subspace:
                 if f:
                     v = sub(v, f, rows[c])
             return v
-        # visit the pivots where v is nonzero (module docstring)
-        entry = self._entry
+        # visit the pivots where v is nonzero (module docstring), in place
+        maps = self.field._plane_maps
         hits = _support(v) & self._mask
         while hits:
-            c = (hits & -hits).bit_length() - 1
-            v = sub(v, entry(v, c), rows[c])
-            hits &= hits - 1
+            bit = hits & -hits
+            f = 0
+            for p in reversed(v):
+                f = f << 1 | (p & bit != 0)
+            row = rows[bit.bit_length() - 1]
+            for k, i in maps[f]:
+                v[k] ^= row[i]
+            hits ^= bit
         return v
 
     def reduce(self, v):
@@ -487,7 +491,7 @@ class Subspace:
 
     def add_vector(self, v):
         """Insert v into the span; returns True if the dimension grew."""
-        F, rows, entry, sub = self.field, self._rows, self._entry, self._sub
+        F, rows, sub = self.field, self._rows, self._sub
         v = self._reduce(self._in(v))
         if self._packed:
             lead = _support(v)
@@ -496,17 +500,26 @@ class Subspace:
             c = next((c for c, x in enumerate(v) if x), -1)
         if c < 0:
             return False
-        if self._int:
-            v = _primitive(v, 1 if v[c] > 0 else -1)
-        elif self._packed:
-            v = sub([0] * F.degree, F.inv(entry(v, c)), v)
+        if not self._packed:
+            v = (_primitive(v, 1 if v[c] > 0 else -1) if self._int
+                 else F.row_scale(F.inv(v[c]), v))
+            # keep basis reduced
+            for k, row in rows.items():
+                f = row[c]
+                if f:
+                    rows[k] = sub(row, f, v)
         else:
-            v = F.row_scale(F.inv(v[c]), v)
-        # keep basis reduced
-        for k, row in rows.items():
-            f = entry(row, c)
-            if f:
-                rows[k] = sub(row, f, v)
+            maps, bit = F._plane_maps, 1 << c
+            planes, v = v, [0] * F.degree
+            for k, i in maps[F.inv(F.packed_entry(planes, c))]:
+                v[k] ^= planes[i]
+            # keep basis reduced, XORing the stored rows in place
+            for row in rows.values():
+                f = 0
+                for p in reversed(row):
+                    f = f << 1 | (p & bit != 0)
+                for k, i in maps[f]:
+                    row[k] ^= v[i]
         rows[c] = v
         insort(self.pivots, c)
         self._mask |= 1 << c

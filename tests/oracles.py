@@ -56,6 +56,9 @@ factored whole by ``_berlekamp_factor``, each product term started at
 the identity, and f(θ) by ``power_sum_eval_matrix``.
 ``elementwise_mat_mul`` is ``rings.mat_mul`` as it was before it read
 the ring's Cayley tables: ``ring.add`` and ``ring.mul`` on each entry.
+``tuple_row_table`` is ``functorcat._row_table`` as it was when it built
+one tuple per row vector x.h, a row of h at a time, before it built the
+index a column at a time as scalar lists.
 """
 
 import argparse
@@ -881,6 +884,23 @@ def elementwise_mat_mul(ring, A, B, cols):
             prod.append(acc)
         out.append(tuple(prod))
     return tuple(out)
+
+
+def tuple_row_table(ring, h, k, cols):
+    """The index of x.h in A^cols for every row vector x in A^k, in index
+    order: one tuple per vector x.h, built one row of h at a time, as
+    x = (x', a) has x.h = x'.h + a.h[t], read as mixed-radix digits."""
+    q = ring.size
+    if not cols:
+        return [0] * q ** k
+    add, mul = ring.cayley_tables
+    vecs = [(ring.zero,) * cols]
+    for t in range(k):
+        row = h[t]
+        vecs = [tuple([add[u][mul[a][y]] for u, y in zip(v, row)])
+                for v in vecs for a in range(q)]
+    weights = [q ** j for j in reversed(range(cols))]
+    return [sum(d * w for d, w in zip(v, weights)) for v in vecs]
 
 
 # -- the command line parser, built in full -------------------------------

@@ -12,7 +12,8 @@ from steinlab.matrices import Subspace
 from steinlab.rings import (FiniteRing, mat_mul, matrix_monoid_generators,
                             ring_homs)
 
-from oracles import cross_effect_check, full_matrix_monoid_generators
+from oracles import (cross_effect_check, full_matrix_monoid_generators,
+                     tuple_row_table)
 
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
@@ -335,6 +336,29 @@ def test_precompose_matches_mat_mul_oracle(spec):
                 [3 * b + k for b in blocks for k in range(3)]
             cases += 1
     assert cases >= 40
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(PRECOMPOSE_RINGS), st.data())
+def test_row_table_matches_the_tuple_oracle(spec, data):
+    # a random k x cols map, k and cols in 0-3; then the gather of
+    # _Precompose over its row table and over the empty map from A^0,
+    # whose |A|^0 * dm indices include one (a bare itemgetter entry) and
+    # none (no itemgetter at all)
+    R = FiniteRing(spec)
+    k, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    els = st.integers(0, R.size - 1)
+    h = tuple(tuple(data.draw(els) for _ in range(cols)) for _ in range(k))
+    assert fc._row_table(R, h, k, cols) == tuple_row_table(R, h, k, cols)
+    n = data.draw(st.sampled_from(
+        [n for n in (0, 1, 2)
+         if R.size ** (n * max(k, cols)) <= PRECOMPOSE_HOM_BOUND]))
+    dm = data.draw(st.integers(0, 3))
+    v = list(range(R.size ** (n * cols) * dm))
+    for g, m2 in ((h, k), ((), 0)):
+        op = fc._Precompose(R, n, dm, g, cols, m2)
+        assert len(op.src) == R.size ** (n * m2) * dm
+        assert op.apply_to_vector(v) == [v[i] for i in op.src]
 
 
 @pytest.mark.parametrize("spec", PRECOMPOSE_RINGS)

@@ -321,3 +321,28 @@ def test_pack_round_trip(F):
         assert len(planes) == F.degree
         assert F.unpack(planes, n) == v
         assert [F.packed_entry(planes, j) for j in range(n)] == v
+
+
+@pytest.mark.parametrize("n", ["8e-1", "8e", 64, 65, 216])
+@pytest.mark.parametrize("F", PACKED, ids=lambda F: F.label())
+def test_back_reduction_hits_every_stored_row(F, n):
+    # v_i = c*(e_i + a*e_(i+1)) + a dense tail on the last columns: before
+    # v_i goes in, every stored row is nonzero at column i, its new pivot,
+    # so back-reduction changes every stored row at every insertion
+    import random
+    n = {"8e-1": 8 * F.degree - 1, "8e": 8 * F.degree}.get(n, n)
+    rng = random.Random(f"{F.label()}:{n}")
+    nonzero = range(1, F.order)
+    tail = n // 3
+    sp, ref = Subspace(F, n), ListSubspace(F, n)
+    for i in range(n - tail - 1):
+        v = [F.zero] * n
+        v[i], v[i + 1] = F.one, rng.choice(nonzero)
+        v[n - tail:] = [rng.randrange(F.order) for _ in range(tail)]
+        v = F.row_scale(rng.choice(nonzero), v)
+        assert all(row[i] for row in ref.basis)
+        assert sp.add_vector(v) and ref.add_vector(v)
+        assert (sp.basis, sp.pivots) == (ref.basis, ref.pivots)
+    assert sp.dim == n - tail - 1
+    probe = [rng.randrange(F.order) for _ in range(n)]
+    assert sp.reduce(probe) == ref.reduce(probe)
