@@ -309,9 +309,9 @@ class MonoidModule(AlgebraModule):
 def _row_table(ring, h, k, cols):
     """The index of x.h in A^cols for every row vector x in A^k, in index
     order, for a k x cols ring matrix h: built one column of h at a time
-    on the ring's Cayley tables, as scalar lists.  Column j of x.h over
-    x = (x', a) is col_j(x') + a.h[t][j], and the index gains column j
-    as its next digit."""
+    on the ring's Cayley tables, as scalar lists: for x = (x', a), entry
+    j of x.h is entry j of x'.h plus a.h[t][j], and each index gains
+    column j as its next digit."""
     q = ring.size
     add, mul = ring.cayley_tables
     idx = [0] * q ** k
