@@ -42,6 +42,8 @@ def load_module(path):
     with open(path) as fh:
         obj = json.load(fh)
     gens = {nm: Matrix.from_json(mj) for nm, mj in obj["generators"].items()}
+    if not gens:
+        raise ValueError("a module needs at least one generator")
     labels = None
     if obj.get("labels"):
         labels = {nm: Matrix.from_json(mj)

@@ -32,13 +32,14 @@ a positive scale) a vector's entries at the other pivots: a vector in
 the span has its coordinates there, and the packed loop visits only its
 nonzero ones.
 
-``Subspace.coords_matrix`` is the one way to write vectors in a basis;
-``coords_in_basis`` puts it behind any independent rows.  Every
-restriction of an action to a submodule goes through them: Specht modules
-and ``modtools.restrict_to_submodule`` given rows through the latter, and
-the restriction given a ``Subspace`` and the intermediate extension's
-functor action straight against the ``Subspace``; over Q the former
-stays in ints on the primitive rows (``Subspace.action_matrix``).
+``Subspace.coords_matrix`` is the one way to write vectors in a basis.
+``Subspace.action_matrix`` is the one restriction of a map to a span:
+over a finite field ``coords_matrix`` of its images of the basis rows,
+over Q in ints on the primitive rows.  Every submodule is held as its
+``Subspace``, so ``modtools.restrict_to_submodule`` and the intermediate
+extension's functor action read it straight; ``coords_in_basis`` puts
+``coords_matrix`` behind independent rows that are not echelon, the
+polytabloids of a Specht module.
 """
 
 import re
@@ -465,12 +466,15 @@ class Subspace:
                                    for i in range(self.dim)], len(cols))
 
     def action_matrix(self, g):
-        """Over Q, the matrix of g (a ``Matrix`` or ``ColumnImages``) on the
-        span in the stored basis; ValueError if an image leaves it.  It
-        works in ints: D*g, D the lcm of g's denominators, on the primitive
-        row of pivot entry L is D*L times the image of the basis row."""
+        """The matrix of g (a ``Matrix`` or ``ColumnImages``) on the span in
+        the stored basis: column j holds the coordinates of g applied to
+        basis row j; ValueError if an image leaves the span.  Over a finite
+        field it is ``coords_matrix`` of those images.  Over Q it works in
+        ints: D*g, D the lcm of g's denominators, on the primitive row of
+        pivot entry L is D*L times the image of the basis row."""
         if not self._int:
-            raise ValueError("action_matrix reads the int rows of Q")
+            return self.coords_matrix([g.apply_to_vector(r)
+                                       for r in self.basis])
         cols = g.column_pairs()
         D = lcm(*[c.denominator for col in cols for _, c in col])
         cols = [[(i, c.numerator * (D // c.denominator)) for i, c in col]

@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import accumulate, count
 
 from .fields import CapExceeded
-from .matrices import Matrix, Subspace, coords_in_basis, span_from_spins
+from .matrices import Matrix, Subspace, span_from_spins
 from .rings import monoid_closure
 
 # largest hom-space system, rows times columns, that ``hom_space`` writes
@@ -298,12 +298,12 @@ _ATTEMPTS = 20
 
 
 def _proper_spin(F, n, vectors, gens):
-    """The basis of the first proper spin of a nonzero vector, or None."""
+    """The first proper spin of a nonzero vector, a ``Subspace``, or None."""
     for v in vectors:
         if any(x != F.zero for x in v):
             sp = span_from_spins(F, n, [v], gens)
             if sp.dim < n:
-                return sp.basis
+                return sp
     return None
 
 
@@ -323,13 +323,13 @@ def _norton(mod, N, ker, sweep):
         subt = _proper_spin(F, n, N.transpose().kernel_basis().rows[:1],
                             transpose_module(mod).gen_list())
         if subt is not None:
-            sub = [list(r) for r in Matrix(F, subt).kernel_basis().rows]
+            sub = Subspace(F, n, Matrix(F, subt.basis).kernel_basis().rows)
     return sub
 
 
 def find_proper_submodule(mod, seed=0):
-    """A basis (list of rows) of a proper nonzero submodule, or None if
-    the module is simple.
+    """A proper nonzero submodule as the ``Subspace`` that holds it, in
+    RREF, or None if the module is simple.
 
     Each draw of θ on the ``holt-rees:{seed}`` stream is factored; for
     an irreducible factor f with K = ker f(θ), a proper submodule U
@@ -516,47 +516,28 @@ def tensor(mod_m, mod_n):
     return AlgebraModule(mod_m.field, gens, labels=labels, name=name)
 
 
-def restrict_to_submodule(mod, basis):
-    """Action matrices on an invariant subspace, in the given basis: a
-    ``Subspace``'s echelon basis, or independent rows.  Over Q a
-    ``Subspace`` gives each matrix by ``Subspace.action_matrix``, in ints
-    on its primitive rows."""
-    F = mod.field
-    held = isinstance(basis, Subspace)
-    if held and F.kind == "rational":
-        gens = {name: basis.action_matrix(g)
-                for name, g in mod.generators.items()}
-    else:
-        rows = basis.basis if held else basis
-        k = len(rows)
-        names = list(mod.generators)
-        # the images of every generator share one Subspace
-        images = [mod.generators[name].apply_to_vector(list(row))
-                  for name in names for row in rows]
-        X = basis.coords_matrix(images) if held else \
-            coords_in_basis(F, rows, images)
-        gens = {name: Matrix(F, [r[i * k:(i + 1) * k] for r in X.rows])
-                for i, name in enumerate(names)}
-    return AlgebraModule(F, gens, labels=mod.labels,
+def restrict_to_submodule(mod, sp):
+    """Action matrices on the invariant ``Subspace`` sp, in its echelon
+    basis, each by ``Subspace.action_matrix`` (over Q in ints on the
+    primitive rows); ValueError if an image leaves the span."""
+    return AlgebraModule(mod.field, {name: sp.action_matrix(g)
+                                     for name, g in mod.generators.items()},
+                         labels=mod.labels,
                          name=f"{mod.name}|sub" if mod.name else "")
 
 
-def quotient_module(mod, basis_rows):
-    """Action on the quotient by an invariant subspace."""
+def quotient_module(mod, sub):
+    """Action on the quotient by the invariant ``Subspace`` sub, in the
+    basis of the non-pivot unit vectors: each image reduced by ``sub``."""
     F = mod.field
-    sub = Subspace(F, mod.dimension, basis_rows)
     pivset = set(sub.pivots)
     free = [j for j in range(mod.dimension) if j not in pivset]
-
-    def reduce_vec(v):
-        v = sub.reduce(v)
-        return [v[j] for j in free]
-
     gens = {}
     for name, g in mod.generators.items():
         # the image of basis vector j is column j of g
-        cols = [reduce_vec([row[j] for row in g.rows]) for j in free]
-        gens[name] = Matrix(F, [list(r) for r in zip(*cols)])
+        cols = [sub.reduce([row[j] for row in g.rows]) for j in free]
+        gens[name] = Matrix(F, [[c[i] for c in cols] for i in free],
+                            len(free))
     return AlgebraModule(F, gens, labels=mod.labels,
                          name=f"{mod.name}/sub" if mod.name else "")
 
@@ -575,13 +556,15 @@ def composition_factors(mod, seed=0):
 
 
 def socle(mod, seed=0):
-    """Basis rows of the socle, in RREF: the sum over iso-classes S of
+    """The socle as a ``Subspace``: the sum over iso-classes S of
     composition factors of the images of **all** homomorphisms S -> M.
-    A simple module (one factor) is its own socle: no hom space."""
+    A simple module (one factor) is its own socle, the whole space: no
+    hom space."""
     F = mod.field
     factors = composition_factors(mod, seed=seed)
     if len(factors) == 1:
-        return Matrix.identity(F, mod.dimension).rows
+        return Subspace(F, mod.dimension,
+                        Matrix.identity(F, mod.dimension).rows)
     reps = []
     for S in factors:
         if not any(are_isomorphic(S, T, seed=seed) for T in reps):
@@ -591,7 +574,7 @@ def socle(mod, seed=0):
         for T in hom_space(S, mod):
             for col in zip(*T.rows):
                 sp.add_vector(list(col))
-    return [list(r) for r in sp.basis]
+    return sp
 
 
 # -- Frobenius twists ----------------------------------------------------

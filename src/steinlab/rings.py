@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
-from .fields import Field
+from .fields import Field, _prime_divisors
 
 
 class RingError(ValueError):
@@ -345,19 +345,8 @@ def primary_idempotents(ring):
     p-primary part of (A, +); returned as (p, element) pairs, p ascending."""
     # additive exponent of the ring
     exponent = lcm(*[c.char for c in ring.components])
-    primes = []
-    n = exponent
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
     out = []
-    for p in primes:
+    for p in _prime_divisors(exponent):
         pk = 1
         while exponent % (pk * p) == 0:
             pk *= p

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .fields import CapExceeded
 from .matrices import ColumnImages, Matrix, Subspace
 from .modtools import (AlgebraModule, are_isomorphic, monoid_actions,
-                       restrict_to_submodule, socle as _socle_rows, tensor)
+                       restrict_to_submodule, socle as _socle, tensor)
 from .symgrp import (column_alternant, conjugate, normalize_partition,
                      is_p_restricted)
 
@@ -205,8 +205,8 @@ def socle_simple(lam, n, K, seed=0):
     S = schur_value(lam, n, K)
     if S.dimension == 0:
         return S
-    rows = _socle_rows(S, seed=seed)
-    L = S if len(rows) == S.dimension else restrict_to_submodule(S, rows)
+    soc = _socle(S, seed=seed)
+    L = S if soc.dim == S.dimension else restrict_to_submodule(S, soc)
     L.name = f"L_{lam}(K^{n})"
     return L
 
@@ -252,27 +252,24 @@ def highest_weight(rep, degree):
     powers = [K.one]
     for _ in range(degree):
         powers.append(K.mul(powers[-1], z))
-    spaces = [[list(r) for r in
-               Matrix.identity(K, rep.dimension).rows]]
+    n = rep.dimension
+    spaces = [Subspace(K, n, Matrix.identity(K, n).rows)]
     weights = [()]
     for D in torus:
         new_spaces, new_weights = [], []
-        for rows, w in zip(spaces, weights):
-            sub = restrict_to_submodule(
-                AlgebraModule(K, {"D": D}), rows)
-            R = sub.generators["D"]
+        for sp, w in zip(spaces, weights):
+            # each weight space of D on sp, mapped back to K^n by sp's basis
+            R = sp.action_matrix(D)
+            B = Matrix(K, sp.basis, n)
             for k, val in enumerate(powers):
                 shifted = R - Matrix.identity(K, R.nrows).scale(val)
                 ker = shifted.kernel_basis()
                 if ker.nrows == 0:
                     continue
-                B = Matrix(K, rows)
-                vecs = [Matrix(K, [list(kr)]) * B for kr in ker.rows]
-                new_spaces.append([v.rows[0] for v in vecs])
+                new_spaces.append(Subspace(K, n, (ker * B).rows))
                 new_weights.append(w + (k,))
         spaces, weights = new_spaces, new_weights
-    total = sum(len(rows) for rows in spaces)
-    if total != rep.dimension:
+    if sum(sp.dim for sp in spaces) != n:
         raise FieldTooSmall("weight spaces do not fill the module; "
                             "eigenvalues escape the expected powers")
     if not weights:

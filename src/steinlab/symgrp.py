@@ -19,7 +19,7 @@ polytabloids here and the Schur vectors of ``schurfun`` (Green,
 from itertools import combinations, permutations, product
 
 from .fields import CapExceeded
-from .matrices import Matrix, coords_in_basis
+from .matrices import Matrix, Subspace, coords_in_basis
 from .modtools import AlgebraModule, quotient_module
 
 # the largest degree d of a Specht module S^lam, lam a partition of d
@@ -228,6 +228,6 @@ def simple_module(lam, k):
     S = specht_module(lam, k)
     E = Matrix(k, _polytabloids(lam, k, [tuple(range(1, sum(lam) + 1))]))
     rad = (E * E.transpose()).kernel_basis()  # RREF rows
-    D = quotient_module(S, rad.rows)
+    D = quotient_module(S, Subspace(k, S.dimension, rad.rows))
     D.name = f"D^{lam}"
     return D

@@ -48,6 +48,11 @@ entries, before it multiplied the factors' nonzero pairs, and
 ``echelon_restriction`` is ``modtools.restrict_to_submodule`` given a
 ``Subspace`` as it was before it worked in ints over Q: each generator
 applied to the echelon rows, the images written by ``coords_matrix``.
+``rows_restriction`` and ``rows_quotient`` are ``restrict_to_submodule``
+and ``quotient_module`` as they were when they took a submodule as
+rows, before every submodule came as the ``Subspace`` that holds it: the
+former writes the images by ``coords_in_basis``, and the latter
+eliminates the rows into a ``Subspace`` of its own.
 ``power_sum_eval_matrix`` is ``modtools._poly_eval_matrix`` as it was
 before Horner's rule: the sum of c_k A^k over every power of A.
 ``unsplit_find_proper_submodule`` is ``modtools.find_proper_submodule``
@@ -73,7 +78,7 @@ from steinlab.emlpoly import (AbGroup, AbMap, NotPolynomialUpTo,
                               deviation, deviation_vanishes)
 from steinlab.fields import Field
 from steinlab.functorcat import cross_effect
-from steinlab.matrices import Matrix, Subspace
+from steinlab.matrices import Matrix, Subspace, coords_in_basis
 from steinlab.modtools import (AlgebraModule, _poly_mul, are_isomorphic,
                                composition_factors, hom_space,
                                monoid_actions)
@@ -696,6 +701,34 @@ def echelon_restriction(mod, sp):
     return {name: Matrix(mod.field, [r[i * k:(i + 1) * k] for r in X.rows],
                          k)
             for i, name in enumerate(names)}
+
+
+def rows_restriction(mod, rows):
+    """The generators of ``mod`` on the span of the independent ``rows``,
+    in that basis: every image written by one ``coords_in_basis``, which
+    raises ValueError if one leaves the span."""
+    F, k = mod.field, len(rows)
+    names = list(mod.generators)
+    X = coords_in_basis(F, rows, [mod.generators[name].apply_to_vector(
+        list(row)) for name in names for row in rows])
+    return {name: Matrix(F, [r[i * k:(i + 1) * k] for r in X.rows], k)
+            for i, name in enumerate(names)}
+
+
+def rows_quotient(mod, rows):
+    """The generators of ``mod`` on its quotient by the span of the
+    invariant ``rows``, in the basis of the non-pivot unit vectors of
+    their own ``Subspace``."""
+    F = mod.field
+    sub = Subspace(F, mod.dimension, rows)
+    pivots = set(sub.pivots)
+    free = [j for j in range(mod.dimension) if j not in pivots]
+    out = {}
+    for name, g in mod.generators.items():
+        cols = [sub.reduce([row[j] for row in g.rows]) for j in free]
+        out[name] = Matrix(F, [[c[i] for c in cols] for i in free],
+                           len(free))
+    return out
 
 
 # -- multiplicativity on every pair ----------------------------------------

@@ -595,6 +595,25 @@ def test_batch_of_former_tracebacks_reports_both(tmp_path):
         [(2, ZERO_DENOMINATOR[1]), (2, EMPTY_DETTWIST[1])]
 
 
+def test_module_with_no_generators_exits_2_alone_and_in_a_batch(tmp_path):
+    # the field of a module file is read off its first generator
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {}}))
+    argv = ["meataxe", "simple", "--module", str(mf)]
+    message = "error: a module needs at least one generator"
+    assert run(argv) == (2, message)
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps([{"args": argv},
+                                {"args": ["partition", "conj", "--lam",
+                                          "3,1"]}]))
+    code, out = run(["batch", str(jobs)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == 1
+    assert [(r["code"], r["output"]) for r in report["results"]] == \
+        [(2, message), (0, '{"conjugate": [2, 1, 1]}')]
+
+
 def test_elementary_on_k0_skips_the_norm(monkeypatch):
     # n^d dim M = 0: the zero module, before S_7 is walked
     def walked(*args):

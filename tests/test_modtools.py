@@ -12,8 +12,8 @@ from steinlab.fields import CapExceeded, Field, QQ
 from steinlab.matrices import ColumnImages, Matrix, Subspace, span_from_spins
 
 from oracles import (echelon_restriction, hom_space_socle, kron_hom_rows,
-                     kron_hom_space, power_sum_eval_matrix,
-                     solve_right_minimal_polynomial,
+                     kron_hom_space, power_sum_eval_matrix, rows_quotient,
+                     rows_restriction, solve_right_minimal_polynomial,
                      unsplit_find_proper_submodule)
 
 # Hypothesis runs derandomized, so the examples are the same on every run
@@ -295,10 +295,10 @@ def test_socle_matches_hom_space_oracle(monkeypatch, build, simple, seed):
     hom_space = mt.hom_space
     monkeypatch.setattr(mt, "hom_space",
                         lambda *a: calls.append(a) or hom_space(*a))
-    rows = mt.socle(M, seed=seed)
+    soc = mt.socle(M, seed=seed)
     assert (not calls) == simple
     monkeypatch.undo()
-    assert rows == hom_space_socle(M, seed=seed)
+    assert soc.basis == hom_space_socle(M, seed=seed)
 
 
 def test_tensor_dimensions():
@@ -507,7 +507,7 @@ def test_certificate_agrees_with_exhaustive_oracle(monkeypatch):
         found = mt.find_proper_submodule(mod, seed=seed)
         assert (found is None) == (oracle is None)
         if found is not None:
-            assert _is_proper_submodule(mod, found)
+            assert _is_proper_submodule(mod, found.basis)
 
     check()
     assert sweeps
@@ -527,7 +527,7 @@ def test_norton_sweep_on_every_factor_agrees_with_oracle(case, seed):
         found = mt._norton(mod, N, N.kernel_basis(), sweep=True)
         assert (found is None) == (oracle is None)
         if found is not None:
-            assert _is_proper_submodule(mod, found)
+            assert _is_proper_submodule(mod, found.basis)
 
 
 def test_fallback_without_certificate_still_decides(monkeypatch):
@@ -540,7 +540,7 @@ def test_fallback_without_certificate_still_decides(monkeypatch):
     assert mt.is_simple(natural_gl2_f2())
     assert mt.is_simple(steinberg.build((2, 1), 3, 2).module)
     M = cyclic_shift_module(3, Field.prime(2))
-    assert _is_proper_submodule(M, mt.find_proper_submodule(M))
+    assert _is_proper_submodule(M, mt.find_proper_submodule(M).basis)
 
 
 def test_fallback_spins_one_transpose_vector(monkeypatch):
@@ -624,8 +624,8 @@ def test_certificate_stops_early_on_a_square(monkeypatch):
     monkeypatch.setattr(mt, "minimal_polynomial", counted)
     for seed in (0, 1, 7):
         draws.clear()
-        assert _is_proper_submodule(M, mt.find_proper_submodule(M,
-                                                                seed=seed))
+        assert _is_proper_submodule(
+            M, mt.find_proper_submodule(M, seed=seed).basis)
         assert len(draws) <= 2
 
 
@@ -891,6 +891,51 @@ def test_restriction_to_a_subspace_that_is_not_invariant_raises(F):
                            match="image outside the span of the basis"):
             mt.restrict_to_submodule(mt.AlgebraModule(F, {"g": op}), sp)
     if F.kind != "rational":
-        # a finite field's rows are labels, not the int rows it reads
-        with pytest.raises(ValueError, match="int rows of Q"):
-            sp.action_matrix(g)
+        # over a finite field action_matrix writes the images by
+        # coords_matrix, as the echelon oracle does, on an invariant line
+        line = Subspace(F, 2, [[F.one, F.one]])
+        swap = Matrix(F, [[F.zero, F.one], [F.one, F.zero]])
+        for op in (swap, ColumnImages(F, swap.column_pairs())):
+            want = echelon_restriction(mt.AlgebraModule(F, {"g": op}), line)
+            assert line.action_matrix(op) == want["g"] == \
+                Matrix(F, [[F.one]])
+
+
+# F_2, F_3, F_4, F_5, F_8, F_9; in characteristic 2 a Subspace packs its
+# rows from width 8e on
+SUBMODULE_FIELDS = [Field.prime(2), Field.prime(3), Field.galois(2, 2),
+                    Field.prime(5), Field.galois(2, 3), Field.galois(3, 2)]
+
+
+@pytest.mark.parametrize("F", SUBMODULE_FIELDS, ids=lambda F: F.label())
+@pytest.mark.parametrize("offset", [-5, -1, 0, 1])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_found_submodule_is_restricted_and_quotiented_without_elimination(
+        F, offset, data):
+    # a block upper-triangular module, at widths below 8e and at or above
+    # it: the Subspace find_proper_submodule returns gives the rows
+    # oracles' matrices, and no vector is eliminated a second time
+    n = 8 * F.degree + offset
+    a = data.draw(st.integers(1, n - 1))
+    rnd = data.draw(st.randoms(use_true_random=False))
+
+    def block(r, c):
+        return Matrix(F, [[rnd.randrange(F.order) for _ in range(c)]
+                          for _ in range(r)], c)
+
+    mod = mt.AlgebraModule(F, {
+        nm: _block_upper(F, block(a, a), block(a, n - a),
+                         block(n - a, n - a))
+        for nm in ["a", "b"][:data.draw(st.integers(1, 2))]})
+    sub = mt.find_proper_submodule(mod, seed=data.draw(st.integers(0, 7)))
+    inserted = []
+    add_vector = Subspace.add_vector
+    with mock.patch.object(Subspace, "add_vector", lambda *args: (
+            inserted.append(args) or add_vector(*args))):
+        lower = mt.restrict_to_submodule(mod, sub).generators
+        upper = mt.quotient_module(mod, sub).generators
+    assert not inserted
+    assert isinstance(sub, Subspace) and 0 < sub.dim < n
+    assert lower == rows_restriction(mod, sub.basis)
+    assert upper == rows_quotient(mod, sub.basis)

@@ -13,7 +13,8 @@ from steinlab.modtools import end_dim, is_simple
 
 from oracles import (all_partitions, dense_norm_basis,
                      dense_sym_action, dense_tensor_action, hom_space_socle,
-                     schur_image_vectors, semistandard_count)
+                     rows_restriction, schur_image_vectors,
+                     semistandard_count)
 
 
 def test_char0_sym_and_alt():
@@ -75,7 +76,8 @@ def test_socle_simple_matches_hom_space_oracle(monkeypatch, lam, n, q,
     assert (not any(restricted)) == simple
     monkeypatch.undo()
     S = sf.schur_value(lam, n, K)
-    O = mt.restrict_to_submodule(S, hom_space_socle(S))
+    O = mt.restrict_to_submodule(
+        S, Subspace(K, S.dimension, hom_space_socle(S)))
     assert L.generators == O.generators
     assert L.labels == O.labels == S.labels
     assert L.name == f"L_{lam}(K^{n})"
@@ -369,8 +371,7 @@ def test_restriction_to_a_subspace_equals_restriction_to_its_rows(
     def both(mod, basis):
         assert isinstance(basis, Subspace)
         got = real(mod, basis)
-        rows = real(mod, [list(r) for r in basis.basis])
-        assert got.generators == rows.generators
+        assert got.generators == rows_restriction(mod, basis.basis)
         entries = [x for g in got.generators.values()
                    for x in g.entries_flat()]
         assert all(type(x) is Fraction for x in entries) if K is QQ else \
