@@ -41,16 +41,21 @@ def load_module(path):
     from . import modtools
     with open(path) as fh:
         obj = json.load(fh)
-    gens = {nm: Matrix.from_json(mj) for nm, mj in obj["generators"].items()}
+    gens = _named_matrices(obj["generators"], "generators")
     if not gens:
         raise ValueError("a module needs at least one generator")
     labels = None
     if obj.get("labels"):
-        labels = {nm: Matrix.from_json(mj)
-                  for nm, mj in obj["labels"].items()}
+        labels = _named_matrices(obj["labels"], "labels")
     field = next(iter(gens.values())).field
     return modtools.AlgebraModule(field, gens, labels=labels,
                                   name=obj.get("name", ""))
+
+
+def _named_matrices(obj, key):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key} must be a JSON object of named matrices")
+    return {nm: Matrix.from_json(mj) for nm, mj in obj.items()}
 
 
 def dump_module(mod):

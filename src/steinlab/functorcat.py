@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .emlpoly import NotPolynomialUpTo
 from .fields import CapExceeded, QQ, prime_power
-from .matrices import Matrix, span_from_spins
+from .matrices import Matrix, Subspace, span_from_spins
 from .modtools import (AlgebraModule, are_isomorphic, is_simple,
                        monoid_actions)
 from .rings import (all_ideals, cotrivial_ideals, mat_mul,
@@ -190,24 +190,16 @@ def _deletion_matrix(ring, d, i):
 
 
 def cross_effect(F, d):
-    """Dimension and basis of cr_d F(A,...,A) inside F(A^d): the joint
-    kernel of the coordinate-deletion maps."""
+    """Dimension and ``Subspace`` of cr_d F(A,...,A) inside F(A^d): the
+    joint kernel of the coordinate-deletion maps, the annihilator of
+    their rows (all of F(A^d) when there are none, as at d = 0)."""
     if d > F.N:
         raise ValueError(f"cross effect {d} exceeds truncation {F.N}")
-    if d == 0:
-        dim0 = F.dim(0)
-        return dim0, Matrix.identity(F.field, dim0)
-    stacked_rows = []
-    for i in range(d):
-        h = _deletion_matrix(F.ring, d, i)
-        M = F.act_ranks(h, d, d - 1)
-        stacked_rows.extend(M.rows)
-    if not stacked_rows:
-        dimd = F.dim(d)
-        return dimd, Matrix.identity(F.field, dimd)
-    big = Matrix(F.field, stacked_rows)
-    ker = big.kernel_basis()
-    return ker.nrows, ker
+    deletions = (F.act_ranks(_deletion_matrix(F.ring, d, i), d, d - 1)
+                 for i in range(d))
+    ker = Subspace(F.field, F.dim(d),
+                   (row for M in deletions for row in M.rows)).annihilator()
+    return ker.dim, ker
 
 
 def polynomial_degree(F, cap):

@@ -17,9 +17,11 @@ Only the two ``apply_to_vector``s, ``Subspace`` and JSON branch on the
 field kind.
 
 ``Subspace`` is the one place that eliminates, and ``Matrix.rref`` reads
-its basis.  Every vector goes through ``Subspace.add_vector``: reduction
-against the basis, then back-reduction of the basis, one loop for three
-row forms.  Over a finite field a row is a list of labels and a step is
+its basis; ``Subspace.annihilator``, read off the pivots of the
+``Subspace`` a system's rows went into, is the one null space.  Every
+vector goes through ``Subspace.add_vector``: reduction against the
+basis, then back-reduction of the basis, one loop for three row forms.
+Over a finite field a row is a list of labels and a step is
 ``Field.row_sub``; in characteristic 2, rows of 8e or more entries are
 packed bit planes (``fields``) and a step is a few XORs: the loop reads
 the pivot entry f from the planes' bits and XORs the planes that
@@ -228,25 +230,13 @@ class Matrix:
         return Matrix(F, rows, self.ncols), sp.pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return Subspace(self.field, self.ncols, self.rows).dim
 
     def kernel_basis(self):
-        """Rows spanning {v : A v = 0}, in RREF of the kernel, read off
-        the rows' ``Subspace`` (``rref`` would pad it with zero rows)."""
-        n = self.ncols
-        F = self.field
-        sp = Subspace(F, n, self.rows)
-        R, piv = sp.basis, sp.pivots
-        pivset = set(piv)
-        free = [j for j in range(n) if j not in pivset]
-        basis = []
-        for j in free:
-            v = [F.zero] * n
-            v[j] = F.one
-            for i, pc in enumerate(piv):
-                v[pc] = F.neg(R[i][j])
-            basis.append(v)
-        return Matrix(F, basis, n).rref()[0]
+        """Rows spanning {v : A v = 0}: the RREF basis of the rows'
+        ``Subspace.annihilator``."""
+        sp = Subspace(self.field, self.ncols, self.rows)
+        return Matrix(self.field, sp.annihilator().basis, self.ncols)
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -447,6 +437,21 @@ class Subspace:
                        for c in self.pivots)
         s = Fraction(r, w[j])
         return [s * x for x in w]
+
+    def annihilator(self):
+        """The ``Subspace`` of every v with r . v = 0 for each basis row r:
+        for each non-pivot column j in turn, e_j with minus each basis
+        row's entry at j at its pivot."""
+        F, n = self.field, self.ambient_dim
+        rows, out = list(zip(self.pivots, self.basis)), Subspace(F, n)
+        for j in range(n):
+            if not self._mask >> j & 1:
+                v = [F.zero] * n
+                v[j] = F.one
+                for c, r in rows:
+                    v[c] = F.neg(r[j])
+                out.add_vector(v)
+        return out
 
     def contains(self, v):
         return not any(self._reduce(self._in(v)))

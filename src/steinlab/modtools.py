@@ -45,6 +45,10 @@ class AlgebraModule:
         dims |= {g.ncols for g in self.generators.values()}
         if len(dims) != 1:
             raise ValueError("generator matrices must be square, same size")
+        for nm, g in self.generators.items():
+            if g.field is not field:
+                raise ValueError(f"generator {nm} is over "
+                                 f"{g.field.label()}, not {field.label()}")
         self.dimension = dims.pop()
         self.labels = dict(labels) if labels else None
         self.name = name
@@ -310,7 +314,7 @@ def _proper_spin(F, n, vectors, gens):
 def _norton(mod, N, ker, sweep):
     """Norton's test on ker f(θ), with N = f(θ) and ``ker`` its kernel:
     a proper submodule spun from a nonzero vector of ker f(θ), else the
-    annihilator of a proper transpose submodule spun from ker f(θ)^t,
+    annihilator of the ``Subspace`` of a proper transpose spin of ker f(θ)^t,
     else None.  ``sweep`` spins every vector of ker f(θ), which decides;
     without it one vector is spun, which decides when ker f(θ) is a
     line.  Either way, no proper spin from ker f(θ) means every proper
@@ -323,7 +327,7 @@ def _norton(mod, N, ker, sweep):
         subt = _proper_spin(F, n, N.transpose().kernel_basis().rows[:1],
                             transpose_module(mod).gen_list())
         if subt is not None:
-            sub = Subspace(F, n, Matrix(F, subt.basis).kernel_basis().rows)
+            sub = subt.annihilator()
     return sub
 
 
@@ -410,9 +414,10 @@ def _shared_names(mod_m, mod_n):
 def hom_space(mod_m, mod_n):
     """Basis of intertwiners T (dim_n x dim_m matrices) with
     T g_M = g_N T for every shared generator name: the kernel of the rows
-    of (I_a kron A^t) - (B kron I_b) on vec(T), A of M and B of N.  A
-    system of more than ``HOM_SYSTEM_CAP`` entries raises ``CapExceeded``
-    before any row is written."""
+    of (I_a kron A^t) - (B kron I_b) on vec(T), A of M and B of N, read
+    off the ``annihilator`` of the ``Subspace`` each row goes into as it
+    is written; Hom = 0 once its rank reaches a*b.  A system of more than
+    ``HOM_SYSTEM_CAP`` entries raises ``CapExceeded`` before any row."""
     names = _shared_names(mod_m, mod_n)
     F = mod_m.field
     z, add, neg = F.zero, F.add, F.neg
@@ -420,12 +425,10 @@ def hom_space(mod_m, mod_n):
     if len(names) * (a * b) ** 2 > HOM_SYSTEM_CAP:
         raise CapExceeded(f"hom-space system of {len(names) * a * b} x "
                           f"{a * b} exceeds cap {HOM_SYSTEM_CAP}")
-    rows = []
+    system = Subspace(F, a * b)
     for name in names:
-        # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k;
-        # adding to zero keeps Q entries Fractions
-        cols = [[add(z, x) for x in col]
-                for col in zip(*mod_m.generators[name].rows)]
+        # row (i, k) holds A[j][k] at i*b + j and -B[i][l] at l*b + k
+        cols = [list(col) for col in zip(*mod_m.generators[name].rows)]
         for i, Bi in enumerate(mod_n.generators[name].rows):
             left, right = [z] * (i * b), [z] * ((a - 1 - i) * b)
             negs = [(l * b, neg(y)) for l, y in enumerate(Bi) if y]
@@ -433,10 +436,10 @@ def hom_space(mod_m, mod_n):
                 row = left + cols[k] + right
                 for c, y in negs:
                     row[c + k] = add(row[c + k], y)
-                rows.append(row)
-    ker = Matrix(F, rows).kernel_basis()
-    return [Matrix(F, [list(krow[i * b:(i + 1) * b]) for i in range(a)])
-            for krow in ker.rows]
+                if system.add_vector(row) and system.dim == a * b:
+                    return []
+    return [Matrix(F, [krow[i * b:(i + 1) * b] for i in range(a)])
+            for krow in system.annihilator().basis]
 
 
 def end_dim(mod):

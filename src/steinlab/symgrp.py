@@ -227,7 +227,7 @@ def simple_module(lam, k):
         raise ValueError(f"{lam} is not {p}-regular")
     S = specht_module(lam, k)
     E = Matrix(k, _polytabloids(lam, k, [tuple(range(1, sum(lam) + 1))]))
-    rad = (E * E.transpose()).kernel_basis()  # RREF rows
-    D = quotient_module(S, Subspace(k, S.dimension, rad.rows))
+    rad = Subspace(k, S.dimension, (E * E.transpose()).rows).annihilator()
+    D = quotient_module(S, rad)
     D.name = f"D^{lam}"
     return D

@@ -595,12 +595,7 @@ def test_batch_of_former_tracebacks_reports_both(tmp_path):
         [(2, ZERO_DENOMINATOR[1]), (2, EMPTY_DETTWIST[1])]
 
 
-def test_module_with_no_generators_exits_2_alone_and_in_a_batch(tmp_path):
-    # the field of a module file is read off its first generator
-    mf = tmp_path / "module.json"
-    mf.write_text(json.dumps({"generators": {}}))
-    argv = ["meataxe", "simple", "--module", str(mf)]
-    message = "error: a module needs at least one generator"
+def _alone_and_in_a_batch(tmp_path, argv, message):
     assert run(argv) == (2, message)
     jobs = tmp_path / "jobs.json"
     jobs.write_text(json.dumps([{"args": argv},
@@ -612,6 +607,50 @@ def test_module_with_no_generators_exits_2_alone_and_in_a_batch(tmp_path):
     assert report["failures"] == 1
     assert [(r["code"], r["output"]) for r in report["results"]] == \
         [(2, message), (0, '{"conjugate": [2, 1, 1]}')]
+
+
+def test_module_with_no_generators_exits_2_alone_and_in_a_batch(tmp_path):
+    # the field of a module file is read off its first generator
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps({"generators": {}}))
+    _alone_and_in_a_batch(tmp_path, ["meataxe", "simple", "--module",
+                                     str(mf)],
+                          "error: a module needs at least one generator")
+
+
+F2_GEN = {"field": {"p": 2, "e": 1}, "rows": 2, "cols": 2,
+          "entries": [[1, 1], [0, 1]]}
+F3_GEN = {"field": {"p": 3, "e": 1}, "rows": 2, "cols": 2,
+          "entries": [[2, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("module, message", [
+    ({"generators": [1, 2]},
+     "error: generators must be a JSON object of named matrices"),
+    ({"generators": {"a": F2_GEN}, "labels": [1]},
+     "error: labels must be a JSON object of named matrices"),
+    ({"generators": {"a": F2_GEN, "b": F3_GEN}},
+     "error: generator b is over F_3, not F_2")],
+    ids=["generators", "labels", "fields"])
+@pytest.mark.parametrize("action", ["simple", "end"])
+def test_malformed_module_exits_2_alone_and_in_a_batch(tmp_path, module,
+                                                      message, action):
+    # these ended in a traceback, or (mixed fields) read an F_3 label as
+    # an element of F_2 and answered
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps(module))
+    _alone_and_in_a_batch(tmp_path, ["meataxe", action, "--module",
+                                     str(mf)], message)
+
+
+@pytest.mark.parametrize("module, message", [
+    ([{"generators": {"a": F2_GEN}}],
+     "error: list indices must be integers or slices, not str"),
+    ({"labels": {}}, "error: 'generators'")], ids=["array", "missing"])
+def test_module_file_errors_keep_their_text(tmp_path, module, message):
+    mf = tmp_path / "module.json"
+    mf.write_text(json.dumps(module))
+    assert run(["meataxe", "simple", "--module", str(mf)]) == (2, message)
 
 
 def test_elementary_on_k0_skips_the_norm(monkeypatch):

@@ -8,12 +8,12 @@ from steinlab import rings
 from steinlab.cli import make_functor_expr, run
 from steinlab.emlpoly import NotPolynomialUpTo
 from steinlab.fields import Field
-from steinlab.matrices import Subspace
+from steinlab.matrices import Matrix, Subspace
 from steinlab.rings import (FiniteRing, mat_mul, matrix_monoid_generators,
                             ring_homs)
 
 from oracles import (cross_effect_check, full_matrix_monoid_generators,
-                     tuple_row_table)
+                     rref_kernel_basis, tuple_row_table)
 
 F2RING = FiniteRing("F_2")
 F3 = Field.prime(3)
@@ -70,6 +70,26 @@ def test_cross_effect_bookkeeping():
               lines_functor(3)):
         for d in range(F.N + 1):
             assert cross_effect_check(F, d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lines_functor(3),
+    lambda: fc.representable_functor(F2RING, F3, 3)], ids=["gr1", "rep"])
+def test_cross_effect_is_the_oracle_kernel_of_the_deletion_maps(build):
+    F = build()
+    whole = []
+    for d in range(F.N + 1):
+        dim, ker = fc.cross_effect(F, d)
+        rows = [row for i in range(d) for row in F.act_ranks(
+            fc._deletion_matrix(F.ring, d, i), d, d - 1).rows]
+        want = rref_kernel_basis(Matrix(F.field, rows, F.dim(d)))
+        assert ker == Subspace(F.field, F.dim(d), want.rows)
+        assert dim == ker.dim
+        if d == 0 or F.dim(d - 1) == 0:
+            assert dim == F.dim(d)
+            whole.append(d)
+    # d = 0, and for gr1 also d = 1, where F(A^0) = 0
+    assert whole == ([0, 1] if F.dim(0) == 0 else [0])
 
 
 def test_functoriality_on_random_pairs():

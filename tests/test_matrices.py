@@ -317,6 +317,44 @@ def test_kernel_basis_matches_padded_rref_oracle(F, data):
     assert all(not any(r) for r in (M * K.transpose()).rows)
 
 
+ANNIHILATOR_FIELDS = [Field.prime(2), Field.prime(3), Field.galois(2, 2),
+                      Field.prime(5), Field.galois(2, 3), Field.galois(3, 2),
+                      QQ]
+
+
+@st.composite
+def annihilator_rows(draw, F):
+    """(width, rows) over F: a width from 0 to 8e + 2, so that rows of
+    8e or more entries are packed bit planes in characteristic 2; no
+    rows, zero rows, random rows or a full-rank set."""
+    n = draw(st.integers(0, 8 * F.degree + 2))
+    kind = draw(st.sampled_from(["none", "zero", "random", "full"]))
+    if kind == "none":
+        return n, []
+    if kind == "zero":
+        return n, [[F.zero] * n for _ in range(draw(st.integers(1, 3)))]
+    rows = draw(kernel_rows(F, draw(st.integers(1, 6)), n))
+    if kind == "full":
+        # unit lower triangular rows after the random ones span F^n
+        rows += [[draw(nonzero_scalars(F)) if j < i and draw(st.booleans())
+                  else F.one if j == i else F.zero for j in range(n)]
+                 for i in range(n)]
+        rows = draw(st.permutations(rows))
+    return n, rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(ANNIHILATOR_FIELDS), st.data())
+def test_annihilator_matches_padded_rref_oracle(F, data):
+    n, rows = data.draw(annihilator_rows(F))
+    ann = Subspace(F, n, rows).annihilator()
+    want = rref_kernel_basis(Matrix(F, rows, n)).rows
+    assert ann == Subspace(F, n, want)
+    assert ann.basis == want
+    assert ann.dim == n - Matrix(F, rows, n).rank()
+    assert _all_fractions(F, ann.basis)
+
+
 def _dot(F, xs, ys):
     acc = F.zero
     for a, b in zip(xs, ys):

@@ -160,6 +160,17 @@ def test_minimal_polynomial_matches_the_solve_right_oracle(F, data):
         assert all(type(c) is Fraction for c in mp)
 
 
+def test_generators_over_another_field_are_refused():
+    F2, F3 = Field.prime(2), Field.prime(3)
+    a = Matrix(F2, [[1, 1], [0, 1]])
+    b = Matrix(F3, [[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="generator b is over F_3, not F_2"):
+        mt.AlgebraModule(F2, {"a": a, "b": b})
+    with pytest.raises(ValueError, match="generator a is over F_2, not Q"):
+        mt.AlgebraModule(QQ, {"a": a})
+    assert mt.AlgebraModule(F2, {"a": a}).dimension == 2
+
+
 def test_hom_space_and_iso():
     K = Field.prime(2)
     a = natural_gl2_f2(K)
@@ -229,16 +240,19 @@ def block_diagonal(X, Y):
 
 
 def hom_space_and_system(mod_m, mod_n):
-    """hom_space's output and the rows it hands to kernel_basis."""
-    systems = []
-    kernel_basis = Matrix.kernel_basis
+    """hom_space's output and the rows it inserts into its system: the
+    first ``Subspace`` to take a row (the annihilator's rows go into
+    another)."""
+    inserted = {}
+    add_vector = Subspace.add_vector
 
-    def spy(self):
-        systems.append(self.rows)
-        return kernel_basis(self)
-    with mock.patch.object(Matrix, "kernel_basis", spy):
+    def spy(self, v):
+        # the Subspace is kept in the value, so its id is not reused
+        inserted.setdefault(id(self), (self, []))[1].append(list(v))
+        return add_vector(self, v)
+    with mock.patch.object(Subspace, "add_vector", spy):
         homs = mt.hom_space(mod_m, mod_n)
-    (rows,) = systems
+    _, rows = next(iter(inserted.values()))
     return homs, rows
 
 
@@ -252,14 +266,31 @@ def test_hom_space_rows_match_kronecker_oracle(pair):
     M, N, isomorphic = pair
     homs, rows = hom_space_and_system(M, N)
     want = kron_hom_rows(M, N)
-    assert rows == want
-    assert _types(rows) == _types(want)
+    # every row goes in, unless the rank reached a*b first: then Hom = 0
+    assert rows == want[:len(rows)]
+    assert _types(rows) == _types(want[:len(rows)])
+    if len(rows) < len(want):
+        assert Matrix(M.field, rows).rank() == M.dimension * N.dimension
+        assert kron_hom_space(M, N) == []
     assert homs == kron_hom_space(M, N)
     if M.field.kind == "rational":
         assert {Fraction} >= set(_types(rows)).union(
             *(_types(T.rows) for T in homs))
     if isomorphic:
         assert mt.are_isomorphic(M, N)
+
+
+@pytest.mark.parametrize("F", [Field.prime(3), QQ], ids=["F_3", "Q"])
+def test_zero_hom_space_stops_at_full_rank(F):
+    # T I = 0 T on g alone forces T = 0: 4 of the oracle's 8 rows go in
+    one, zero = Matrix.identity(F, 2), Matrix.zero(F, 2, 2)
+    M = mt.AlgebraModule(F, {"g": one, "h": one})
+    N = mt.AlgebraModule(F, {"g": zero, "h": zero})
+    homs, rows = hom_space_and_system(M, N)
+    want = kron_hom_rows(M, N)
+    assert homs == kron_hom_space(M, N) == []
+    assert (len(rows), len(want)) == (4, 8)
+    assert rows == want[:4]
 
 
 def test_socle_of_group_algebra():
